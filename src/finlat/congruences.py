@@ -285,19 +285,3 @@ def is_balanced_congruence(lattice: FiniteLattice, cong: Congruence) -> bool:
 def is_balanced(lattice: FiniteLattice) -> bool:
     """True iff every congruence of the lattice is balanced."""
     return all(is_balanced_congruence(lattice, c) for c in all_congruences(lattice))
-
-
-def is_balanced_pairwise(lattice: FiniteLattice) -> bool:
-    """Equivalent form: 0-classes agree exactly when 1-classes agree.
-
-    Scans all pairs from Con(L); kept separate from :func:`is_balanced`
-    so the two definitions can be cross-checked.
-    """
-    congs = all_congruences(lattice)
-    bottom, top = lattice.bottom, lattice.top
-    pairs = [(frozenset(c.class_of(bottom)), frozenset(c.class_of(top))) for c in congs]
-    for i, (zero_i, one_i) in enumerate(pairs):
-        for zero_j, one_j in pairs[i + 1 :]:
-            if (zero_i == zero_j) != (one_i == one_j):
-                return False
-    return True

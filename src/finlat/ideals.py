@@ -3,9 +3,9 @@
 An ideal is a nonempty downward-closed join-closed subset; a filter is
 the dual.  In a finite lattice every ideal is a principal down-set (a
 nonempty join-closed set has a greatest element), which keeps
-enumeration linear; the exhaustive subset scan survives as a private
-cross-check path.  Sets are bitmasks wrapped in :class:`ElementSet` so
-reports can print them uniformly.
+enumeration linear and reduces maximality to a coatom (or atom) test.
+Sets are bitmasks wrapped in :class:`ElementSet` so reports can print
+them uniformly.
 """
 
 from __future__ import annotations
@@ -141,29 +141,6 @@ def enumerate_filters(lattice: FiniteLattice) -> list[ElementSet]:
     return sorted(ElementSet(n, lattice.up_masks[a]) for a in range(n))
 
 
-def _enumerate_ideals_scan(lattice: FiniteLattice) -> list[ElementSet]:
-    """Exhaustive 2^n subset scan; cross-check path for the fast route."""
-    n = lattice.size
-    out = [
-        s
-        for m in range(1, 1 << n)
-        for s in [ElementSet(n, m)]
-        if is_ideal(lattice, s)
-    ]
-    return sorted(out)
-
-
-def _enumerate_filters_scan(lattice: FiniteLattice) -> list[ElementSet]:
-    n = lattice.size
-    out = [
-        s
-        for m in range(1, 1 << n)
-        for s in [ElementSet(n, m)]
-        if is_filter(lattice, s)
-    ]
-    return sorted(out)
-
-
 def is_prime_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
     """Proper, and x∧y inside implies x or y inside.
 
@@ -193,29 +170,28 @@ def is_prime_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
 
 
 def is_maximal_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
-    """Proper and not strictly contained in another proper ideal."""
+    """Proper and not strictly contained in another proper ideal.
+
+    The ideal is the down-set of its greatest element g, and ↓g ⊊ ↓h
+    exactly when g < h, so it is maximal iff g is a coatom: the up-set
+    of g is {g, top}.
+    """
     if not is_ideal(lattice, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
-    full = (1 << lattice.size) - 1
-    if ideal.mask == full:
-        return False
-    for other in enumerate_ideals(lattice):
-        if other.mask != full and other.mask != ideal.mask and ideal.issubset(other):
-            return False
-    return True
+    g = next(x for x in ideal if lattice.down_masks[x] == ideal.mask)
+    return lattice.up_masks[g].bit_count() == 2
 
 
 def is_maximal_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
-    """Proper and not strictly contained in another proper filter."""
+    """Proper and not strictly contained in another proper filter.
+
+    Dually, the filter is the up-set of its least element, which must
+    be an atom.
+    """
     if not is_filter(lattice, filt):
         raise NotAFilter(f"{filt} is not a filter")
-    full = (1 << lattice.size) - 1
-    if filt.mask == full:
-        return False
-    for other in enumerate_filters(lattice):
-        if other.mask != full and other.mask != filt.mask and filt.issubset(other):
-            return False
-    return True
+    a = next(x for x in filt if lattice.up_masks[x] == filt.mask)
+    return lattice.down_masks[a].bit_count() == 2
 
 
 def ideal_generated_by(lattice: FiniteLattice, subset: ElementSet | Iterable[int]) -> ElementSet:

@@ -1,10 +1,9 @@
 """Headline lattice predicates and the theorem-level verifiers.
 
-Two independent characterizations of d-lattices, complementedness in
-two computed forms, the seven equivalent conditions for non-
-complementedness of a d-lattice, constructive witnesses for two of the
-implications, and an end-to-end verdict plus a full classification
-report for a single lattice.
+Two independent characterizations of d-lattices, complementedness, the
+seven equivalent conditions for non-complementedness of a d-lattice,
+constructive witnesses for two of the implications, and an end-to-end
+verdict plus a full classification report for a single lattice.
 
 The seven conditions are computed independently of one another, so
 tests can check each implication arrow between them in isolation, and
@@ -28,10 +27,8 @@ from .core import (
     LatticeError,
     LatticeHomomorphism,
     SizeMismatch,
-    canonical_form,
     is_homomorphism,
     is_surjective,
-    quotient,
     standard_lattice,
     validate,
 )
@@ -57,7 +54,7 @@ class NotNestedPrimes(LatticeError):
 
 
 class HomomorphismCheckFailed(LatticeError):
-    """A constructed map failed verification; indicates an internal bug."""
+    """A constructed map or witness failed verification; indicates an internal bug."""
 
 
 class HasComplement(LatticeError):
@@ -76,7 +73,8 @@ class SevenConditions:
     c2: some maximal ideal's complement is not a maximal filter
     c3: there are prime ideals I1 strictly inside I2
     c4: there are prime filters F1 strictly inside F2
-    c5: the lattice maps onto the 3-element chain
+    c5: the lattice maps onto the 3-element chain (some congruence has
+        exactly three blocks; every 3-element bounded lattice is the chain)
     c6: the lattice is not balanced
     c7: the lattice is not complemented
     """
@@ -250,13 +248,9 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
 
 def is_d_lattice_maximal_prime(lattice: FiniteLattice) -> bool:
     """Characterization: all maximal ideals and maximal filters are prime."""
-    for ideal in enumerate_ideals(lattice):
-        if is_maximal_ideal(lattice, ideal) and not is_prime_ideal(lattice, ideal):
-            return False
-    for filt in enumerate_filters(lattice):
-        if is_maximal_filter(lattice, filt) and not is_prime_filter(lattice, filt):
-            return False
-    return True
+    return all(is_prime_ideal(lattice, i) for i in _maximal_ideals(lattice)) and all(
+        is_prime_filter(lattice, f) for f in _maximal_filters(lattice)
+    )
 
 
 def is_d_lattice(lattice: FiniteLattice) -> bool:
@@ -277,19 +271,8 @@ def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
 
 
 def is_complemented(lattice: FiniteLattice) -> bool:
-    """Every element has a complement.
-
-    Computed both as the direct two-equation scan and as nonemptiness of
-    the intersection of the two annihilator sets; the forms are asserted
-    to agree.
-    """
-    direct = all(len(complements_of(lattice, a)) > 0 for a in lattice.elements())
-    via_annihilators = all(
-        annihilator_filter(lattice, a).mask & annihilator_ideal(lattice, a).mask
-        for a in lattice.elements()
-    )
-    assert direct == via_annihilators, "complement scans disagree"
-    return direct
+    """Every element has a complement."""
+    return all(len(complements_of(lattice, a)) > 0 for a in lattice.elements())
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -329,21 +312,6 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
     return None
 
 
-def _maps_onto_three_chain(
-    lattice: FiniteLattice, congruences: Sequence[Congruence]
-) -> bool:
-    """Some congruence has a quotient isomorphic to the 3-element chain."""
-    three = standard_lattice("chain", 3)
-    target = canonical_form(three)
-    for cong in congruences:
-        if cong.num_blocks != 3:
-            continue
-        image, _ = quotient(lattice, cong)
-        if canonical_form(image) == target:
-            return True
-    return False
-
-
 def seven_conditions(
     lattice: FiniteLattice, congruences: Optional[Sequence[Congruence]] = None
 ) -> SevenConditions:
@@ -368,7 +336,7 @@ def seven_conditions(
             break
     c3 = _nested_pair(_prime_ideals(lattice)) is not None
     c4 = _nested_pair(_prime_filters(lattice)) is not None
-    c5 = _maps_onto_three_chain(lattice, congs)
+    c5 = any(c.num_blocks == 3 for c in congs)
     c6 = not all(is_balanced_congruence(lattice, c) for c in congs)
     c7 = not is_complemented(lattice)
     return SevenConditions(c1, c2, c3, c4, c5, c6, c7)
@@ -400,6 +368,11 @@ def three_chain_quotient_from_nested_primes(
     if not is_homomorphism(hom) or not is_surjective(hom):
         raise HomomorphismCheckFailed("three-level map failed verification")
     return hom
+
+
+def _check(holds: bool, message: str) -> None:
+    if not holds:
+        raise HomomorphismCheckFailed(message)
 
 
 def witness_from_noncomplemented(lattice: FiniteLattice, a: int) -> NonComplementedWitness:
@@ -435,15 +408,16 @@ def witness_from_noncomplemented(lattice: FiniteLattice, a: int) -> NonComplemen
     residual = maximal.complement()
     extended = ideal_generated_by(lattice, residual.with_element(a))
 
-    assert seed.isdisjoint(killers), "seed filter meets the annihilator ideal"
-    assert is_maximal_filter(lattice, maximal), "greedy extension is not maximal"
-    assert is_ideal(lattice, residual), "complement of the maximal filter is not an ideal"
-    assert extended.mask != full, "extended ideal is improper"
-    assert residual.issubset(extended) and residual.mask != extended.mask, (
-        "extended ideal does not strictly contain the residual"
+    _check(seed.isdisjoint(killers), "seed filter meets the annihilator ideal")
+    _check(is_maximal_filter(lattice, maximal), "greedy extension is not maximal")
+    _check(is_ideal(lattice, residual), "complement of the maximal filter is not an ideal")
+    _check(extended.mask != full, "extended ideal is improper")
+    _check(
+        residual.issubset(extended) and residual.mask != extended.mask,
+        "extended ideal does not strictly contain the residual",
     )
-    assert extended.isdisjoint(blockers), "extended ideal meets the annihilator filter"
-    assert not is_maximal_ideal(lattice, residual), "residual ideal is maximal"
+    _check(extended.isdisjoint(blockers), "extended ideal meets the annihilator filter")
+    _check(not is_maximal_ideal(lattice, residual), "residual ideal is maximal")
     return NonComplementedWitness(
         element=a,
         seed_filter=seed,
@@ -476,17 +450,16 @@ def classify(lattice: FiniteLattice) -> PropertyReport:
     seven = seven_conditions(lattice, congs)
     d_lattice = is_d_lattice(lattice)
 
-    ideals = enumerate_ideals(lattice)
-    filters = enumerate_filters(lattice)
+    prime_ideals = _prime_ideals(lattice)
     counts = ReportCounts(
-        ideals=len(ideals),
-        filters=len(filters),
-        prime_ideals=len(_prime_ideals(lattice)),
+        ideals=len(enumerate_ideals(lattice)),
+        filters=len(enumerate_filters(lattice)),
+        prime_ideals=len(prime_ideals),
         prime_filters=len(_prime_filters(lattice)),
         congruences=len(congs),
     )
 
-    nested = _nested_pair(_prime_ideals(lattice)) if seven.c3 else None
+    nested = _nested_pair(prime_ideals) if seven.c3 else None
     bad_element = None
     if seven.c7:
         bad_element = next(
@@ -501,20 +474,10 @@ def classify(lattice: FiniteLattice) -> PropertyReport:
     bad_filter = None
     if not d_lattice:
         bad_ideal = next(
-            (
-                i
-                for i in ideals
-                if is_maximal_ideal(lattice, i) and not is_prime_ideal(lattice, i)
-            ),
-            None,
+            (i for i in _maximal_ideals(lattice) if not is_prime_ideal(lattice, i)), None
         )
         bad_filter = next(
-            (
-                f
-                for f in filters
-                if is_maximal_filter(lattice, f) and not is_prime_filter(lattice, f)
-            ),
-            None,
+            (f for f in _maximal_filters(lattice) if not is_prime_filter(lattice, f)), None
         )
     note = None
     if lattice.size == 1:

@@ -1,17 +1,32 @@
 """Independent brute-force oracles used to ground derived test values.
 
-Everything here recomputes results from first principles (partition
+Most of these recompute results from first principles (partition
 scans, permutation searches, raw matrix enumeration) without reusing
-the package's algorithms, so agreement is meaningful evidence.  The
-oracles are exponential and only run at sizes <= 6.
+the package's algorithms, so agreement is meaningful evidence; they are
+exponential and only run at small sizes.  The last group holds
+alternative definitions (pairwise balance, the quotient-is-chain(3)
+test, the annihilator form of complementedness) that the package no
+longer computes; they reuse package primitives such as Con(L) and
+serve as references for the forms the package keeps.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from finlat import FiniteLattice, LatticeError, from_leq_matrix
+from finlat import (
+    Congruence,
+    FiniteLattice,
+    LatticeError,
+    all_congruences,
+    annihilator_filter,
+    annihilator_ideal,
+    canonical_form,
+    from_leq_matrix,
+    quotient,
+    standard_lattice,
+)
 
 
 def all_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -126,6 +141,13 @@ def brute_ideals(lattice: FiniteLattice) -> set[int]:
     return out
 
 
+def brute_maximal_ideals(lattice: FiniteLattice) -> set[int]:
+    """Bitmasks of proper ideals with no strictly larger proper ideal."""
+    full = (1 << lattice.size) - 1
+    proper = brute_ideals(lattice) - {full}
+    return {m for m in proper if not any(m != o and m & ~o == 0 for o in proper)}
+
+
 def naive_enumerate(n: int) -> list[FiniteLattice]:
     """One representative per isomorphism class, from raw matrix scan.
 
@@ -149,3 +171,37 @@ def naive_enumerate(n: int) -> list[FiniteLattice]:
         if not any(brute_isomorphic(lattice, seen) for seen in reps):
             reps.append(lattice)
     return reps
+
+
+def balanced_pairwise(lattice: FiniteLattice) -> bool:
+    """Balance as: 0-classes agree exactly when 1-classes agree, over Con(L) pairs."""
+    congs = all_congruences(lattice)
+    bottom, top = lattice.bottom, lattice.top
+    pairs = [(frozenset(c.class_of(bottom)), frozenset(c.class_of(top))) for c in congs]
+    for i, (zero_i, one_i) in enumerate(pairs):
+        for zero_j, one_j in pairs[i + 1 :]:
+            if (zero_i == zero_j) != (one_i == one_j):
+                return False
+    return True
+
+
+def maps_onto_three_chain(
+    lattice: FiniteLattice, congruences: Sequence[Congruence]
+) -> bool:
+    """Some congruence has a quotient isomorphic to the 3-element chain."""
+    target = canonical_form(standard_lattice("chain", 3))
+    for cong in congruences:
+        if cong.num_blocks != 3:
+            continue
+        image, _ = quotient(lattice, cong)
+        if canonical_form(image) == target:
+            return True
+    return False
+
+
+def complemented_by_annihilators(lattice: FiniteLattice) -> bool:
+    """Every element's annihilator filter and annihilator ideal intersect."""
+    return all(
+        annihilator_filter(lattice, a).mask & annihilator_ideal(lattice, a).mask
+        for a in lattice.elements()
+    )

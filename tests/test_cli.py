@@ -175,3 +175,21 @@ def test_console_script_smoke(tmp_path):
     )
     assert done.returncode == 0
     assert json.loads(done.stdout)["passed"] is True
+
+
+def test_optimized_interpreter_gives_identical_output(latt_file):
+    # python -O strips assert statements; no check the CLI relies on may be one
+    for path in (latt_file("n5"), latt_file("m3"), latt_file("chain", 3)):
+        for command in ("check", "theorem"):
+            plain, optimized = (
+                subprocess.run(
+                    [sys.executable, *flags, "-m", "finlat.cli", command, path,
+                     "--format", "json"],
+                    capture_output=True,
+                    text=True,
+                    check=False,
+                )
+                for flags in ([], ["-O"])
+            )
+            assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
+            assert plain.returncode == 0 and plain.stdout

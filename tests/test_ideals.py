@@ -8,7 +8,6 @@ import pytest
 import finlat as fl
 import oracles
 import support
-from finlat.ideals import _enumerate_filters_scan, _enumerate_ideals_scan
 
 
 def test_element_set_basics():
@@ -59,11 +58,15 @@ def test_enumerate_ideals_of_named_lattices():
 
 
 def test_enumeration_matches_subset_scan_and_oracle():
+    # filters of L are the ideals of its dual, on the same element indices
     for lattice in support.lattices_up_to(6):
-        fast = fl.enumerate_ideals(lattice)
-        assert fast == _enumerate_ideals_scan(lattice)
-        assert {s.mask for s in fast} == oracles.brute_ideals(lattice)
-        assert fl.enumerate_filters(lattice) == _enumerate_filters_scan(lattice)
+        for fast, scanned in (
+            (fl.enumerate_ideals(lattice), lattice),
+            (fl.enumerate_filters(lattice), fl.dual(lattice)),
+        ):
+            assert fast == sorted(fast)
+            assert len({s.mask for s in fast}) == len(fast)
+            assert {s.mask for s in fast} == oracles.brute_ideals(scanned)
 
 
 def test_ideals_of_dual_are_filters():
@@ -96,6 +99,16 @@ def test_maximal_ideal_examples():
     assert fl.is_maximal_filter(m3, fl.ElementSet.from_iterable(5, [1, 4]))
     with pytest.raises(fl.NotAnIdeal):
         fl.is_maximal_ideal(m3, fl.ElementSet.from_iterable(5, [4]))
+
+
+def test_maximality_matches_brute_scan_up_to_size_6():
+    for lattice in support.lattices_up_to(6):
+        maximal_ideals = oracles.brute_maximal_ideals(lattice)
+        maximal_filters = oracles.brute_maximal_ideals(fl.dual(lattice))
+        for ideal in fl.enumerate_ideals(lattice):
+            assert fl.is_maximal_ideal(lattice, ideal) == (ideal.mask in maximal_ideals)
+        for filt in fl.enumerate_filters(lattice):
+            assert fl.is_maximal_filter(lattice, filt) == (filt.mask in maximal_filters)
 
 
 def test_prime_iff_complement_prime_filter_up_to_size_7():

@@ -8,6 +8,7 @@ import json
 import pytest
 
 import finlat as fl
+import oracles
 import support
 
 
@@ -81,6 +82,15 @@ def test_seven_conditions_accepts_precomputed_congruences():
     assert fl.seven_conditions(n5, congs) == fl.seven_conditions(n5)
 
 
+def test_c5_and_complementedness_match_reference_forms():
+    # c5 against quotient-is-chain(3) up to size 7, complements against annihilators up to 8
+    for lattice, report in support.classified_up_to(8):
+        assert fl.is_complemented(lattice) == oracles.complemented_by_annihilators(lattice)
+        if lattice.size <= 7:
+            congs = fl.all_congruences(lattice)
+            assert report.seven.c5 == oracles.maps_onto_three_chain(lattice, congs)
+
+
 def test_three_chain_quotient_examples():
     c3 = fl.standard_lattice("chain", 3)
     inner, outer = _sets(c3, [0], [0, 1])
@@ -128,6 +138,13 @@ def test_noncomplemented_witness_rejections():
         fl.witness_from_noncomplemented(fl.standard_lattice("n5"), 1)
     with pytest.raises(fl.NotDLattice):
         fl.witness_from_noncomplemented(fl.standard_lattice("m3"), 1)
+
+
+def test_witness_check_failure_is_a_typed_error(monkeypatch):
+    # the witness invariants must hold under python -O, so they cannot be asserts
+    monkeypatch.setattr("finlat.properties.is_maximal_filter", lambda lattice, filt: False)
+    with pytest.raises(fl.HomomorphismCheckFailed, match="greedy extension is not maximal"):
+        fl.witness_from_noncomplemented(fl.standard_lattice("chain", 3), 1)
 
 
 def test_verify_theorem_verdicts():
