@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -68,42 +68,81 @@ class ParseError(LatticeError):
 
 
 @dataclass(frozen=True)
-class Violation:
-    """One broken lattice axiom together with the witnessing elements."""
-
-    rule: str
-    elements: tuple[int, ...] = ()
-
-    def __str__(self) -> str:
-        return f"{self.rule}{list(self.elements)}" if self.elements else self.rule
-
-
-@dataclass(frozen=True)
 class FiniteLattice:
     """A bounded lattice on elements 0..size-1 with precomputed tables.
 
+    Constructed from the order matrix alone: ``FiniteLattice(leq)``
+    derives every other field from it and raises
+    :class:`NotAPartialOrder`, :class:`NotBounded` or
+    :class:`NotALattice` as soon as the corresponding stage fails, so
+    no instance holds tables that disagree with its order.
+
     ``leq[i][j]`` is True iff i <= j.  ``down_masks[i]`` has bit j set
-    iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; both are
-    derived from ``leq`` and exist only to make subset arithmetic cheap.
+    iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; they exist
+    only to make subset arithmetic cheap.
     """
 
-    size: int
+    size: int = field(init=False)
     leq: tuple[tuple[bool, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    join: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
-    down_masks: tuple[int, ...] = ()
-    up_masks: tuple[int, ...] = ()
+    meet: tuple[tuple[int, ...], ...] = field(init=False)
+    join: tuple[tuple[int, ...], ...] = field(init=False)
+    bottom: int = field(init=False)
+    top: int = field(init=False)
+    down_masks: tuple[int, ...] = field(init=False)
+    up_masks: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.down_masks or not self.up_masks:
-            n = self.size
-            leq = self.leq
-            down = tuple(sum(1 << j for j in range(n) if leq[j][i]) for i in range(n))
-            up = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
-            object.__setattr__(self, "down_masks", down)
-            object.__setattr__(self, "up_masks", up)
+        matrix = self.leq
+        n = len(matrix)
+        if n < 1 or any(len(row) != n for row in matrix):
+            raise ValueError("order matrix must be square with n >= 1")
+        leq = tuple(tuple(bool(v) for v in row) for row in matrix)
+        for i in range(n):
+            if not leq[i][i]:
+                raise NotAPartialOrder(f"reflexivity fails at {i}")
+            for j in range(i + 1, n):
+                if leq[i][j] and leq[j][i]:
+                    raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
+        up = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+        for i in range(n):
+            for j in range(n):
+                if leq[i][j] and up[j] & ~up[i]:
+                    k = (up[j] & ~up[i]).bit_length() - 1
+                    raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
+        down = tuple(sum(1 << j for j in range(n) if leq[j][i]) for i in range(n))
+        full = (1 << n) - 1
+        bottoms = [i for i in range(n) if up[i] == full]
+        tops = [i for i in range(n) if down[i] == full]
+        if len(bottoms) != 1 or len(tops) != 1:
+            raise NotBounded("order has no unique bottom or top element")
+        meet_rows = []
+        join_rows = []
+        for x in range(n):
+            mrow = []
+            jrow = []
+            for y in range(n):
+                m = _unique_bound(down, down[x] & down[y])
+                if m is None:
+                    raise NotALattice(f"elements ({x}, {y}) have no meet")
+                j = _unique_bound(up, up[x] & up[y])
+                if j is None:
+                    raise NotALattice(f"elements ({x}, {y}) have no join")
+                mrow.append(m)
+                jrow.append(j)
+            meet_rows.append(tuple(mrow))
+            join_rows.append(tuple(jrow))
+        derived = {
+            "size": n,
+            "leq": leq,
+            "meet": tuple(meet_rows),
+            "join": tuple(join_rows),
+            "bottom": bottoms[0],
+            "top": tops[0],
+            "down_masks": down,
+            "up_masks": up,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def elements(self) -> range:
         return range(self.size)
@@ -170,136 +209,7 @@ def from_leq_matrix(matrix: Sequence[Sequence[object]]) -> FiniteLattice:
     Raises :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails.
     """
-    n = len(matrix)
-    if n < 1 or any(len(row) != n for row in matrix):
-        raise ValueError("order matrix must be square with n >= 1")
-    leq = tuple(tuple(bool(v) for v in row) for row in matrix)
-    for i in range(n):
-        if not leq[i][i]:
-            raise NotAPartialOrder(f"reflexivity fails at {i}")
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
-    up = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j] and up[j] & ~up[i]:
-                k = (up[j] & ~up[i]).bit_length() - 1
-                raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
-    down = [sum(1 << j for j in range(n) if leq[j][i]) for i in range(n)]
-    full = (1 << n) - 1
-    bottoms = [i for i in range(n) if up[i] == full]
-    tops = [i for i in range(n) if down[i] == full]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise NotBounded("order has no unique bottom or top element")
-    meet_rows = []
-    join_rows = []
-    for x in range(n):
-        mrow = []
-        jrow = []
-        for y in range(n):
-            m = _unique_bound(down, down[x] & down[y])
-            if m is None:
-                raise NotALattice(f"elements ({x}, {y}) have no meet")
-            j = _unique_bound(up, up[x] & up[y])
-            if j is None:
-                raise NotALattice(f"elements ({x}, {y}) have no join")
-            mrow.append(m)
-            jrow.append(j)
-        meet_rows.append(tuple(mrow))
-        join_rows.append(tuple(jrow))
-    return FiniteLattice(
-        size=n,
-        leq=leq,
-        meet=tuple(meet_rows),
-        join=tuple(join_rows),
-        bottom=bottoms[0],
-        top=tops[0],
-        down_masks=tuple(down),
-        up_masks=tuple(up),
-    )
-
-
-def validate(lattice: FiniteLattice) -> list[Violation]:
-    """Machine-check every axiom; the empty list means all of them hold.
-
-    Checks run in stages (order axioms, boundedness, table laws, then
-    glb/lub agreement); later stages are skipped once an earlier stage
-    reports, since their results would be meaningless.
-    """
-    n = lattice.size
-    leq = lattice.leq
-    out: list[Violation] = []
-    for i in range(n):
-        if not leq[i][i]:
-            out.append(Violation("reflexivity", (i,)))
-        for j in range(i + 1, n):
-            if leq[i][j] and leq[j][i]:
-                out.append(Violation("antisymmetry", (i, j)))
-    for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            for k in range(n):
-                if leq[j][k] and not leq[i][k]:
-                    out.append(Violation("transitivity", (i, j, k)))
-    if out:
-        return out
-
-    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
-    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        minimal = [i for i in range(n) if not any(leq[j][i] for j in range(n) if j != i)]
-        maximal = [i for i in range(n) if not any(leq[i][j] for j in range(n) if j != i)]
-        out.append(Violation("bounded", tuple(minimal if len(bottoms) != 1 else maximal)))
-        return out
-    if lattice.bottom != bottoms[0]:
-        out.append(Violation("bottom", (lattice.bottom, bottoms[0])))
-    if lattice.top != tops[0]:
-        out.append(Violation("top", (lattice.top, tops[0])))
-    if out:
-        return out
-
-    meet, join = lattice.meet, lattice.join
-    for x in range(n):
-        for y in range(n):
-            if not 0 <= meet[x][y] < n or not 0 <= join[x][y] < n:
-                out.append(Violation("table-range", (x, y)))
-    if out:
-        return out
-    for x in range(n):
-        for y in range(n):
-            if meet[x][y] != meet[y][x]:
-                out.append(Violation("meet-commutativity", (x, y)))
-            if join[x][y] != join[y][x]:
-                out.append(Violation("join-commutativity", (x, y)))
-        if meet[x][x] != x:
-            out.append(Violation("meet-idempotence", (x,)))
-        if join[x][x] != x:
-            out.append(Violation("join-idempotence", (x,)))
-    for x in range(n):
-        for y in range(n):
-            if meet[x][join[x][y]] != x:
-                out.append(Violation("meet-absorption", (x, y)))
-            if join[x][meet[x][y]] != x:
-                out.append(Violation("join-absorption", (x, y)))
-            for z in range(n):
-                if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-                    out.append(Violation("meet-associativity", (x, y, z)))
-                if join[join[x][y]][z] != join[x][join[y][z]]:
-                    out.append(Violation("join-associativity", (x, y, z)))
-    if out:
-        return out
-
-    down = [sum(1 << j for j in range(n) if leq[j][i]) for i in range(n)]
-    up = [sum(1 << j for j in range(n) if leq[i][j]) for i in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if meet[x][y] != _unique_bound(down, down[x] & down[y]):
-                out.append(Violation("meet-glb", (x, y)))
-            if join[x][y] != _unique_bound(up, up[x] & up[y]):
-                out.append(Violation("join-lub", (x, y)))
-    return out
+    return FiniteLattice(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +272,11 @@ def product(first: FiniteLattice, second: FiniteLattice) -> FiniteLattice:
     """Direct product with componentwise order on pairs (x, y) -> x*|L2|+y."""
     n1, n2 = first.size, second.size
     leq1, leq2 = first.leq, second.leq
-    size = n1 * n2
     rows = [
         [leq1[x1][x2] and leq2[y1][y2] for x2 in range(n1) for y2 in range(n2)]
         for x1 in range(n1)
         for y1 in range(n2)
     ]
-    assert len(rows) == size
     return from_leq_matrix(rows)
 
 
@@ -422,18 +330,11 @@ def _canonical_from_up_masks(n: int, up: Sequence[int]) -> bytes:
     for e in range(n):
         groups.setdefault(color[e], []).append(e)
     parts = [groups[c] for c in sorted(groups)]
-    best: bytes | None = None
-    for chosen in itertools.product(*(itertools.permutations(p) for p in parts)):
-        order = [e for part in chosen for e in part]
-        enc = bytearray()
-        for i in range(n):
-            row = up[order[i]]
-            for j in range(n):
-                enc.append(48 + (row >> order[j] & 1))
-        cand = bytes(enc)
-        if best is None or cand < best:
-            best = cand
-    assert best is not None
+    orders = (
+        [e for part in chosen for e in part]
+        for chosen in itertools.product(*(itertools.permutations(p) for p in parts))
+    )
+    best = min(bytes(48 + (up[a] >> b & 1) for a in order for b in order) for order in orders)
     return f"{n}:".encode() + best
 
 

@@ -1,8 +1,8 @@
 """Independent brute-force oracles used to ground derived test values.
 
-Most of these recompute results from first principles (partition
-scans, permutation searches, raw matrix enumeration) without reusing
-the package's algorithms, so agreement is meaningful evidence; they are
+Most of these recompute results from first principles (axiom checks,
+partition scans, permutation searches, raw matrix enumeration) without
+reusing the package's algorithms, so agreement is meaningful evidence; they are
 exponential and only run at small sizes.  The last group holds
 alternative definitions (pairwise balance, the quotient-is-chain(3)
 test, the annihilator form of complementedness) that the package no
@@ -27,6 +27,94 @@ from finlat import (
     quotient,
     standard_lattice,
 )
+
+
+def axiom_violations(lattice) -> list[tuple[str, tuple[int, ...]]]:
+    """Every broken lattice axiom with its witnessing elements; empty if none.
+
+    Accepts any object with ``size``, ``leq``, ``meet``, ``join``,
+    ``bottom`` and ``top``, so tests can hand it deliberately broken
+    tables.  Checks run in stages (order axioms, boundedness, table
+    laws, then glb/lub agreement); later stages are skipped once an
+    earlier stage reports, since their results would be meaningless.
+    Greatest lower and least upper bounds come from a scan of ``leq``,
+    independent of how the package builds its tables.
+    """
+    n = lattice.size
+    leq = lattice.leq
+    out: list[tuple[str, tuple[int, ...]]] = []
+    for i in range(n):
+        if not leq[i][i]:
+            out.append(("reflexivity", (i,)))
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                out.append(("antisymmetry", (i, j)))
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    out.append(("transitivity", (i, j, k)))
+    if out:
+        return out
+
+    bottoms = [i for i in range(n) if all(leq[i][j] for j in range(n))]
+    tops = [i for i in range(n) if all(leq[j][i] for j in range(n))]
+    if len(bottoms) != 1 or len(tops) != 1:
+        minimal = [i for i in range(n) if not any(leq[j][i] for j in range(n) if j != i)]
+        maximal = [i for i in range(n) if not any(leq[i][j] for j in range(n) if j != i)]
+        out.append(("bounded", tuple(minimal if len(bottoms) != 1 else maximal)))
+        return out
+    if lattice.bottom != bottoms[0]:
+        out.append(("bottom", (lattice.bottom, bottoms[0])))
+    if lattice.top != tops[0]:
+        out.append(("top", (lattice.top, tops[0])))
+    if out:
+        return out
+
+    meet, join = lattice.meet, lattice.join
+    for x in range(n):
+        for y in range(n):
+            if not 0 <= meet[x][y] < n or not 0 <= join[x][y] < n:
+                out.append(("table-range", (x, y)))
+    if out:
+        return out
+    for x in range(n):
+        for y in range(n):
+            if meet[x][y] != meet[y][x]:
+                out.append(("meet-commutativity", (x, y)))
+            if join[x][y] != join[y][x]:
+                out.append(("join-commutativity", (x, y)))
+        if meet[x][x] != x:
+            out.append(("meet-idempotence", (x,)))
+        if join[x][x] != x:
+            out.append(("join-idempotence", (x,)))
+    for x in range(n):
+        for y in range(n):
+            if meet[x][join[x][y]] != x:
+                out.append(("meet-absorption", (x, y)))
+            if join[x][meet[x][y]] != x:
+                out.append(("join-absorption", (x, y)))
+            for z in range(n):
+                if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+                    out.append(("meet-associativity", (x, y, z)))
+                if join[join[x][y]][z] != join[x][join[y][z]]:
+                    out.append(("join-associativity", (x, y, z)))
+    if out:
+        return out
+
+    for x in range(n):
+        for y in range(n):
+            lower = [z for z in range(n) if leq[z][x] and leq[z][y]]
+            upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
+            glb = next((m for m in lower if all(leq[z][m] for z in lower)), None)
+            lub = next((m for m in upper if all(leq[m][z] for z in upper)), None)
+            if meet[x][y] != glb:
+                out.append(("meet-glb", (x, y)))
+            if join[x][y] != lub:
+                out.append(("join-lub", (x, y)))
+    return out
 
 
 def all_partitions(n: int) -> Iterator[tuple[int, ...]]:

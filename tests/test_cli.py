@@ -177,19 +177,35 @@ def test_console_script_smoke(tmp_path):
     assert json.loads(done.stdout)["passed"] is True
 
 
-def test_optimized_interpreter_gives_identical_output(latt_file):
+def test_optimized_interpreter_gives_identical_output(latt_file, tmp_path):
     # python -O strips assert statements; no check the CLI relies on may be one
-    for path in (latt_file("n5"), latt_file("m3"), latt_file("chain", 3)):
-        for command in ("check", "theorem"):
-            plain, optimized = (
-                subprocess.run(
-                    [sys.executable, *flags, "-m", "finlat.cli", command, path,
-                     "--format", "json"],
-                    capture_output=True,
-                    text=True,
-                    check=False,
-                )
-                for flags in ([], ["-O"])
+    rejected = tmp_path / "unbounded.latt"  # bottom plus a 2-antichain
+    rejected.write_text("LATT 1\nn=3\n111\n010\n001\n")
+    cases = [
+        (args, 0)
+        for path in (latt_file("n5"), latt_file("m3"), latt_file("chain", 3))
+        for args in (
+            ["check", path, "--format", "json"],
+            ["theorem", path, "--format", "json"],
+            ["congruences", path],
+            ["ideals", path, "--format", "json"],
+        )
+    ]
+    cases.append((["check", str(rejected)], 2))
+    for args, expected_code in cases:
+        plain, optimized = (
+            subprocess.run(
+                [sys.executable, *flags, "-m", "finlat.cli", *args],
+                capture_output=True,
+                text=True,
+                check=False,
             )
-            assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
-            assert plain.returncode == 0 and plain.stdout
+            for flags in ([], ["-O"])
+        )
+        assert (optimized.returncode, optimized.stdout, optimized.stderr) == (
+            plain.returncode,
+            plain.stdout,
+            plain.stderr,
+        )
+        assert plain.returncode == expected_code
+        assert plain.stdout if expected_code == 0 else plain.stderr

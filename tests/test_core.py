@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -81,21 +82,28 @@ def test_from_leq_matrix_rejects_missing_join():
 
 def test_validate_clean_on_catalog():
     for lattice in support.catalog().values():
-        assert fl.validate(lattice) == []
+        assert oracles.axiom_violations(lattice) == []
 
 
 def test_validate_reports_injected_commutativity_fault():
     base = fl.standard_lattice("boolean", 2)
     meet = [list(row) for row in base.meet]
     meet[1][2], meet[2][1] = meet[1][2], base.top  # meet no longer symmetric
-    broken = dataclasses.replace(base, meet=tuple(tuple(r) for r in meet))
-    rules = {v.rule for v in fl.validate(broken)}
+    broken = SimpleNamespace(
+        size=base.size,
+        leq=base.leq,
+        meet=tuple(tuple(r) for r in meet),
+        join=base.join,
+        bottom=base.bottom,
+        top=base.top,
+    )
+    rules = {rule for rule, _ in oracles.axiom_violations(broken)}
     assert "meet-commutativity" in rules
 
 
 def test_validate_reports_unbounded_order():
     # bottom plus a 2-antichain; tables are filler, the bound check fires first
-    lattice = fl.FiniteLattice(
+    tables = SimpleNamespace(
         size=3,
         leq=((True, True, True), (False, True, False), (False, False, True)),
         meet=((0,) * 3,) * 3,
@@ -103,8 +111,27 @@ def test_validate_reports_unbounded_order():
         bottom=0,
         top=2,
     )
-    violations = fl.validate(lattice)
-    assert [v.rule for v in violations] == ["bounded"]
+    violations = oracles.axiom_violations(tables)
+    assert [rule for rule, _ in violations] == ["bounded"]
+
+
+def test_tables_cannot_be_supplied_or_replaced():
+    lattice = fl.standard_lattice("boolean", 2)
+    meet = tuple((lattice.bottom,) * 4 for _ in range(4))
+    with pytest.raises(ValueError):
+        dataclasses.replace(lattice, meet=meet)
+    with pytest.raises(TypeError):
+        fl.FiniteLattice(
+            size=4,
+            leq=lattice.leq,
+            meet=meet,
+            join=lattice.join,
+            bottom=lattice.bottom,
+            top=lattice.top,
+        )
+    with pytest.raises(fl.NotBounded):
+        fl.FiniteLattice(((True, True, True), (False, True, False), (False, False, True)))
+    assert fl.FiniteLattice(lattice.leq) == lattice
 
 
 def test_standard_lattice_shapes():
@@ -147,7 +174,7 @@ def test_product_identities():
     assert fl.is_isomorphic(fl.product(fl.standard_lattice("chain", 1), c3), c3)
     box = fl.product(c2, c3)
     assert box.size == 6
-    assert fl.validate(box) == []
+    assert oracles.axiom_violations(box) == []
     assert fl.is_distributive(box)
     assert box.bottom == 0 and box.top == box.size - 1
 

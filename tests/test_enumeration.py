@@ -26,7 +26,7 @@ def test_emission_is_canonical_and_sorted():
 
 def test_emitted_lattices_validate_clean():
     for lattice in support.lattices_up_to(6):
-        assert fl.validate(lattice) == []
+        assert oracles.axiom_violations(lattice) == []
         assert lattice.bottom == 0 and lattice.top == lattice.size - 1
 
 
@@ -99,7 +99,7 @@ def test_write_latt_files_round_trip(tmp_path):
     assert [p.name for p in paths] == ["lat_4_0.latt", "lat_4_1.latt"]
     reread = [fl.parse_latt(p.read_bytes()) for p in paths]
     for loaded, original in zip(reread, support.lattices_of(4)):
-        assert fl.validate(loaded) == []
+        assert oracles.axiom_violations(loaded) == []
         assert fl.is_isomorphic(loaded, original)
     forms = {fl.canonical_form(lat) for lat in reread}
     assert len(forms) == 2
