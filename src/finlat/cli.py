@@ -81,31 +81,24 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
     lattice = _load(args.file)
-    ideals = [
-        {
-            "set": str(s),
-            "prime": is_prime_ideal(lattice, s),
-            "maximal": is_maximal_ideal(lattice, s),
-        }
-        for s in enumerate_ideals(lattice)
-    ]
-    filters = [
-        {
-            "set": str(s),
-            "prime": is_prime_filter(lattice, s),
-            "maximal": is_maximal_filter(lattice, s),
-        }
-        for s in enumerate_filters(lattice)
-    ]
+    sides = (
+        ("ideal", enumerate_ideals, is_prime_ideal, is_maximal_ideal),
+        ("filter", enumerate_filters, is_prime_filter, is_maximal_filter),
+    )
+    rows = {
+        side: [
+            {"set": str(s), "prime": is_prime(lattice, s), "maximal": is_maximal(lattice, s)}
+            for s in sets(lattice)
+        ]
+        for side, sets, is_prime, is_maximal in sides
+    }
     if args.format == "json":
-        _emit({"filters": filters, "ideals": ideals}, "json")
+        _emit({"filters": rows["filter"], "ideals": rows["ideal"]}, "json")
     else:
-        for row in ideals:
-            print(f"ideal {row['set']}: prime={json.dumps(row['prime'])} "
-                  f"maximal={json.dumps(row['maximal'])}")
-        for row in filters:
-            print(f"filter {row['set']}: prime={json.dumps(row['prime'])} "
-                  f"maximal={json.dumps(row['maximal'])}")
+        for side, side_rows in rows.items():
+            for row in side_rows:
+                print(f"{side} {row['set']}: prime={json.dumps(row['prime'])} "
+                      f"maximal={json.dumps(row['maximal'])}")
     return 0
 
 

@@ -316,15 +316,15 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
         color = new
 
 
-def _canonical_from_up_masks(n: int, up: Sequence[int]) -> bytes:
+def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bytes:
     """Canonical encoding of an order given as up-set bitmask rows.
 
     Minimizes the row-major 0/1 matrix string over all relabelings that
     respect the refined classes (bottom forced to 0, top to n-1).  The
     class restriction prunes the permutation space without affecting
     canonicity because the classes are themselves isomorphism-invariant.
+    ``down`` holds the matching down-set rows, which the class refinement reads.
     """
-    down = [sum(1 << j for j in range(n) if up[j] >> i & 1) for i in range(n)]
     color = _refine_colors(n, up, down)
     groups: dict[int, list[int]] = {}
     for e in range(n):
@@ -344,7 +344,7 @@ def canonical_form(lattice: FiniteLattice) -> bytes:
     The encoding renumbers elements so bottom is 0 and top is n-1 and is
     byte-identical across relabelings of the input.
     """
-    return _canonical_from_up_masks(lattice.size, lattice.up_masks)
+    return _canonical_from_up_masks(lattice.size, lattice.up_masks, lattice.down_masks)
 
 
 def lattice_from_canonical(form: bytes) -> FiniteLattice:

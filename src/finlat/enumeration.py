@@ -145,7 +145,7 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
         up = tuple(
             sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n)
         )
-        forms.add(_canonical_from_up_masks(n, up))
+        forms.add(_canonical_from_up_masks(n, up, down))
     result = tuple(sorted(forms))
     _FORMS_CACHE[n] = result
     return result

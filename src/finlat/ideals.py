@@ -17,6 +17,10 @@ from .congruences import Congruence, Partition, is_congruence
 from .core import EmptySet, FiniteLattice, LatticeError, NotACongruence, SizeMismatch
 
 
+_Masks = tuple[int, ...]
+_Table = tuple[tuple[int, ...], ...]
+
+
 class NotAnIdeal(LatticeError):
     """The given set fails the ideal axioms."""
 
@@ -99,30 +103,25 @@ def _require_sized(lattice: FiniteLattice, subset: ElementSet) -> None:
         raise SizeMismatch("set sized for a different lattice")
 
 
-def is_ideal(lattice: FiniteLattice, subset: ElementSet) -> bool:
-    """Nonempty, downward closed, and closed under binary join."""
+def _is_closed(lattice: FiniteLattice, subset: ElementSet, masks: _Masks, table: _Table) -> bool:
+    """Nonempty, closed under one side's principal sets and its operation."""
     _require_sized(lattice, subset)
     if subset.mask == 0:
         return False
     members = subset.members()
-    for x in members:
-        if lattice.down_masks[x] & ~subset.mask:
-            return False
-    join = lattice.join
-    return all(join[x][y] in subset for x in members for y in members)
+    if any(masks[x] & ~subset.mask for x in members):
+        return False
+    return all(table[x][y] in subset for x in members for y in members)
+
+
+def is_ideal(lattice: FiniteLattice, subset: ElementSet) -> bool:
+    """Nonempty, downward closed, and closed under binary join."""
+    return _is_closed(lattice, subset, lattice.down_masks, lattice.join)
 
 
 def is_filter(lattice: FiniteLattice, subset: ElementSet) -> bool:
     """Nonempty, upward closed, and closed under binary meet."""
-    _require_sized(lattice, subset)
-    if subset.mask == 0:
-        return False
-    members = subset.members()
-    for x in members:
-        if lattice.up_masks[x] & ~subset.mask:
-            return False
-    meet = lattice.meet
-    return all(meet[x][y] in subset for x in members for y in members)
+    return _is_closed(lattice, subset, lattice.up_masks, lattice.meet)
 
 
 def enumerate_ideals(lattice: FiniteLattice) -> list[ElementSet]:
@@ -141,6 +140,14 @@ def enumerate_filters(lattice: FiniteLattice) -> list[ElementSet]:
     return sorted(ElementSet(n, lattice.up_masks[a]) for a in range(n))
 
 
+def _is_prime(lattice: FiniteLattice, subset: ElementSet, other: _Table) -> bool:
+    """Proper, with the complement closed under the other side's operation."""
+    if subset.mask == (1 << lattice.size) - 1:
+        return False
+    outside = subset.complement().members()
+    return all(other[x][y] not in subset for x in outside for y in outside)
+
+
 def is_prime_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
     """Proper, and x∧y inside implies x or y inside.
 
@@ -149,24 +156,14 @@ def is_prime_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
     """
     if not is_ideal(lattice, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
-    full = (1 << lattice.size) - 1
-    if ideal.mask == full:
-        return False
-    outside = ideal.complement().members()
-    meet = lattice.meet
-    return all(meet[x][y] not in ideal for x in outside for y in outside)
+    return _is_prime(lattice, ideal, lattice.meet)
 
 
 def is_prime_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
     """Proper, and x∨y inside implies x or y inside."""
     if not is_filter(lattice, filt):
         raise NotAFilter(f"{filt} is not a filter")
-    full = (1 << lattice.size) - 1
-    if filt.mask == full:
-        return False
-    outside = filt.complement().members()
-    join = lattice.join
-    return all(join[x][y] not in filt for x in outside for y in outside)
+    return _is_prime(lattice, filt, lattice.join)
 
 
 def is_maximal_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
@@ -194,6 +191,27 @@ def is_maximal_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
     return lattice.down_masks[a].bit_count() == 2
 
 
+def _maximal_and_prime(lattice: FiniteLattice) -> tuple[tuple[list[ElementSet], ...], ...]:
+    """(maximal, prime) sets of the ideals, then of the filters, in enumeration order.
+
+    The maximal ideals are ↓c for the coatoms c and the maximal filters
+    ↑a for the atoms a.  Principal sets need no re-validation before
+    the primality test.
+    """
+    n = lattice.size
+    sides = (
+        (enumerate_ideals, lattice.down_masks, lattice.up_masks, lattice.meet),
+        (enumerate_filters, lattice.up_masks, lattice.down_masks, lattice.join),
+    )
+    return tuple(
+        (
+            sorted(ElementSet(n, masks[g]) for g in range(n) if other_masks[g].bit_count() == 2),
+            [s for s in principal(lattice) if _is_prime(lattice, s, other)],
+        )
+        for principal, masks, other_masks, other in sides
+    )
+
+
 def ideal_generated_by(lattice: FiniteLattice, subset: ElementSet | Iterable[int]) -> ElementSet:
     """Least ideal containing the set: join-close, down-close, repeat."""
     return _generated(lattice, subset, lattice.join, lattice.down_masks)
@@ -207,8 +225,8 @@ def filter_generated_by(lattice: FiniteLattice, subset: ElementSet | Iterable[in
 def _generated(
     lattice: FiniteLattice,
     subset: ElementSet | Iterable[int],
-    table: tuple[tuple[int, ...], ...],
-    closure_masks: tuple[int, ...],
+    table: _Table,
+    closure_masks: _Masks,
 ) -> ElementSet:
     n = lattice.size
     if isinstance(subset, ElementSet):
@@ -230,24 +248,23 @@ def _generated(
         mask = new
 
 
-def annihilator_filter(lattice: FiniteLattice, a: int) -> ElementSet:
-    """The literal set {x : x∨a = top}; no closure is applied."""
+def _annihilator(lattice: FiniteLattice, a: int, table: _Table, bound: int) -> ElementSet:
     if not 0 <= a < lattice.size:
         raise SizeMismatch(f"element {a} outside [0, {lattice.size})")
-    top, row = lattice.top, lattice.join[a]
+    row = table[a]
     return ElementSet.from_iterable(
-        lattice.size, (x for x in lattice.elements() if row[x] == top)
+        lattice.size, (x for x in lattice.elements() if row[x] == bound)
     )
+
+
+def annihilator_filter(lattice: FiniteLattice, a: int) -> ElementSet:
+    """The literal set {x : x∨a = top}; no closure is applied."""
+    return _annihilator(lattice, a, lattice.join, lattice.top)
 
 
 def annihilator_ideal(lattice: FiniteLattice, a: int) -> ElementSet:
     """The literal set {x : x∧a = bottom}; no closure is applied."""
-    if not 0 <= a < lattice.size:
-        raise SizeMismatch(f"element {a} outside [0, {lattice.size})")
-    bottom, row = lattice.bottom, lattice.meet[a]
-    return ElementSet.from_iterable(
-        lattice.size, (x for x in lattice.elements() if row[x] == bottom)
-    )
+    return _annihilator(lattice, a, lattice.meet, lattice.bottom)
 
 
 def prime_ideal_congruence(lattice: FiniteLattice, ideal: ElementSet) -> Congruence:

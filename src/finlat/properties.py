@@ -5,15 +5,17 @@ seven equivalent conditions for non-complementedness of a d-lattice,
 constructive witnesses for two of the implications, and an end-to-end
 verdict plus a full classification report for a single lattice.
 
-The seven conditions are computed independently of one another, so
-tests can check each implication arrow between them in isolation, and
+The seven conditions and the report's counts and witnesses are read
+from one derivation per lattice (maximal and prime ideals and filters,
+the first unbalanced congruence, the first complementless element), so
+no fact is computed twice.  No condition is inferred from another, so
 lattices outside the d-lattice scope still get a full (possibly
 divergent) condition vector as a negative control.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .congruences import (
@@ -33,17 +35,14 @@ from .core import (
 )
 from .ideals import (
     ElementSet,
+    _maximal_and_prime,
     annihilator_filter,
     annihilator_ideal,
-    enumerate_filters,
-    enumerate_ideals,
     filter_generated_by,
     ideal_generated_by,
-    is_filter,
     is_ideal,
     is_maximal_filter,
     is_maximal_ideal,
-    is_prime_filter,
     is_prime_ideal,
 )
 
@@ -231,25 +230,21 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     swapped.
     """
     n = lattice.size
-    bottom, top = lattice.bottom, lattice.top
-    meet, join = lattice.meet, lattice.join
+    sides = (
+        (lattice.bottom, lattice.top, lattice.join),
+        (lattice.top, lattice.bottom, lattice.meet),
+    )
     for c in range(n):
-        from_bottom = principal_congruence(lattice, bottom, c)
-        for a in range(n):
-            if from_bottom.related(a, top) and join[a][c] != top:
-                return False
-        from_top = principal_congruence(lattice, top, c)
-        for a in range(n):
-            if from_top.related(a, bottom) and meet[a][c] != bottom:
+        for bound, opposite, table in sides:
+            theta = principal_congruence(lattice, bound, c)
+            if any(theta.related(a, opposite) and table[a][c] != opposite for a in range(n)):
                 return False
     return True
 
 
 def is_d_lattice_maximal_prime(lattice: FiniteLattice) -> bool:
     """Characterization: all maximal ideals and maximal filters are prime."""
-    return all(is_prime_ideal(lattice, i) for i in _maximal_ideals(lattice)) and all(
-        is_prime_filter(lattice, f) for f in _maximal_filters(lattice)
-    )
+    return all(set(maximal) <= set(prime) for maximal, prime in _maximal_and_prime(lattice))
 
 
 def is_d_lattice(lattice: FiniteLattice) -> bool:
@@ -269,9 +264,14 @@ def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
     )
 
 
+def _complementless(lattice: FiniteLattice) -> Optional[int]:
+    """The least element with no complement, if any."""
+    return next((a for a in lattice.elements() if not complements_of(lattice, a)), None)
+
+
 def is_complemented(lattice: FiniteLattice) -> bool:
     """Every element has a complement."""
-    return all(len(complements_of(lattice, a)) > 0 for a in lattice.elements())
+    return _complementless(lattice) is None
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -286,22 +286,6 @@ def is_distributive(lattice: FiniteLattice) -> bool:
     )
 
 
-def _maximal_filters(lattice: FiniteLattice) -> list[ElementSet]:
-    return [f for f in enumerate_filters(lattice) if is_maximal_filter(lattice, f)]
-
-
-def _maximal_ideals(lattice: FiniteLattice) -> list[ElementSet]:
-    return [i for i in enumerate_ideals(lattice) if is_maximal_ideal(lattice, i)]
-
-
-def _prime_ideals(lattice: FiniteLattice) -> list[ElementSet]:
-    return [i for i in enumerate_ideals(lattice) if is_prime_ideal(lattice, i)]
-
-
-def _prime_filters(lattice: FiniteLattice) -> list[ElementSet]:
-    return [f for f in enumerate_filters(lattice) if is_prime_filter(lattice, f)]
-
-
 def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, ElementSet]]:
     """First strictly-nested pair in enumeration order, if any."""
     for small in sets:
@@ -311,34 +295,54 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
     return None
 
 
+def _derive(
+    lattice: FiniteLattice, congruences: Sequence[Congruence]
+) -> tuple[SevenConditions, ReportCounts, ReportWitnesses]:
+    """The seven conditions, the counts and the least witnesses, each fact derived once.
+
+    The non-prime maximal witnesses are filled in on every lattice;
+    ``classify`` reports them off the d-lattice scope only.
+    """
+    (maximal_ideals, prime_ideals), (maximal_filters, prime_filters) = _maximal_and_prime(lattice)
+    nested = _nested_pair(prime_ideals)
+    unbalanced = next((c for c in congruences if not is_balanced_congruence(lattice, c)), None)
+    complementless = _complementless(lattice)
+    seven = SevenConditions(
+        c1=any(f.complement() not in maximal_ideals for f in maximal_filters),
+        c2=any(i.complement() not in maximal_filters for i in maximal_ideals),
+        c3=nested is not None,
+        c4=_nested_pair(prime_filters) is not None,
+        c5=any(c.num_blocks == 3 for c in congruences),
+        c6=unbalanced is not None,
+        c7=complementless is not None,
+    )
+    counts = ReportCounts(
+        ideals=lattice.size,  # one principal ideal (and filter) per element
+        filters=lattice.size,
+        prime_ideals=len(prime_ideals),
+        prime_filters=len(prime_filters),
+        congruences=len(congruences),
+    )
+    witnesses = ReportWitnesses(
+        nested_prime_ideals=nested,
+        noncomplemented_element=complementless,
+        unbalanced_congruence=unbalanced,
+        nonprime_maximal_ideal=next((i for i in maximal_ideals if i not in prime_ideals), None),
+        nonprime_maximal_filter=next((f for f in maximal_filters if f not in prime_filters), None),
+    )
+    return seven, counts, witnesses
+
+
 def seven_conditions(
     lattice: FiniteLattice, congruences: Optional[Sequence[Congruence]] = None
 ) -> SevenConditions:
-    """All seven conditions, each computed by its own independent scan.
+    """All seven conditions, read from one derivation of the lattice's facts.
 
     ``congruences`` may be supplied to reuse an already-computed Con(L);
     it must equal all_congruences(lattice).
     """
     congs = all_congruences(lattice) if congruences is None else congruences
-
-    c1 = False
-    for filt in _maximal_filters(lattice):
-        comp = filt.complement()
-        if not is_ideal(lattice, comp) or not is_maximal_ideal(lattice, comp):
-            c1 = True
-            break
-    c2 = False
-    for ideal in _maximal_ideals(lattice):
-        comp = ideal.complement()
-        if not is_filter(lattice, comp) or not is_maximal_filter(lattice, comp):
-            c2 = True
-            break
-    c3 = _nested_pair(_prime_ideals(lattice)) is not None
-    c4 = _nested_pair(_prime_filters(lattice)) is not None
-    c5 = any(c.num_blocks == 3 for c in congs)
-    c6 = not all(is_balanced_congruence(lattice, c) for c in congs)
-    c7 = not is_complemented(lattice)
-    return SevenConditions(c1, c2, c3, c4, c5, c6, c7)
+    return _derive(lattice, congs)[0]
 
 
 def three_chain_quotient_from_nested_primes(
@@ -446,38 +450,10 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
 def classify(lattice: FiniteLattice) -> PropertyReport:
     """Aggregate every predicate, count, and least witness for one lattice."""
     congs = all_congruences(lattice)
-    seven = seven_conditions(lattice, congs)
+    seven, counts, witnesses = _derive(lattice, congs)
     d_lattice = is_d_lattice(lattice)
-
-    prime_ideals = _prime_ideals(lattice)
-    counts = ReportCounts(
-        ideals=len(enumerate_ideals(lattice)),
-        filters=len(enumerate_filters(lattice)),
-        prime_ideals=len(prime_ideals),
-        prime_filters=len(_prime_filters(lattice)),
-        congruences=len(congs),
-    )
-
-    nested = _nested_pair(prime_ideals) if seven.c3 else None
-    bad_element = None
-    if seven.c7:
-        bad_element = next(
-            a for a in lattice.elements() if len(complements_of(lattice, a)) == 0
-        )
-    unbalanced = None
-    if seven.c6:
-        unbalanced = next(
-            c for c in congs if not is_balanced_congruence(lattice, c)
-        )
-    bad_ideal = None
-    bad_filter = None
-    if not d_lattice:
-        bad_ideal = next(
-            (i for i in _maximal_ideals(lattice) if not is_prime_ideal(lattice, i)), None
-        )
-        bad_filter = next(
-            (f for f in _maximal_filters(lattice) if not is_prime_filter(lattice, f)), None
-        )
+    if d_lattice:
+        witnesses = replace(witnesses, nonprime_maximal_ideal=None, nonprime_maximal_filter=None)
     note = None
     if lattice.size == 1:
         note = (
@@ -493,12 +469,6 @@ def classify(lattice: FiniteLattice) -> PropertyReport:
         is_distributive=is_distributive(lattice),
         seven=seven,
         counts=counts,
-        witnesses=ReportWitnesses(
-            nested_prime_ideals=nested,
-            noncomplemented_element=bad_element,
-            unbalanced_congruence=unbalanced,
-            nonprime_maximal_ideal=bad_ideal,
-            nonprime_maximal_filter=bad_filter,
-        ),
+        witnesses=witnesses,
         convention_note=note,
     )

@@ -5,9 +5,10 @@ partition scans, permutation searches, raw matrix enumeration) without
 reusing the package's algorithms, so agreement is meaningful evidence; they are
 exponential and only run at small sizes.  The last group holds
 alternative definitions (pairwise balance, the quotient-is-chain(3)
-test, the annihilator form of complementedness) that the package no
-longer computes; they reuse package primitives such as Con(L) and
-serve as references for the forms the package keeps.
+test, the annihilator form of complementedness, c1/c2 by validating
+each complement) that the package no longer computes; they reuse
+package primitives such as Con(L) and serve as references for the
+forms the package keeps.
 """
 
 from __future__ import annotations
@@ -23,7 +24,13 @@ from finlat import (
     annihilator_filter,
     annihilator_ideal,
     canonical_form,
+    enumerate_filters,
+    enumerate_ideals,
     from_leq_matrix,
+    is_filter,
+    is_ideal,
+    is_maximal_filter,
+    is_maximal_ideal,
     quotient,
     standard_lattice,
 )
@@ -293,3 +300,22 @@ def complemented_by_annihilators(lattice: FiniteLattice) -> bool:
         annihilator_filter(lattice, a).mask & annihilator_ideal(lattice, a).mask
         for a in lattice.elements()
     )
+
+
+def c1_c2_by_scan(lattice: FiniteLattice) -> tuple[bool, bool]:
+    """Conditions c1 and c2 by validating each maximal set's complement.
+
+    c1: some maximal filter's complement is not an ideal, or not a
+    maximal one; c2 is the dual.
+    """
+    c1 = any(
+        not is_ideal(lattice, f.complement()) or not is_maximal_ideal(lattice, f.complement())
+        for f in enumerate_filters(lattice)
+        if is_maximal_filter(lattice, f)
+    )
+    c2 = any(
+        not is_filter(lattice, i.complement()) or not is_maximal_filter(lattice, i.complement())
+        for i in enumerate_ideals(lattice)
+        if is_maximal_ideal(lattice, i)
+    )
+    return c1, c2

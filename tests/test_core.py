@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -321,3 +323,14 @@ def test_parse_latt_accepts_any_valid_labeling():
     lattice = fl.parse_latt("LATT 1\nn=2\n10\n11\n")
     assert lattice.bottom == 1
     assert lattice.top == 0
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips asserts, so an internal check written as one would silently vanish
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(fl.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

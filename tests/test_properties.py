@@ -4,6 +4,7 @@ witnesses, and the aggregate report."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -65,6 +66,7 @@ def test_seven_conditions_goldens():
     m3 = fl.seven_conditions(fl.standard_lattice("m3"))
     assert m3.as_tuple() == (True, True, False, False, False, False, False)
     assert not m3.all_equal()
+    assert oracles.c1_c2_by_scan(fl.standard_lattice("m3")) == (True, True)
     assert m3.to_dict() == {
         "c1": True,
         "c2": True,
@@ -83,12 +85,14 @@ def test_seven_conditions_accepts_precomputed_congruences():
 
 
 def test_c5_and_complementedness_match_reference_forms():
-    # c5 against quotient-is-chain(3) up to size 7, complements against annihilators up to 8
+    # c1/c2 against the complement-validating scan and c5 against
+    # quotient-is-chain(3) up to size 7, complements against annihilators up to 8
     for lattice, report in support.classified_up_to(8):
         assert fl.is_complemented(lattice) == oracles.complemented_by_annihilators(lattice)
         if lattice.size <= 7:
             congs = fl.all_congruences(lattice)
             assert report.seven.c5 == oracles.maps_onto_three_chain(lattice, congs)
+            assert (report.seven.c1, report.seven.c2) == oracles.c1_c2_by_scan(lattice)
 
 
 def test_three_chain_quotient_examples():
@@ -192,6 +196,31 @@ def test_classify_chain3_witnesses():
     assert str(w.unbalanced_congruence) == "{{0,1},{2}}"
     assert w.nonprime_maximal_ideal is None
     assert w.nonprime_maximal_filter is None
+
+
+def test_classify_derives_each_fact_once(monkeypatch):
+    # chain(3) and chain(3)×n5 are unbalanced and non-complemented, so their
+    # witnesses are the first congruence and element that fail those scans;
+    # _maximal_and_prime yields the maximal and prime ideals and filters
+    names = ("all_congruences", "_maximal_and_prime", "is_balanced_congruence", "complements_of")
+    originals = {name: getattr(fl.properties, name) for name in names}
+    chain3 = fl.standard_lattice("chain", 3)
+    for lattice in (chain3, fl.product(chain3, fl.standard_lattice("n5"))):
+        calls = Counter()
+
+        def counted(name):
+            def wrapper(*args):
+                calls[name, tuple(map(str, args[1:]))] += 1
+                return originals[name](*args)
+
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(fl.properties, name, counted(name))
+        report = fl.classify(lattice)
+        assert report.seven.c6 and report.seven.c7
+        assert {name for name, _ in calls} == set(names)
+        assert max(calls.values()) == 1, calls.most_common(3)
 
 
 def test_classify_m3_witnesses():
