@@ -17,7 +17,8 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .congruences import Congruence
@@ -146,9 +147,6 @@ class FiniteLattice:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
 
     def __repr__(self) -> str:
         return f"FiniteLattice(size={self.size}, bottom={self.bottom}, top={self.top})"
@@ -291,29 +289,77 @@ def dual(lattice: FiniteLattice) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1 << 12)
+def _bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of ``mask``, lowest first.
+
+    Cached: enumeration up to size 10 asks about at most 2**10 distinct
+    masks, over a million times in all.
+    """
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
 def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
     """Iteratively refined element classes, invariant under isomorphism.
 
     The initial class of an element is the rank of its down-set size, so
     bottom always lands in the first class and top in the last; each
-    round re-ranks by (old class, classes below, classes above) until
-    stable.  Classes only ever split, and the relative order of old
-    classes is preserved.
+    round re-ranks by (old class, sorted classes strictly below, sorted
+    classes strictly above) until stable.  Classes only ever split, and
+    the relative order of old classes is preserved.  The strict
+    neighbour lists are read off the masks once per call, not per round.
     """
+    below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
+    above = [_bits(up[i] & ~(1 << i)) for i in range(n)]
     sizes = [down[i].bit_count() for i in range(n)]
     rank = {v: r for r, v in enumerate(sorted(set(sizes)))}
     color = [rank[v] for v in sizes]
     while True:
-        sigs = []
-        for i in range(n):
-            below = sorted(color[j] for j in range(n) if down[i] >> j & 1 and j != i)
-            above = sorted(color[j] for j in range(n) if up[i] >> j & 1 and j != i)
-            sigs.append((color[i], tuple(below), tuple(above)))
+        hue = color.__getitem__
+        sigs = [
+            (color[i], tuple(sorted(map(hue, below[i]))), tuple(sorted(map(hue, above[i]))))
+            for i in range(n)
+        ]
         order = {s: r for r, s in enumerate(sorted(set(sigs)))}
         new = [order[s] for s in sigs]
         if new == color:
             return color
         color = new
+
+
+def _class_orders(
+    members: list[int], up: Sequence[int], down: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """Every order of one colour class, up to swapping twins.
+
+    Twins share their strict down-set and strict up-set, so exchanging
+    two of them is an automorphism and leaves the relabelled matrix
+    unchanged.  Each arrangement of the twin groups (a multiset
+    permutation) is therefore listed once, with the group's twins
+    filling its positions in one fixed order.
+    """
+    if len(members) == 1:
+        return [tuple(members)]
+    twins: dict[tuple[int, int], list[int]] = {}
+    for e in members:
+        twins.setdefault((down[e] & ~(1 << e), up[e] & ~(1 << e)), []).append(e)
+
+    def arrange(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
+        if not any(groups):
+            yield ()
+        for group in groups:
+            if group:
+                e = group.pop()
+                for rest in arrange(groups):
+                    yield (e, *rest)
+                group.append(e)
+
+    return list(arrange(list(twins.values())))
 
 
 def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bytes:
@@ -322,20 +368,24 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     Minimizes the row-major 0/1 matrix string over all relabelings that
     respect the refined classes (bottom forced to 0, top to n-1).  The
     class restriction prunes the permutation space without affecting
-    canonicity because the classes are themselves isomorphism-invariant.
+    canonicity because the classes are themselves isomorphism-invariant;
+    orders that differ only by swapping twins (see :func:`_class_orders`)
+    give the same matrix, so each is tried once.  A labeling is compared
+    as a tuple of permuted row tuples, which orders like the byte string
+    because every row has length n; only the least one is encoded.
     ``down`` holds the matching down-set rows, which the class refinement reads.
     """
+    if n == 1:
+        return b"1:1"
     color = _refine_colors(n, up, down)
     groups: dict[int, list[int]] = {}
     for e in range(n):
         groups.setdefault(color[e], []).append(e)
-    parts = [groups[c] for c in sorted(groups)]
-    orders = (
-        [e for part in chosen for e in part]
-        for chosen in itertools.product(*(itertools.permutations(p) for p in parts))
-    )
-    best = min(bytes(48 + (up[a] >> b & 1) for a in order for b in order) for order in orders)
-    return f"{n}:".encode() + best
+    choices = [_class_orders(groups[c], up, down) for c in sorted(groups)]
+    rows = [format(mask, f"0{n}b")[::-1].encode() for mask in up]
+    orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
+    best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
+    return f"{n}:".encode() + b"".join(map(bytes, best))
 
 
 def canonical_form(lattice: FiniteLattice) -> bytes:

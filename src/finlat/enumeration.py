@@ -2,14 +2,24 @@
 
 Elements are placed one at a time along a fixed linear extension
 (bottom first, top last), choosing for each new element the down-set it
-will sit above.  Two prunes keep the tree small: candidate down-sets
-must be at least as large as the previous element's (sorting any
-lattice by down-set size is a linear extension, so one such labeling
-always survives per isomorphism class), and every new pair of elements
-must already have a greatest common lower bound (later elements can
-never repair a missing meet, and a finite meet-semilattice with a top
-is a lattice).  Survivors are deduplicated by canonical form, which is
-also the emission order.
+will sit above.  Three prunes keep the tree small:
+
+- Candidate down-sets must be at least as large as the previous
+  element's.  Sorting any lattice by down-set size is a linear
+  extension.
+- When the two down-sets are equally large, the new element's strict
+  down-mask must be at least the previous element's, as integers.
+  Elements of equal down-set size are pairwise incomparable, and their
+  strict down-sets lie entirely in earlier size blocks, so sorting each
+  equal-size block of a size-sorted labeling by strict mask, one block
+  at a time from the bottom, changes no mask already sorted.  One such
+  labeling therefore survives per isomorphism class.
+- Every new pair of elements must already have a greatest common lower
+  bound.  Later elements can never repair a missing meet, and a finite
+  meet-semilattice with a top is a lattice.
+
+Survivors are deduplicated by canonical form, which is also the
+emission order.
 """
 
 from __future__ import annotations
@@ -23,6 +33,7 @@ from .congruences import is_balanced
 from .core import (
     FiniteLattice,
     LatticeError,
+    _bits,
     _canonical_from_up_masks,
     format_latt,
     lattice_from_canonical,
@@ -87,8 +98,9 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     """All placements of n elements as down-set masks, bottom 0 to top n-1.
 
     down[k] holds bit j iff j <= k; masks only ever reference earlier
-    indices, the element count per mask is non-decreasing, and every
-    pair of placed elements has a greatest common lower bound.
+    indices, the element count per mask is non-decreasing, equal counts
+    have non-decreasing strict masks (``down[k]`` without bit k), and
+    every pair of placed elements has a greatest common lower bound.
     """
     if n == 1:
         yield (1,)
@@ -101,9 +113,11 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
             down[k] = (1 << n) - 1
             yield tuple(down)
             return
-        least = down[k - 1].bit_count() - 1
+        previous = down[k - 1] & ~(1 << (k - 1))
+        least = previous.bit_count()
         for strict in range(1, 1 << k, 2):
-            if strict.bit_count() < least:
+            size = strict.bit_count()
+            if size < least or size == least and strict < previous:
                 continue
             rest = strict
             closed = True
@@ -142,9 +156,10 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
         return cached
     forms: set[bytes] = set()
     for down in _generate_down_masks(n):
-        up = tuple(
-            sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n)
-        )
+        up = [0] * n
+        for i, mask in enumerate(down):
+            for j in _bits(mask):
+                up[j] |= 1 << i
         forms.add(_canonical_from_up_masks(n, up, down))
     result = tuple(sorted(forms))
     _FORMS_CACHE[n] = result

@@ -3,17 +3,21 @@
 Most of these recompute results from first principles (axiom checks,
 partition scans, permutation searches, raw matrix enumeration) without
 reusing the package's algorithms, so agreement is meaningful evidence; they are
-exponential and only run at small sizes.  The last group holds
+exponential and only run at small sizes.  The next group holds
 alternative definitions (pairwise balance, the quotient-is-chain(3)
 test, the annihilator form of complementedness, c1/c2 by validating
 each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
-forms the package keeps.
+forms the package keeps.  The last group holds the placement generator
+with the down-set size prune only and the canonical form by a search
+over every permutation of every colour class, which the package's
+tie-break prune and twin-aware search replace.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
+from math import factorial, prod
 from typing import Iterator, Sequence
 
 from finlat import (
@@ -319,3 +323,91 @@ def c1_c2_by_scan(lattice: FiniteLattice) -> tuple[bool, bool]:
         if is_maximal_ideal(lattice, i)
     )
     return c1, c2
+
+
+def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:
+    """Down-mask placements with the down-set size prune only.
+
+    The generator ``enumeration._generate_down_masks`` had before its
+    tie-break between equal sizes: every candidate down-set at least as
+    large as the previous element's whose pairs with all placed elements
+    have a greatest common lower bound.  Its output is a superset of the
+    package's placements and still holds every isomorphism class.
+    """
+    if n == 1:
+        yield (1,)
+        return
+    down = [0] * n
+    down[0] = 1
+
+    def place(k: int) -> Iterator[tuple[int, ...]]:
+        if k == n - 1:
+            down[k] = (1 << n) - 1
+            yield tuple(down)
+            return
+        least = down[k - 1].bit_count() - 1
+        for strict in range(1, 1 << k, 2):
+            if strict.bit_count() < least:
+                continue
+            if any(down[j] & ~strict for j in range(k) if strict >> j & 1):
+                continue
+            mine = strict | 1 << k
+            if any(
+                (down[j] & mine) & ~down[(down[j] & mine).bit_length() - 1]
+                for j in range(k)
+            ):
+                continue
+            down[k] = mine
+            yield from place(k + 1)
+
+    yield from place(1)
+
+
+def up_masks(n: int, down: Sequence[int]) -> tuple[int, ...]:
+    """The up-set masks of an order given by its down-set masks."""
+    return tuple(sum(1 << j for j in range(n) if down[j] >> i & 1) for i in range(n))
+
+
+def _refine_colors_by_scan(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
+    """The package's colour refinement, scanning all n elements per element per round."""
+    sizes = [down[i].bit_count() for i in range(n)]
+    rank = {v: r for r, v in enumerate(sorted(set(sizes)))}
+    color = [rank[v] for v in sizes]
+    while True:
+        sigs = []
+        for i in range(n):
+            below = sorted(color[j] for j in range(n) if down[i] >> j & 1 and j != i)
+            above = sorted(color[j] for j in range(n) if up[i] >> j & 1 and j != i)
+            sigs.append((color[i], tuple(below), tuple(above)))
+        order = {s: r for r, s in enumerate(sorted(set(sigs)))}
+        new = [order[s] for s in sigs]
+        if new == color:
+            return color
+        color = new
+
+
+def _color_classes(n: int, up: Sequence[int], down: Sequence[int]) -> list[list[int]]:
+    color = _refine_colors_by_scan(n, up, down)
+    return [[e for e in range(n) if color[e] == c] for c in sorted(set(color))]
+
+
+def permutation_count(n: int, up: Sequence[int], down: Sequence[int]) -> int:
+    """How many labelings ``canonical_by_permutations`` compares."""
+    return prod(factorial(len(part)) for part in _color_classes(n, up, down))
+
+
+def canonical_by_permutations(n: int, up: Sequence[int], down: Sequence[int]) -> bytes:
+    """The canonical form as the least byte string over every class-respecting labeling.
+
+    Every permutation of every colour class is tried, twins included,
+    and each labeling is encoded in full before the comparison.
+    """
+    parts = _color_classes(n, up, down)
+    best = min(
+        bytes(48 + (up[a] >> b & 1) for a in order for b in order)
+        for order in (
+            [e for part in chosen for e in part]
+            for chosen in product(*(permutations(p) for p in parts))
+        )
+    )
+    return f"{n}:".encode() + best

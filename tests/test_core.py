@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import time
+from functools import lru_cache
+from itertools import combinations_with_replacement
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -218,6 +221,52 @@ def test_canonical_form_is_relabeling_invariant(data):
     relabeled = fl.relabel(lattice, perm)
     assert fl.canonical_form(relabeled) == fl.canonical_form(lattice)
     assert fl.is_isomorphic(relabeled, lattice)
+
+
+@lru_cache(maxsize=None)
+def _small_catalog_products() -> tuple[fl.FiniteLattice, ...]:
+    # products of at most 20 elements whose permutation search stays
+    # under 2,000 labelings; boolean(4) alone would take 414,720
+    catalog = support.catalog()
+    out = []
+    for first, second in combinations_with_replacement(sorted(catalog), 2):
+        lattice = fl.product(catalog[first], catalog[second])
+        n, up, down = lattice.size, lattice.up_masks, lattice.down_masks
+        if n <= 20 and oracles.permutation_count(n, up, down) <= 2000:
+            out.append(lattice)
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_canonical_form_matches_permutation_search_on_products(data):
+    lattice = data.draw(st.sampled_from(_small_catalog_products()))
+    perm = data.draw(st.permutations(range(lattice.size)))
+    relabeled = fl.relabel(lattice, perm)
+    n, up, down = relabeled.size, relabeled.up_masks, relabeled.down_masks
+    assert fl.canonical_form(relabeled) == oracles.canonical_by_permutations(n, up, down)
+
+
+def _m(k: int) -> fl.FiniteLattice:
+    """M_k: bottom 0, k pairwise incomparable atoms, top k + 1."""
+    return fl.from_leq_matrix(
+        [[i == 0 or j == k + 1 or i == j for j in range(k + 2)] for i in range(k + 2)]
+    )
+
+
+def test_twin_atoms_give_the_permutation_search_form():
+    for k in (5, 7):
+        lattice = _m(k)
+        n, up, down = lattice.size, lattice.up_masks, lattice.down_masks
+        assert fl.canonical_form(lattice) == oracles.canonical_by_permutations(n, up, down)
+
+
+def test_twin_atoms_are_not_permuted():
+    lattice = _m(12)  # 12! labelings without twin collapsing
+    start = time.perf_counter()
+    form = fl.canonical_form(lattice)
+    assert time.perf_counter() - start < 1.0
+    assert fl.is_isomorphic(fl.lattice_from_canonical(form), lattice)
 
 
 def test_canonical_form_agrees_with_brute_isomorphism_at_size_5():

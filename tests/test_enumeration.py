@@ -8,12 +8,44 @@ import pytest
 import finlat as fl
 import oracles
 import support
-from finlat.enumeration import _canonical_forms
+from finlat.core import _canonical_from_up_masks
+from finlat.enumeration import _canonical_forms, _generate_down_masks
+
+# Placements per size with the size and tie-break prunes; pinned so that a
+# weaker prune shows.  The size prune alone gives 25, 141, 1,007 and 8,892
+# at sizes 6 to 9.
+PLACEMENTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 24, 7: 122, 8: 758, 9: 5581}
 
 
 def test_counts_match_known_sequence():
-    for n, expected in support.EXPECTED_COUNTS.items():
+    # OEIS A006966, through the advertised MAX_SIZE
+    for n, expected in {**support.EXPECTED_COUNTS, 9: 1078, 10: 5994}.items():
         assert len(support.lattices_of(n)) == expected, f"size {n}"
+
+
+def test_placement_counts_are_pinned():
+    for n, expected in PLACEMENTS.items():
+        assert sum(1 for _ in _generate_down_masks(n)) == expected, f"size {n}"
+
+
+def test_forms_match_size_pruned_placements_and_permutation_search():
+    for n in range(1, 9):
+        reference = {
+            oracles.canonical_by_permutations(n, oracles.up_masks(n, down), down)
+            for down in oracles.placements_by_size(n)
+        }
+        assert _canonical_forms(n) == tuple(sorted(reference)), f"size {n}"
+
+
+def test_canonical_from_up_masks_matches_permutation_search():
+    for n in range(1, 9):
+        wider = set(oracles.placements_by_size(n))
+        for down in _generate_down_masks(n):
+            assert down in wider
+            up = oracles.up_masks(n, down)
+            assert _canonical_from_up_masks(n, up, down) == oracles.canonical_by_permutations(
+                n, up, down
+            )
 
 
 def test_emission_is_canonical_and_sorted():
