@@ -109,12 +109,13 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    count = sum(1 for _ in enumerate_lattices(args.size))
-    payload: dict[str, object] = {"count": count, "size": args.size}
-    if args.out is not None:
+    payload: dict[str, object] = {"size": args.size}
+    if args.out is None:
+        payload["count"] = sum(1 for _ in enumerate_lattices(args.size))
+    else:
         written = write_latt_files(args.size, args.out)
+        payload["count"] = payload["files_written"] = len(written)
         payload["out"] = str(Path(args.out))
-        payload["files_written"] = len(written)
     _emit(payload, args.format)
     return 0
 

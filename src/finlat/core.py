@@ -16,8 +16,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from operator import itemgetter
+from functools import lru_cache, reduce
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -97,46 +97,35 @@ class FiniteLattice:
         n = len(matrix)
         if n < 1 or any(len(row) != n for row in matrix):
             raise ValueError("order matrix must be square with n >= 1")
-        leq = tuple(tuple(bool(v) for v in row) for row in matrix)
+        leq = tuple(tuple(map(bool, row)) for row in matrix)
+        bits = [1 << j for j in range(n)]
+        up = tuple(sum(itertools.compress(bits, row)) for row in leq)
+        down = tuple(sum(itertools.compress(bits, column)) for column in zip(*leq))
         for i in range(n):
-            if not leq[i][i]:
+            if not up[i] >> i & 1:
                 raise NotAPartialOrder(f"reflexivity fails at {i}")
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
-        up = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+            both = (up[i] & down[i]) >> (i + 1)
+            if both:
+                j = i + (both & -both).bit_length()
+                raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
         for i in range(n):
-            for j in range(n):
-                if leq[i][j] and up[j] & ~up[i]:
+            if reduce(or_, itertools.compress(up, leq[i])) == up[i]:
+                continue
+            for j in itertools.compress(range(n), leq[i]):
+                if up[j] & ~up[i]:
                     k = (up[j] & ~up[i]).bit_length() - 1
                     raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
-        down = tuple(sum(1 << j for j in range(n) if leq[j][i]) for i in range(n))
         full = (1 << n) - 1
         bottoms = [i for i in range(n) if up[i] == full]
         tops = [i for i in range(n) if down[i] == full]
         if len(bottoms) != 1 or len(tops) != 1:
             raise NotBounded("order has no unique bottom or top element")
-        meet_rows = []
-        join_rows = []
-        for x in range(n):
-            mrow = []
-            jrow = []
-            for y in range(n):
-                m = _unique_bound(down, down[x] & down[y])
-                if m is None:
-                    raise NotALattice(f"elements ({x}, {y}) have no meet")
-                j = _unique_bound(up, up[x] & up[y])
-                if j is None:
-                    raise NotALattice(f"elements ({x}, {y}) have no join")
-                mrow.append(m)
-                jrow.append(j)
-            meet_rows.append(tuple(mrow))
-            join_rows.append(tuple(jrow))
+        meet, join = _meet_join_tables(down, up)
         derived = {
             "size": n,
             "leq": leq,
-            "meet": tuple(meet_rows),
-            "join": tuple(join_rows),
+            "meet": meet,
+            "join": join,
             "bottom": bottoms[0],
             "top": tops[0],
             "down_masks": down,
@@ -184,21 +173,36 @@ def is_surjective(hom: LatticeHomomorphism) -> bool:
     return len(set(hom.map)) == hom.target.size
 
 
-def _unique_bound(masks: Sequence[int], candidates: int) -> int | None:
-    """The element of ``candidates`` whose mask covers all of them, if any.
+def _meet_join_tables(
+    down: Sequence[int], up: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """Meet and join tables of a bounded order, read off its masks.
 
-    With ``masks = down_masks`` this is the greatest lower bound of the
-    pair whose common lower bounds are ``candidates``; with ``up_masks``
-    it is the least upper bound.  Uniqueness is automatic: two such
-    elements would be mutually comparable.
+    The common lower bounds of x and y are ``down[x] & down[y]``, and
+    their meet is the element whose own down-set is exactly that set;
+    down-sets are distinct by antisymmetry, so a mask-to-element lookup
+    finds it or shows that there is none.  Joins are read the same way
+    from the up-sets.  Pairs are visited with y > x in row-major order,
+    which is where a missing bound is first met in a full row-major
+    scan, since the diagonal never fails and the tables are symmetric.
     """
-    rest = candidates
-    while rest:
-        m = rest.bit_length() - 1
-        if candidates & ~masks[m] == 0:
-            return m
-        rest &= ~(1 << m)
-    return None
+    n = len(down)
+    meet_of = {mask: e for e, mask in enumerate(down)}.get
+    join_of = {mask: e for e, mask in enumerate(up)}.get
+    meet = [[x] * n for x in range(n)]
+    join = [[x] * n for x in range(n)]
+    for x in range(n):
+        below, above, meet_row, join_row = down[x], up[x], meet[x], join[x]
+        for y in range(x + 1, n):
+            m = meet_of(below & down[y])
+            if m is None:
+                raise NotALattice(f"elements ({x}, {y}) have no meet")
+            j = join_of(above & up[y])
+            if j is None:
+                raise NotALattice(f"elements ({x}, {y}) have no join")
+            meet_row[y] = meet[y][x] = m
+            join_row[y] = join[y][x] = j
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
 def from_leq_matrix(matrix: Sequence[Sequence[object]]) -> FiniteLattice:
@@ -310,26 +314,37 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
     The initial class of an element is the rank of its down-set size, so
     bottom always lands in the first class and top in the last; each
     round re-ranks by (old class, sorted classes strictly below, sorted
-    classes strictly above) until stable.  Classes only ever split, and
-    the relative order of old classes is preserved.  The strict
-    neighbour lists are read off the masks once per call, not per round.
+    classes strictly above) until no class splits.  Classes only ever
+    split, and the relative order of old classes is preserved, so an
+    element alone in its class keeps its rank whatever follows the
+    class in its signature: it gets the signature ``(class,)`` and its
+    neighbours are not read.  A discrete colouring is returned at once.
+    The strict neighbour lists are read off the masks once per call,
+    not per round.
     """
     below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
     above = [_bits(up[i] & ~(1 << i)) for i in range(n)]
     sizes = [down[i].bit_count() for i in range(n)]
     rank = {v: r for r, v in enumerate(sorted(set(sizes)))}
     color = [rank[v] for v in sizes]
-    while True:
+    classes = len(rank)
+    while classes < n:
         hue = color.__getitem__
+        members = [0] * classes
+        for c in color:
+            members[c] += 1
         sigs = [
-            (color[i], tuple(sorted(map(hue, below[i]))), tuple(sorted(map(hue, above[i]))))
-            for i in range(n)
+            (c,)
+            if members[c] == 1
+            else (c, tuple(sorted(map(hue, below[i]))), tuple(sorted(map(hue, above[i]))))
+            for i, c in enumerate(color)
         ]
         order = {s: r for r, s in enumerate(sorted(set(sigs)))}
-        new = [order[s] for s in sigs]
-        if new == color:
-            return color
-        color = new
+        if len(order) <= classes:  # no class split; they never merge
+            break
+        color = [order[s] for s in sigs]
+        classes = len(order)
+    return color
 
 
 def _class_orders(
@@ -343,8 +358,6 @@ def _class_orders(
     permutation) is therefore listed once, with the group's twins
     filling its positions in one fixed order.
     """
-    if len(members) == 1:
-        return [tuple(members)]
     twins: dict[tuple[int, int], list[int]] = {}
     for e in members:
         twins.setdefault((down[e] & ~(1 << e), up[e] & ~(1 << e)), []).append(e)
@@ -372,19 +385,30 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     orders that differ only by swapping twins (see :func:`_class_orders`)
     give the same matrix, so each is tried once.  A labeling is compared
     as a tuple of permuted row tuples, which orders like the byte string
-    because every row has length n; only the least one is encoded.
-    ``down`` holds the matching down-set rows, which the class refinement reads.
+    because every row has length n; only the least one is encoded.  When
+    every class has one member there is one labeling, and it is encoded
+    directly.  ``down`` holds the matching down-set rows, which the
+    class refinement reads.
     """
     if n == 1:
         return b"1:1"
     color = _refine_colors(n, up, down)
+    width = f"0{n}b"
+    rows = [format(mask, width)[::-1].encode() for mask in up]
     groups: dict[int, list[int]] = {}
     for e in range(n):
         groups.setdefault(color[e], []).append(e)
-    choices = [_class_orders(groups[c], up, down) for c in sorted(groups)]
-    rows = [format(mask, f"0{n}b")[::-1].encode() for mask in up]
-    orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
-    best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
+    classes = [groups[c] for c in range(len(groups))]
+    if len(classes) == n:
+        pick = itemgetter(*(members[0] for members in classes))
+        best = tuple(map(pick, pick(rows)))
+    else:
+        choices = [
+            [tuple(members)] if len(members) == 1 else _class_orders(members, up, down)
+            for members in classes
+        ]
+        orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
+        best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
     return f"{n}:".encode() + b"".join(map(bytes, best))
 
 
@@ -403,7 +427,7 @@ def lattice_from_canonical(form: bytes) -> FiniteLattice:
     n = int(head)
     if len(body) != n * n:
         raise ValueError("canonical form has wrong length")
-    rows = [[body[i * n + j] == 0x31 for j in range(n)] for i in range(n)]
+    rows = [list(map((0x31).__eq__, body[i * n : (i + 1) * n])) for i in range(n)]
     return from_leq_matrix(rows)
 
 

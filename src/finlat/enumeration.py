@@ -94,6 +94,11 @@ class SearchWitness:
     report: PropertyReport
 
 
+def _require_size(n: int) -> None:
+    if not 1 <= n <= MAX_SIZE:
+        raise SizeOutOfRange(f"size {n} outside 1..{MAX_SIZE}")
+
+
 def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     """All placements of n elements as down-set masks, bottom 0 to top n-1.
 
@@ -168,16 +173,14 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
 
 def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
     """One validated representative per isomorphism class, canonical order."""
-    if not 1 <= n <= MAX_SIZE:
-        raise SizeOutOfRange(f"size {n} outside 1..{MAX_SIZE}")
+    _require_size(n)
     for form in _canonical_forms(n):
         yield lattice_from_canonical(form)
 
 
 def census(max_n: int) -> list[EnumerationStats]:
     """Counts per size up to max_n; see EnumerationStats for the columns."""
-    if not 1 <= max_n <= MAX_SIZE:
-        raise SizeOutOfRange(f"size {max_n} outside 1..{MAX_SIZE}")
+    _require_size(max_n)
     rows = []
     for n in range(1, max_n + 1):
         start = time.perf_counter()
@@ -243,8 +246,7 @@ def search_counterexample(predicate: str, max_n: int) -> list[SearchWitness]:
     except KeyError:
         known = ", ".join(sorted(SEARCH_PREDICATES))
         raise UnknownPredicate(f"unknown predicate {predicate!r} (known: {known})") from None
-    if not 1 <= max_n <= MAX_SIZE:
-        raise SizeOutOfRange(f"size {max_n} outside 1..{MAX_SIZE}")
+    _require_size(max_n)
     witnesses = []
     for n in range(1, max_n + 1):
         for lattice in enumerate_lattices(n):
@@ -254,7 +256,11 @@ def search_counterexample(predicate: str, max_n: int) -> list[SearchWitness]:
 
 
 def write_latt_files(n: int, directory: Path | str) -> list[Path]:
-    """Persist every size-n representative as lat_<n>_<index>.latt."""
+    """Persist every size-n representative as lat_<n>_<index>.latt.
+
+    The size is checked before the directory is created.
+    """
+    _require_size(n)
     target = Path(directory)
     target.mkdir(parents=True, exist_ok=True)
     written = []

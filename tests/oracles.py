@@ -9,9 +9,11 @@ test, the annihilator form of complementedness, c1/c2 by validating
 each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
 forms the package keeps.  The last group holds the placement generator
-with the down-set size prune only and the canonical form by a search
-over every permutation of every colour class, which the package's
-tie-break prune and twin-aware search replace.
+with the down-set size prune only, the colour refinement and the
+canonical form by a search over every permutation of every colour
+class, and the construction of the lattice tables by a scan for each
+pair's bound, which the package's tie-break prune, settled-class
+refinement, twin-aware search and mask lookup replace.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from finlat import (
     Congruence,
     FiniteLattice,
     LatticeError,
+    NotALattice,
+    NotAPartialOrder,
+    NotBounded,
     all_congruences,
     annihilator_filter,
     annihilator_ideal,
@@ -411,3 +416,74 @@ def canonical_by_permutations(n: int, up: Sequence[int], down: Sequence[int]) ->
         )
     )
     return f"{n}:".encode() + best
+
+
+def _unique_bound(masks: Sequence[int], candidates: int) -> int | None:
+    """The element of ``candidates`` whose mask covers all of them, if any."""
+    rest = candidates
+    while rest:
+        m = rest.bit_length() - 1
+        if candidates & ~masks[m] == 0:
+            return m
+        rest &= ~(1 << m)
+    return None
+
+
+def lattice_tables_by_scan(matrix: Sequence[Sequence[object]]) -> dict[str, object]:
+    """Every field ``FiniteLattice(matrix)`` derives, by the scan it used to run.
+
+    Checks each stage over all pairs (reflexivity with antisymmetry,
+    then transitivity, boundedness, and a meet and a join for every
+    ordered pair in row-major order) and raises the same exception,
+    with the same message, at the first failure.  Each bound is found
+    by scanning the common lower (upper) bounds, greatest index first,
+    for one that covers them all: cubic in the size.
+    """
+    n = len(matrix)
+    if n < 1 or any(len(row) != n for row in matrix):
+        raise ValueError("order matrix must be square with n >= 1")
+    leq = tuple(tuple(bool(v) for v in row) for row in matrix)
+    for i in range(n):
+        if not leq[i][i]:
+            raise NotAPartialOrder(f"reflexivity fails at {i}")
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
+    up = tuple(sum(1 << j for j in range(n) if leq[i][j]) for i in range(n))
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j] and up[j] & ~up[i]:
+                k = (up[j] & ~up[i]).bit_length() - 1
+                raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
+    down = tuple(sum(1 << j for j in range(n) if leq[j][i]) for i in range(n))
+    full = (1 << n) - 1
+    bottoms = [i for i in range(n) if up[i] == full]
+    tops = [i for i in range(n) if down[i] == full]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotBounded("order has no unique bottom or top element")
+    meet_rows = []
+    join_rows = []
+    for x in range(n):
+        mrow = []
+        jrow = []
+        for y in range(n):
+            m = _unique_bound(down, down[x] & down[y])
+            if m is None:
+                raise NotALattice(f"elements ({x}, {y}) have no meet")
+            j = _unique_bound(up, up[x] & up[y])
+            if j is None:
+                raise NotALattice(f"elements ({x}, {y}) have no join")
+            mrow.append(m)
+            jrow.append(j)
+        meet_rows.append(tuple(mrow))
+        join_rows.append(tuple(jrow))
+    return {
+        "size": n,
+        "leq": leq,
+        "meet": tuple(meet_rows),
+        "join": tuple(join_rows),
+        "bottom": bottoms[0],
+        "top": tops[0],
+        "down_masks": down,
+        "up_masks": up,
+    }

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import finlat as fl
-from finlat import cli
+from finlat import cli, enumeration
 
 
 @pytest.fixture()
@@ -139,6 +139,27 @@ def test_enumerate_counts_and_writes(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["lat_4_0.latt", "lat_4_1.latt"]
 
     assert cli.run(["enumerate", "--size", "11"]) == 2
+
+
+def test_enumerate_out_rebuilds_each_class_once(tmp_path, capsys, monkeypatch):
+    rebuilt = []
+    rebuild = enumeration.lattice_from_canonical
+
+    def counting(form):
+        rebuilt.append(form)
+        return rebuild(form)
+
+    monkeypatch.setattr(enumeration, "lattice_from_canonical", counting)
+    out_dir = tmp_path / "corpus"
+    assert cli.run(["enumerate", "--size", "6", "--out", str(out_dir), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"count": 15, "files_written": 15, "out": str(out_dir), "size": 6}
+    assert len(rebuilt) == len(set(rebuilt)) == 15
+
+    missing = tmp_path / "never"
+    assert cli.run(["enumerate", "--size", "11", "--out", str(missing)]) == 2
+    assert capsys.readouterr().err == "error: size 11 outside 1..10\n"
+    assert not missing.exists()
 
 
 def test_census_text_table(capsys):

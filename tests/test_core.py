@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import json
+import subprocess
+import sys
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 import finlat as fl
 import oracles
 import support
+from finlat import core
 
 
 def test_two_chain_from_matrix():
@@ -83,6 +87,165 @@ def test_from_leq_matrix_rejects_missing_join():
     ]
     with pytest.raises(fl.NotALattice):
         fl.from_leq_matrix(rows)
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(fl.FiniteLattice))
+
+
+def _outcome(build, matrix):
+    """The derived fields of ``build(matrix)``, or the type and message it raised."""
+    try:
+        built = build(matrix)
+    except (ValueError, fl.LatticeError) as exc:
+        return type(exc), str(exc)
+    if isinstance(built, dict):
+        return built
+    return {name: getattr(built, name) for name in FIELDS}
+
+
+def _assert_construction_matches_scan(matrix):
+    assert _outcome(fl.FiniteLattice, matrix) == _outcome(oracles.lattice_tables_by_scan, matrix)
+
+
+def _relabelled(leq, perm):
+    n = len(leq)
+    rows = [[False] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            rows[perm[x]][perm[y]] = leq[x][y]
+    return rows
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_tables_match_bound_scan_on_relabelled_lattices(data):
+    for lattice in support.lattices_up_to(7):
+        perm = data.draw(st.permutations(range(lattice.size)))
+        _assert_construction_matches_scan(_relabelled(lattice.leq, perm))
+    product = data.draw(st.sampled_from(_small_catalog_products()))
+    perm = data.draw(st.permutations(range(product.size)))
+    _assert_construction_matches_scan(_relabelled(product.leq, perm))
+
+
+@st.composite
+def _order_matrices(draw):
+    """Square 0/1 matrices up to size 7 that reach every construction error.
+
+    Half the draws have size 6 or 7, the sizes at which a bounded order
+    can first fail to be a lattice.  Most matrices are orders of height
+    at most 3, relabelled at random: a bottom and a top unless the draw
+    leaves one out, and between them the other elements alternating
+    between two levels, each lower-upper pair related with probability
+    5/6, so that two elements with two maximal common lower bounds (no
+    meet) are common.  Some of these get a few cells flipped; the rest
+    are uniformly random; 60,000 uniformly random matrices of sizes 1
+    to 7 reached ``NotALattice`` not once.
+    """
+    n = draw(st.integers(1, 7) | st.integers(6, 7))
+    kind = draw(st.sampled_from(("graded", "graded", "perturbed", "random")))
+    if kind == "random":
+        row = st.lists(st.booleans(), min_size=n, max_size=n)
+        return draw(st.lists(row, min_size=n, max_size=n))
+    level = [1 + i % 2 for i in range(n)]
+    unbounded = draw(st.integers(0, 7))  # 0: no bottom, 1: no top, else both
+    level[0] = 1 if unbounded == 0 else 0
+    level[-1] = 2 if unbounded == 1 else 3
+    related = st.sampled_from((True,) * 5 + (False,))
+    rows = [
+        [
+            i == j or level[i] < level[j] and (level[i] == 0 or level[j] == 3 or draw(related))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    rows = _relabelled(rows, draw(st.permutations(range(n))))
+    if kind == "perturbed":
+        for _ in range(draw(st.integers(1, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            rows[i][j] = not rows[i][j]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix=_order_matrices())
+def test_tables_match_bound_scan_on_random_matrices(matrix):
+    _assert_construction_matches_scan(matrix)
+
+
+def test_construction_errors_match_bound_scan():
+    # one matrix per outcome, so the random test's reach does not rest on chance
+    bowtie = [
+        [1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 1, 1],
+        [0, 0, 1, 1, 1, 1],
+        [0, 0, 0, 1, 0, 1],
+        [0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 1],
+    ]
+    cases = [
+        ([[1, 1]], ValueError, "square"),
+        ([[1, 0], [0, 0]], fl.NotAPartialOrder, "reflexivity"),
+        ([[1, 1, 1], [0, 1, 1], [0, 1, 1]], fl.NotAPartialOrder, "antisymmetry"),
+        ([[1, 1, 0], [0, 1, 1], [0, 0, 1]], fl.NotAPartialOrder, "transitivity"),
+        ([[1, 1, 1], [0, 1, 0], [0, 0, 1]], fl.NotBounded, "bottom or top"),
+        (bowtie, fl.NotALattice, "(1, 2) have no join"),
+        (_relabelled(bowtie, [0, 3, 4, 1, 2, 5]), fl.NotALattice, "(1, 2) have no meet"),
+    ]
+    for matrix, error, words in cases:
+        outcome = _outcome(fl.FiniteLattice, matrix)
+        assert outcome == _outcome(oracles.lattice_tables_by_scan, matrix)
+        assert outcome[0] is error and words in outcome[1]
+
+
+# Each operation on 400-element orders must finish in under a second; the
+# cubic bound scan took 4.9 s on chain(400) and 2.0 s on the grid.
+_LARGE_ORDERS = """
+import json, time
+import finlat as fl
+n = 400
+chain = [[i <= j for j in range(n)] for i in range(n)]
+grid = [[i // 20 <= j // 20 and i % 20 <= j % 20 for j in range(n)] for i in range(n)]
+# chain 0 < ... < 394, then 397 and 398 below both of 395 and 396, then top 399
+level = [0] * 395 + [2, 2, 1, 1, 3]
+bowtie = [[i == j or (i < j if max(i, j) < 395 else level[i] < level[j] or i < 395)
+           for j in range(n)] for i in range(n)]
+text = fl.format_latt(fl.FiniteLattice(chain))
+cases = {
+    "chain": lambda: fl.FiniteLattice(chain),
+    "grid": lambda: fl.FiniteLattice(grid),
+    "parse": lambda: fl.parse_latt(text),
+    "missing meet": lambda: fl.FiniteLattice(bowtie),
+}
+out = {}
+for name, build in cases.items():
+    start = time.perf_counter()
+    try:
+        build()
+        outcome = "built"
+    except fl.NotALattice as exc:
+        outcome = str(exc)
+    out[name] = [outcome, time.perf_counter() - start]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_large_orders_build_in_bounded_time(flags):
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _LARGE_ORDERS],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    results = json.loads(done.stdout)
+    assert {name: outcome for name, (outcome, _) in results.items()} == {
+        "chain": "built",
+        "grid": "built",
+        "parse": "built",
+        "missing meet": "elements (395, 396) have no meet",
+    }
+    slow = {name: seconds for name, (_, seconds) in results.items() if seconds >= 1.0}
+    assert slow == {}
 
 
 def test_validate_clean_on_catalog():
@@ -245,6 +408,24 @@ def test_canonical_form_matches_permutation_search_on_products(data):
     relabeled = fl.relabel(lattice, perm)
     n, up, down = relabeled.size, relabeled.up_masks, relabeled.down_masks
     assert fl.canonical_form(relabeled) == oracles.canonical_by_permutations(n, up, down)
+
+
+def test_refine_colors_matches_scan_on_placements():
+    for n in range(1, 9):
+        for down in oracles.placements_by_size(n):
+            up = oracles.up_masks(n, down)
+            assert core._refine_colors(n, up, down) == oracles._refine_colors_by_scan(n, up, down)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_refine_colors_matches_scan_on_products(data):
+    catalog = support.catalog()
+    first, second = (data.draw(st.sampled_from(sorted(catalog))) for _ in range(2))
+    lattice = fl.product(catalog[first], catalog[second])
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    n, up, down = relabeled.size, relabeled.up_masks, relabeled.down_masks
+    assert core._refine_colors(n, up, down) == oracles._refine_colors_by_scan(n, up, down)
 
 
 def _m(k: int) -> fl.FiniteLattice:
