@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Sequence
 
@@ -149,7 +150,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by ``run``."""
     parser = argparse.ArgumentParser(
         prog="finlat",
         description="Decision procedures and exhaustive verification for finite bounded lattices.",

@@ -5,13 +5,19 @@ meet and join; equivalently a partition whose blocks multiply cleanly.
 Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
+
+Only principal and generated congruences need the compatibility
+closure.  Con(L) is a sublattice of the partition lattice Eq(L), so the
+join of two congruences is their join as partitions, a union-find
+merge of the two labelings; Con(L) is built from the principal
+congruences by such joins alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .core import (
     EmptySet,
@@ -22,9 +28,9 @@ from .core import (
 )
 
 
-def _normalize(labels: Sequence[int]) -> tuple[int, ...]:
+def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
     """Relabel blocks in first-occurrence order (element 0 gets label 0)."""
-    seen: dict[int, int] = {}
+    seen: dict[Hashable, int] = {}
     out = []
     for lab in labels:
         if lab not in seen:
@@ -41,7 +47,7 @@ class Partition:
     block_of: tuple[int, ...]
 
     @staticmethod
-    def from_labels(labels: Sequence[int]) -> "Partition":
+    def from_labels(labels: Sequence[Hashable]) -> "Partition":
         return Partition(len(labels), _normalize(labels))
 
     @staticmethod
@@ -212,57 +218,74 @@ def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
     return left.lattice
 
 
+def _block_pairs(labels: Sequence[int]) -> list[tuple[int, int]]:
+    """(first element of its block, e) for every other element e."""
+    return [(head, e) for e, head in enumerate(map(labels.index, labels)) if head != e]
+
+
+def _join_labels(labels: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Normalized labels of the join of a partition with the pairs' partition.
+
+    A union-find merge over the blocks of ``labels`` that links the
+    larger root under the smaller, so one ascending pass resolves every
+    root; ``labels`` comes back unchanged when no pair joins two blocks.
+    The join of two congruences in Eq(L) is again a congruence, so no
+    compatibility closure follows.
+    """
+    parent = list(range(len(labels)))
+    for x, y in pairs:
+        a, b = labels[x], labels[y]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    if parent == list(range(len(labels))):
+        return labels
+    for a in range(len(parent)):
+        parent[a] = parent[parent[a]]
+    return _normalize([parent[a] for a in labels])
+
+
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
-    """Least congruence containing both (closure of the merged partition)."""
+    """Least congruence containing both: their join as partitions.
+
+    Con(L) is a sublattice of the partition lattice Eq(L), so the
+    partition join of two congruences is already compatible.
+    """
     lattice = _require_same_lattice(left, right)
-    pairs: list[tuple[int, int]] = []
-    for part in (left.partition, right.partition):
-        for block in part.blocks():
-            pairs.extend((block[0], e) for e in block[1:])
-    return Congruence(lattice, _closure(lattice, pairs))
+    labels = _join_labels(left.partition.block_of, _block_pairs(right.partition.block_of))
+    return Congruence(lattice, Partition(lattice.size, labels))
 
 
 def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     """Common refinement; the intersection of congruences is a congruence."""
     lattice = _require_same_lattice(left, right)
     pairs = list(zip(left.partition.block_of, right.partition.block_of))
-    seen: dict[tuple[int, int], int] = {}
-    labels = [seen.setdefault(p, len(seen)) for p in pairs]
-    return Congruence(lattice, Partition.from_labels(labels))
+    return Congruence(lattice, Partition.from_labels(pairs))
 
 
 def all_congruences(lattice: FiniteLattice) -> list[Congruence]:
-    """Con(L): join-closure of the identity and all principal congruences.
+    """Con(L): the identity closed under joins with the principal congruences.
 
-    Every congruence is the join of the principal congruences of its
-    related pairs, so closing the principal set under binary join yields
-    all of Con(L).  The result is sorted by normalized representation.
+    Every congruence is the join of the principal congruences con(a, b)
+    of its related pairs a < b.  Con(L) is a sublattice of Eq(L), so
+    each join is a partition join (``_join_labels``): the n(n-1)/2
+    closures compute the generators and nothing else.  The result is
+    sorted by normalized representation.
     """
     n = lattice.size
-    seen: dict[tuple[int, ...], Partition] = {}
-    identity = Partition.identity(n)
-    seen[identity.block_of] = identity
-    frontier: list[Partition] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = _closure(lattice, [(a, b)])
-            if p.block_of not in seen:
-                seen[p.block_of] = p
-                frontier.append(p)
+    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
+    generators = [_block_pairs(labels) for labels in principal]
+    seen = {Partition.identity(n).block_of}
+    frontier = list(seen)
     while frontier:
-        p = frontier.pop()
-        pairs_p = [
-            (block[0], e) for block in p.blocks() for e in block[1:]
-        ]
-        for q in list(seen.values()):
-            pairs = pairs_p + [
-                (block[0], e) for block in q.blocks() for e in block[1:]
-            ]
-            joined = _closure(lattice, pairs)
-            if joined.block_of not in seen:
-                seen[joined.block_of] = joined
-                frontier.append(joined)
-    return [Congruence(lattice, p) for p in sorted(seen.values())]
+        labels = frontier.pop()
+        joined = {_join_labels(labels, pairs) for pairs in generators} - seen
+        seen |= joined
+        frontier.extend(joined)
+    return [Congruence(lattice, Partition(n, labels)) for labels in sorted(seen)]
 
 
 def is_balanced_congruence(lattice: FiniteLattice, cong: Congruence) -> bool:

@@ -8,12 +8,14 @@ alternative definitions (pairwise balance, the quotient-is-chain(3)
 test, the annihilator form of complementedness, c1/c2 by validating
 each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
-forms the package keeps.  The last group holds the placement generator
-with the down-set size prune only, the colour refinement and the
-canonical form by a search over every permutation of every colour
-class, and the construction of the lattice tables by a scan for each
-pair's bound, which the package's tie-break prune, settled-class
-refinement, twin-aware search and mask lookup replace.
+forms the package keeps.  The last group holds the replaced algorithms:
+Con(L) and the join of congruences by a compatibility closure per join
+(the package joins partitions), the placement generator with the
+down-set size prune only, the colour refinement and the canonical form
+by a search over every permutation of every colour class, and the
+construction of the lattice tables by a scan for each pair's bound,
+which the package's tie-break prune, settled-class refinement,
+twin-aware search and mask lookup replace.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from finlat import (
     quotient,
     standard_lattice,
 )
+from finlat.congruences import _closure
 
 
 def axiom_violations(lattice) -> list[tuple[str, tuple[int, ...]]]:
@@ -328,6 +331,50 @@ def c1_c2_by_scan(lattice: FiniteLattice) -> tuple[bool, bool]:
         if is_maximal_ideal(lattice, i)
     )
     return c1, c2
+
+
+def _block_pairs(block_of: Sequence[int]) -> list[tuple[int, int]]:
+    """(least element of its block, e) for every other element e."""
+    first: dict[int, int] = {}
+    pairs = []
+    for e, lab in enumerate(block_of):
+        head = first.setdefault(lab, e)
+        if head != e:
+            pairs.append((head, e))
+    return pairs
+
+
+def join_by_closure(
+    lattice: FiniteLattice, left: Sequence[int], right: Sequence[int]
+) -> tuple[int, ...]:
+    """Least congruence containing two partitions, by compatibility closure."""
+    return _closure(lattice, _block_pairs(left) + _block_pairs(right)).block_of
+
+
+def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+    """Con(L) as sorted label tuples: principal congruences closed under join.
+
+    Each join runs the full compatibility closure, and every new
+    congruence is joined with every congruence found so far.
+    """
+    n = lattice.size
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier: list[tuple[int, ...]] = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            p = _closure(lattice, [(a, b)]).block_of
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    while frontier:
+        p = frontier.pop()
+        for q in list(seen):
+            joined = join_by_closure(lattice, p, q)
+            if joined not in seen:
+                seen.add(joined)
+                frontier.append(joined)
+    return sorted(seen)
 
 
 def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:

@@ -6,6 +6,7 @@ installed console script.
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
@@ -183,6 +184,53 @@ def test_parse_error_diagnostic_names_file_and_line(tmp_path, capsys):
 def test_missing_file_is_exit_2(capsys):
     assert cli.run(["check", "/no/such/file.latt"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def _run_captured(argv, capsys):
+    try:
+        code = cli.run(argv)
+    except SystemExit as exc:  # argparse usage errors exit through SystemExit
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def test_repeated_runs_in_one_process_give_the_same_results(latt_file, tmp_path, capsys):
+    n5, m3 = latt_file("n5"), latt_file("m3")
+    bad = tmp_path / "bad.latt"
+    bad.write_text("LATT 1\nn=2\n11\n11\n")
+    cases = [
+        ["check", n5],
+        ["theorem", n5, "--format", "json"],
+        ["congruences", m3],
+        ["ideals", m3, "--format", "json"],
+        ["check", str(bad)],
+        ["theorem", n5, "--format", "xml"],
+    ]
+    first = [_run_captured(argv, capsys) for argv in cases]
+    second = [_run_captured(argv, capsys) for argv in cases]
+    assert first == second
+    assert [code for _, _, code in first] == [0, 0, 0, 0, 2, 2]
+    assert first[-1][1].startswith("usage: finlat theorem")
+    assert "invalid choice: 'xml'" in first[-1][1]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_second_run_leaves_no_cyclic_garbage(latt_file, capsys):
+    path = latt_file("n5")
+    cases = [["check", path], ["theorem", path], ["congruences", path], ["ideals", path]]
+    gc.disable()  # no automatic collection may hide the garbage
+    try:
+        for argv in cases:
+            cli.run(argv)
+        capsys.readouterr()
+        gc.collect()
+        for argv in cases:
+            cli.run(argv)
+        capsys.readouterr()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_console_script_smoke(tmp_path):

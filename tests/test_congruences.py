@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finlat as fl
+from finlat import congruences
 import oracles
 import support
 
@@ -156,6 +160,95 @@ def test_all_congruences_sorted_and_unique():
         keys = [c.partition.block_of for c in congs]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+
+def _con_keys(lattice: fl.FiniteLattice) -> list[tuple[int, ...]]:
+    return [c.partition.block_of for c in fl.all_congruences(lattice)]
+
+
+def test_all_congruences_match_pair_closure_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        assert _con_keys(lattice) == oracles.congruences_by_pair_closure(lattice)
+
+
+def _catalog_product(names: tuple[str, ...]) -> fl.FiniteLattice:
+    catalog = support.catalog()
+    return reduce(fl.product, (catalog[name] for name in names))
+
+
+@lru_cache(maxsize=None)
+def _product_shapes() -> tuple[tuple[str, ...], ...]:
+    # 2 or 3 nontrivial factors, at most 40 elements and 32 congruences;
+    # |Con(L1 x L2)| = |Con L1| * |Con L2|, so the factors give the count
+    catalog = support.catalog()
+    names = sorted(name for name, lattice in catalog.items() if lattice.size > 1)
+    counts = {name: len(fl.all_congruences(catalog[name])) for name in names}
+    shapes = []
+    for k in (2, 3):
+        for shape in combinations_with_replacement(names, k):
+            size = count = 1
+            for name in shape:
+                size *= catalog[name].size
+                count *= counts[name]
+            if size <= 40 and count <= 32:
+                shapes.append(shape)
+    return tuple(shapes)
+
+
+@pytest.mark.parametrize(
+    "names, count",
+    [(("chain2", "chain3", "chain3"), 32), (("m3", "m3"), 4)],
+    ids=["chain2xchain3xchain3", "m3xm3"],
+)
+def test_all_congruences_match_pair_closure_on_named_products(names, count):
+    lattice = _catalog_product(names)
+    assert names in _product_shapes()
+    keys = _con_keys(lattice)
+    assert len(keys) == count
+    assert keys == oracles.congruences_by_pair_closure(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_all_congruences_match_pair_closure_on_relabelled_products(data):
+    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert _con_keys(relabeled) == oracles.congruences_by_pair_closure(relabeled)
+
+
+def test_join_congruences_matches_closure_join_up_to_size_6():
+    for lattice in support.lattices_up_to(6):
+        congs = fl.all_congruences(lattice)
+        for left in congs:
+            for right in congs:
+                got = fl.join_congruences(left, right).partition.block_of
+                expected = oracles.join_by_closure(
+                    lattice, left.partition.block_of, right.partition.block_of
+                )
+                assert got == expected
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        fl.standard_lattice("chain", 6),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+    ],
+    ids=["chain6", "n5xchain2"],
+)
+def test_all_congruences_runs_one_closure_per_pair(monkeypatch, lattice):
+    # joins are partition joins: the only closures are the principal ones
+    calls = []
+    closure = congruences._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(congruences, "_closure", counting)
+    fl.all_congruences(lattice)
+    n = lattice.size
+    assert len(calls) == n * (n - 1) // 2
 
 
 def test_balanced_congruence_examples():
