@@ -7,17 +7,21 @@ equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
 Only principal and generated congruences need the compatibility
-closure.  Con(L) is a sublattice of the partition lattice Eq(L), so the
-join of two congruences is their join as partitions, a union-find
-merge of the two labelings; Con(L) is built from the principal
-congruences by such joins alone.
+closure.  ``principal_table`` runs it once per pair of elements, and
+the other congruence facts are lookups in that table: Con(L) is
+distributive, so each congruence is the join of the join-irreducible
+congruences below it, and these are the principal congruences con(a, b)
+of the covering pairs a ≺ b.  Con(L) is built as the down-sets of that
+set, one join per congruence; a join in Con(L) is the join in the
+partition lattice Eq(L), a union-find merge of two labelings.  Balance
+looks up the principal congruences its two classes generate.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .core import (
     EmptySet,
@@ -212,6 +216,33 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
     return Congruence(lattice, _closure(lattice, [(first, e) for e in members[1:]]))
 
 
+Principal = Callable[[int, int], tuple[int, ...]]
+"""principal(a, b): the normalized labels of con(a, b), for any two elements."""
+
+
+def principal_table(lattice: FiniteLattice) -> Principal:
+    """con(a, b) for every pair of elements, as a lookup.
+
+    One closure per pair a < b, computed up front; equal labelings are
+    stored once.  Con(L), the d-lattice test and balance all read from
+    the same table.
+    """
+    n = lattice.size
+    identity = tuple(range(n))
+    rows = [[identity] * n for _ in range(n)]
+    stored: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            labels = _closure(lattice, [(a, b)]).block_of
+            rows[a][b] = rows[b][a] = stored.setdefault(labels, labels)
+    return lambda a, b: rows[a][b]
+
+
+def _principal_by_closure(lattice: FiniteLattice) -> Principal:
+    """The lookup without a table: one closure per call."""
+    return lambda a, b: _closure(lattice, [(a, b)]).block_of
+
+
 def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
     if left.lattice is not right.lattice:
         raise OwnerMismatch("congruences belong to different lattices")
@@ -266,45 +297,101 @@ def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     return Congruence(lattice, Partition.from_labels(pairs))
 
 
-def all_congruences(lattice: FiniteLattice) -> list[Congruence]:
-    """Con(L): the identity closed under joins with the principal congruences.
+def _join_irreducibles(
+    lattice: FiniteLattice, principal: Principal
+) -> dict[tuple[int, ...], tuple[int, int]]:
+    """J(Con L): each distinct con(a, b) over the covering pairs a ≺ b, with its first pair.
 
-    Every congruence is the join of the principal congruences con(a, b)
-    of its related pairs a < b.  Con(L) is a sublattice of Eq(L), so
-    each join is a partition join (``_join_labels``): the n(n-1)/2
-    closures compute the generators and nothing else.  The result is
+    The congruence of a prime interval is join-irreducible, and every
+    congruence is the join of those of the covering pairs it relates.
+    """
+    n, down, up = lattice.size, lattice.down_masks, lattice.up_masks
+    witness: dict[tuple[int, ...], tuple[int, int]] = {}
+    for a in range(n):
+        for b in range(n):
+            if a != b and (up[a] & down[b]).bit_count() == 2:
+                witness.setdefault(principal(a, b), (a, b))
+    return witness
+
+
+def all_congruences(
+    lattice: FiniteLattice, principal: Optional[Principal] = None
+) -> list[Congruence]:
+    """Con(L): the down-sets of its join-irreducibles, one join per congruence.
+
+    Con(L) is distributive, so its congruences and the down-sets of
+    J(Con L) (``_join_irreducibles``) correspond one to one, each
+    congruence the join of the irreducibles below it.  The down-sets
+    are listed along a linear extension of refinement (finer first):
+    each one is its parent plus one irreducible that comes after the
+    parent's members and whose smaller irreducibles the parent holds,
+    so each costs one partition join (``_join_labels``; Con(L) is a
+    sublattice of Eq(L)).  ``principal`` is the lookup of
+    ``principal_table``, built here when not given.  The result is
     sorted by normalized representation.
     """
-    n = lattice.size
-    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
-    generators = [_block_pairs(labels) for labels in principal]
-    seen = {Partition.identity(n).block_of}
-    frontier = list(seen)
-    while frontier:
-        labels = frontier.pop()
-        joined = {_join_labels(labels, pairs) for pairs in generators} - seen
-        seen |= joined
-        frontier.extend(joined)
-    return [Congruence(lattice, Partition(n, labels)) for labels in sorted(seen)]
+    if principal is None:
+        principal = principal_table(lattice)
+    witness = _join_irreducibles(lattice, principal)
+    irreducible = sorted(witness, key=lambda labels: (-max(labels), labels))
+    pairs = [witness[j] for j in irreducible]
+    # j refines k iff k relates j's covering pair; a strictly finer j sorts earlier
+    below = [
+        sum(1 << i for i, (a, b) in enumerate(pairs[:k]) if labels[a] == labels[b])
+        for k, labels in enumerate(irreducible)
+    ]
+    generators = [_block_pairs(labels) for labels in irreducible]
+    identity = tuple(range(lattice.size))
+    found = [identity]
+    stack = [(identity, 0, 0)]  # labels, down-set as a bit mask, first index to add
+    while stack:
+        labels, downset, start = stack.pop()
+        for k in range(start, len(irreducible)):
+            if not below[k] & ~downset:
+                joined = _join_labels(labels, generators[k])
+                found.append(joined)
+                stack.append((joined, downset | 1 << k, k + 1))
+    return [Congruence(lattice, Partition(lattice.size, labels)) for labels in sorted(found)]
 
 
-def is_balanced_congruence(lattice: FiniteLattice, cong: Congruence) -> bool:
+def is_balanced_congruence(
+    lattice: FiniteLattice, cong: Congruence, principal: Optional[Principal] = None
+) -> bool:
     """The two class equalities defining balance for one congruence.
 
     The 0-class must equal the 0-class of the congruence generated by
-    collapsing the 1-class, and dually.
+    collapsing the 1-class, and dually.  A congruence class is a convex
+    sublattice, so the 1-class is an interval [m, top] and generates
+    con(m, top); dually the 0-class [bottom, z] generates con(bottom, z).
+    ``principal`` is the lookup of ``principal_table``; without it each
+    of the two is one closure.
     """
     if cong.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")
-    zero_class = cong.class_of(lattice.bottom)
-    one_class = cong.class_of(lattice.top)
-    from_top = generated_congruence(lattice, one_class)
-    if from_top.class_of(lattice.bottom) != zero_class:
-        return False
-    from_bottom = generated_congruence(lattice, zero_class)
-    return from_bottom.class_of(lattice.top) == one_class
+    if principal is None:
+        principal = _principal_by_closure(lattice)
+    labels = cong.partition.block_of
+    bottom, top, meet, join = lattice.bottom, lattice.top, lattice.meet, lattice.join
+    zero, one = labels[bottom], labels[top]
+    least, greatest = top, bottom
+    for e, label in enumerate(labels):
+        if label == one:
+            least = meet[least][e]
+        if label == zero:
+            greatest = join[greatest][e]
+
+    def same_class(theta: tuple[int, ...], x: int, label: int) -> bool:
+        """The class of x in theta is the class labelled ``label`` in cong."""
+        return all((theta[e] == theta[x]) == (mine == label) for e, mine in enumerate(labels))
+
+    return same_class(principal(least, top), bottom, zero) and same_class(
+        principal(bottom, greatest), top, one
+    )
 
 
 def is_balanced(lattice: FiniteLattice) -> bool:
-    """True iff every congruence of the lattice is balanced."""
-    return all(is_balanced_congruence(lattice, c) for c in all_congruences(lattice))
+    """True iff every congruence of the lattice is balanced; builds one table."""
+    principal = principal_table(lattice)
+    return all(
+        is_balanced_congruence(lattice, c, principal) for c in all_congruences(lattice, principal)
+    )

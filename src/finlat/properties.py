@@ -8,9 +8,11 @@ verdict plus a full classification report for a single lattice.
 The seven conditions and the report's counts and witnesses are read
 from one derivation per lattice (maximal and prime ideals and filters,
 the first unbalanced congruence, the first complementless element), so
-no fact is computed twice.  No condition is inferred from another, so
-lattices outside the d-lattice scope still get a full (possibly
-divergent) condition vector as a negative control.
+no fact is computed twice.  ``verify_theorem`` and ``classify`` build
+one table of principal congruences (``principal_table``); Con(L), the
+d-lattice test and balance are lookups in it.  No condition is
+inferred from another, so lattices outside the d-lattice scope still
+get a full (possibly divergent) condition vector as a negative control.
 """
 
 from __future__ import annotations
@@ -20,9 +22,11 @@ from typing import Optional, Sequence
 
 from .congruences import (
     Congruence,
+    Principal,
+    _principal_by_closure,
     all_congruences,
     is_balanced_congruence,
-    principal_congruence,
+    principal_table,
 )
 from .core import (
     FiniteLattice,
@@ -222,13 +226,19 @@ class NonComplementedWitness:
     extended_ideal: ElementSet
 
 
-def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
+def is_d_lattice_definition(
+    lattice: FiniteLattice, principal: Optional[Principal] = None
+) -> bool:
     """The defining implications, checked over all element pairs.
 
     For all a, c: if (a, top) lies in the congruence generated by
     (bottom, c) then a∨c = top, and dually with the roles of the bounds
-    swapped.
+    swapped.  ``principal`` is the lookup of ``principal_table``;
+    without it the test runs one closure per congruence it reads, at
+    most 2n.
     """
+    if principal is None:
+        principal = _principal_by_closure(lattice)
     n = lattice.size
     sides = (
         (lattice.bottom, lattice.top, lattice.join),
@@ -236,8 +246,8 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     )
     for c in range(n):
         for bound, opposite, table in sides:
-            theta = principal_congruence(lattice, bound, c)
-            if any(theta.related(a, opposite) and table[a][c] != opposite for a in range(n)):
+            theta = principal(bound, c)
+            if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
                 return False
     return True
 
@@ -296,16 +306,19 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
 
 
 def _derive(
-    lattice: FiniteLattice, congruences: Sequence[Congruence]
+    lattice: FiniteLattice, congruences: Sequence[Congruence], principal: Optional[Principal]
 ) -> tuple[SevenConditions, ReportCounts, ReportWitnesses]:
     """The seven conditions, the counts and the least witnesses, each fact derived once.
 
-    The non-prime maximal witnesses are filled in on every lattice;
+    Balance reads ``principal`` (see ``is_balanced_congruence``).  The
+    non-prime maximal witnesses are filled in on every lattice;
     ``classify`` reports them off the d-lattice scope only.
     """
     (maximal_ideals, prime_ideals), (maximal_filters, prime_filters) = _maximal_and_prime(lattice)
     nested = _nested_pair(prime_ideals)
-    unbalanced = next((c for c in congruences if not is_balanced_congruence(lattice, c)), None)
+    unbalanced = next(
+        (c for c in congruences if not is_balanced_congruence(lattice, c, principal)), None
+    )
     complementless = _complementless(lattice)
     seven = SevenConditions(
         c1=any(f.complement() not in maximal_ideals for f in maximal_filters),
@@ -339,10 +352,13 @@ def seven_conditions(
     """All seven conditions, read from one derivation of the lattice's facts.
 
     ``congruences`` may be supplied to reuse an already-computed Con(L);
-    it must equal all_congruences(lattice).
+    it must equal all_congruences(lattice).  Otherwise one table of
+    principal congruences gives Con(L) and balance.
     """
-    congs = all_congruences(lattice) if congruences is None else congruences
-    return _derive(lattice, congs)[0]
+    if congruences is not None:
+        return _derive(lattice, congruences, None)[0]
+    principal = principal_table(lattice)
+    return _derive(lattice, all_congruences(lattice, principal), principal)[0]
 
 
 def three_chain_quotient_from_nested_primes(
@@ -437,11 +453,11 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
     the balanced/complemented booleans split; off-scope lattices pass
     vacuously with an explicit scope marker.
     """
-    congs = all_congruences(lattice)
-    seven = seven_conditions(lattice, congs)
+    principal = principal_table(lattice)
+    seven = _derive(lattice, all_congruences(lattice, principal), principal)[0]
     balanced = not seven.c6
     complemented = not seven.c7
-    if not is_d_lattice(lattice):
+    if not is_d_lattice_definition(lattice, principal):
         return TheoremVerdict("not-a-d-lattice", True, seven, balanced, complemented)
     passed = seven.all_equal() and (balanced == complemented)
     return TheoremVerdict("d-lattice", passed, seven, balanced, complemented)
@@ -449,9 +465,9 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
 
 def classify(lattice: FiniteLattice) -> PropertyReport:
     """Aggregate every predicate, count, and least witness for one lattice."""
-    congs = all_congruences(lattice)
-    seven, counts, witnesses = _derive(lattice, congs)
-    d_lattice = is_d_lattice(lattice)
+    principal = principal_table(lattice)
+    seven, counts, witnesses = _derive(lattice, all_congruences(lattice, principal), principal)
+    d_lattice = is_d_lattice_definition(lattice, principal)
     if d_lattice:
         witnesses = replace(witnesses, nonprime_maximal_ideal=None, nonprime_maximal_filter=None)
     note = None

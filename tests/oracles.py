@@ -10,16 +10,21 @@ each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
 forms the package keeps.  The last group holds the replaced algorithms:
 Con(L) and the join of congruences by a compatibility closure per join
-(the package joins partitions), the placement generator with the
-down-set size prune only, the colour refinement and the canonical form
-by a search over every permutation of every colour class, and the
-construction of the lattice tables by a scan for each pair's bound,
-which the package's tie-break prune, settled-class refinement,
-twin-aware search and mask lookup replace.
+(the package joins partitions), Con(L) as the identity closed under
+partition joins with every principal congruence and balance by closing
+each bound class again (the package reads both from one table of
+principal congruences, Con(L) as the down-sets of its
+join-irreducibles), two other derivations of those join-irreducibles,
+the placement generator with the down-set size prune only, the colour
+refinement and the canonical form by a search over every permutation
+of every colour class, and the construction of the lattice tables by a
+scan for each pair's bound, which the package's tie-break prune,
+settled-class refinement, twin-aware search and mask lookup replace.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations, product
 from math import factorial, prod
 from typing import Iterator, Sequence
@@ -31,6 +36,7 @@ from finlat import (
     NotALattice,
     NotAPartialOrder,
     NotBounded,
+    OwnerMismatch,
     all_congruences,
     annihilator_filter,
     annihilator_ideal,
@@ -38,6 +44,7 @@ from finlat import (
     enumerate_filters,
     enumerate_ideals,
     from_leq_matrix,
+    generated_congruence,
     is_filter,
     is_ideal,
     is_maximal_filter,
@@ -45,7 +52,7 @@ from finlat import (
     quotient,
     standard_lattice,
 )
-from finlat.congruences import _closure
+from finlat.congruences import _closure, _join_labels
 
 
 def axiom_violations(lattice) -> list[tuple[str, tuple[int, ...]]]:
@@ -375,6 +382,70 @@ def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]
                 seen.add(joined)
                 frontier.append(joined)
     return sorted(seen)
+
+
+def congruences_by_frontier_joins(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+    """Con(L) as sorted label tuples: the identity closed under principal joins.
+
+    Every known congruence is joined, as partitions, with every distinct
+    principal congruence: |Con L| times |generators| joins.
+    """
+    n = lattice.size
+    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
+    generators = [_block_pairs(labels) for labels in principal]
+    seen = {tuple(range(n))}
+    frontier = list(seen)
+    while frontier:
+        labels = frontier.pop()
+        joined = {_join_labels(labels, pairs) for pairs in generators} - seen
+        seen |= joined
+        frontier.extend(joined)
+    return sorted(seen)
+
+
+def balanced_by_generated_closure(lattice: FiniteLattice, cong: Congruence) -> bool:
+    """Balance of one congruence by closing each of its two bound classes again.
+
+    The 0-class must equal the 0-class of the congruence generated by
+    the whole 1-class, and dually.
+    """
+    if cong.lattice is not lattice:
+        raise OwnerMismatch("congruence belongs to a different lattice")
+    zero_class = cong.class_of(lattice.bottom)
+    one_class = cong.class_of(lattice.top)
+    if generated_congruence(lattice, one_class).class_of(lattice.bottom) != zero_class:
+        return False
+    return generated_congruence(lattice, zero_class).class_of(lattice.top) == one_class
+
+
+def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[tuple[int, ...]]:
+    """con(j_*, j) for every element j with exactly one lower cover j_*."""
+    n, leq = lattice.size, lattice.leq
+    out = set()
+    for j in range(n):
+        lower = [
+            a
+            for a in range(n)
+            if a != j
+            and leq[a][j]
+            and not any(c not in (a, j) and leq[a][c] and leq[c][j] for c in range(n))
+        ]
+        if len(lower) == 1:
+            out.add(_closure(lattice, [(lower[0], j)]).block_of)
+    return out
+
+
+def irreducibles_by_join_test(lattice: FiniteLattice) -> set[tuple[int, ...]]:
+    """The principal congruences that are not the join of those strictly below them."""
+    n = lattice.size
+    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
+    out = set()
+    for theta in principal:
+        below = [p for p in principal if p != theta and refines(p, theta)]
+        joined = reduce(lambda x, y: join_by_closure(lattice, x, y), below, tuple(range(n)))
+        if joined != theta:
+            out.add(theta)
+    return out
 
 
 def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:

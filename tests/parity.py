@@ -1,0 +1,98 @@
+"""Output parity hashes: run on two checkouts and compare the printed lines.
+
+    PYTHONPATH=src python tests/parity.py
+
+Prints three SHA-256 hashes, each over a canonical text rendering:
+
+- ``all_congruences``: the sorted Con(L) labelings of every lattice of
+  size <= 9, in enumeration order;
+- ``reports``: ``classify(L).to_dict()`` and ``verify_theorem(L).to_dict()``
+  on every lattice of size <= 8 plus five named products;
+- ``cli``: stdout, stderr and exit code of ``check``, ``theorem``,
+  ``congruences`` and ``ideals``, in text and json, on those lattices and
+  on the 28 products of the benchmark's ``single`` workload (seed 1, read
+  through ``bench/inputs.py``).
+
+A change that keeps every result the same prints the same three lines.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from functools import reduce
+from pathlib import Path
+
+import finlat as fl
+from finlat import cli
+
+import support
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import inputs  # noqa: E402
+
+COMMANDS = ("check", "theorem", "congruences", "ideals")
+PRODUCTS = (
+    ("n5", "m3"),
+    ("chain3", "n5"),
+    ("chain2", "chain3", "chain3"),
+    ("m3", "m3"),
+    ("boolean2", "n5"),
+)
+
+
+def _digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _congruence_lines():
+    for n in range(1, 10):
+        for lattice in fl.enumerate_lattices(n):
+            yield repr([c.partition.block_of for c in fl.all_congruences(lattice)])
+
+
+def _lattices() -> list[fl.FiniteLattice]:
+    out = [lat for n in range(1, 9) for lat in fl.enumerate_lattices(n)]
+    catalog = support.catalog()
+    out.extend(reduce(fl.product, (catalog[name] for name in names)) for names in PRODUCTS)
+    return out
+
+
+def _report_lines(lattices):
+    for lattice in lattices:
+        yield json.dumps(fl.classify(lattice).to_dict(), sort_keys=True)
+        yield json.dumps(fl.verify_theorem(lattice).to_dict(), sort_keys=True)
+
+
+def _cli_lines(texts, directory: Path):
+    path = directory / "input.latt"
+    for text in texts:
+        path.write_text(text, encoding="ascii")
+        for command in COMMANDS:
+            for fmt in ("text", "json"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.run([command, str(path), "--format", fmt])
+                yield json.dumps([command, fmt, code, out.getvalue(), err.getvalue()])
+
+
+def main() -> None:
+    lattices = _lattices()
+    products, _ = inputs.draw_single(1)
+    texts = [fl.format_latt(lat) for lat in lattices] + [p.latt() for p in products]
+    print("all_congruences", _digest(_congruence_lines()))
+    print("reports", _digest(_report_lines(lattices)))
+    with tempfile.TemporaryDirectory() as directory:
+        print("cli", _digest(_cli_lines(texts, Path(directory))))
+
+
+if __name__ == "__main__":
+    main()

@@ -251,6 +251,70 @@ def test_all_congruences_runs_one_closure_per_pair(monkeypatch, lattice):
     assert len(calls) == n * (n - 1) // 2
 
 
+def test_all_congruences_match_frontier_joins_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        assert _con_keys(lattice) == oracles.congruences_by_frontier_joins(lattice)
+
+
+def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
+    got = set(congruences._join_irreducibles(lattice, fl.principal_table(lattice)))
+    assert got == oracles.irreducibles_from_join_irreducible_elements(lattice)
+    assert got == oracles.irreducibles_by_join_test(lattice)
+
+
+def test_join_irreducibles_agree_three_ways_up_to_size_8():
+    # covering pairs, con(j_*, j) over join-irreducible elements, and the
+    # principal congruences that are no join of those below them
+    for lattice in support.lattices_up_to(8):
+        _irreducibles_agree(lattice)
+
+
+def _balance_agrees(lattice: fl.FiniteLattice) -> None:
+    table = fl.principal_table(lattice)
+    for cong in fl.all_congruences(lattice, table):
+        expected = oracles.balanced_by_generated_closure(lattice, cong)
+        assert fl.is_balanced_congruence(lattice, cong, table) == expected
+        assert fl.is_balanced_congruence(lattice, cong) == expected
+
+
+def test_balance_by_table_matches_generated_closure_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        _balance_agrees(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_table_readers_match_replaced_paths_on_relabelled_products(data):
+    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert _con_keys(relabeled) == oracles.congruences_by_frontier_joins(relabeled)
+    _irreducibles_agree(relabeled)
+    _balance_agrees(relabeled)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        fl.standard_lattice("chain", 6),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+        fl.product(fl.standard_lattice("m3"), fl.standard_lattice("m3")),
+    ],
+    ids=["chain6", "n5xchain2", "m3xm3"],
+)
+def test_all_congruences_runs_one_join_per_congruence(monkeypatch, lattice):
+    # each down-set of J(Con L) but the empty one is one join from its parent
+    calls = []
+    join_labels = congruences._join_labels
+
+    def counting(*args):
+        calls.append(args)
+        return join_labels(*args)
+
+    monkeypatch.setattr(congruences, "_join_labels", counting)
+    count = len(fl.all_congruences(lattice))
+    assert len(calls) == count - 1
+
+
 def test_balanced_congruence_examples():
     c3 = fl.standard_lattice("chain", 3)
     identity = fl.Congruence(c3, fl.Partition.identity(3))

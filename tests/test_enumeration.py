@@ -111,6 +111,22 @@ def test_census_rows():
         assert row.d_lattice_count == d_count
 
 
+def test_census_closure_count_is_pinned(monkeypatch):
+    # 2n closures at most for the d-lattice test, then one table of
+    # n(n-1)/2 per d-lattice that balance and Con(L) both read; the
+    # census closed each congruence's two bound classes again, 480 in all
+    calls = []
+    closure = fl.congruences._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(fl.congruences, "_closure", counting)
+    fl.census(6)
+    assert len(calls) == 392
+
+
 def test_search_rejects_unknown_predicate():
     with pytest.raises(fl.UnknownPredicate):
         fl.search_counterexample("no-such-condition", 4)

@@ -223,6 +223,36 @@ def test_classify_derives_each_fact_once(monkeypatch):
         assert max(calls.values()) == 1, calls.most_common(3)
 
 
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        fl.standard_lattice("chain", 6),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+    ],
+    ids=["chain6", "n5xchain2"],
+)
+@pytest.mark.parametrize("verdict", [fl.verify_theorem, fl.classify], ids=["verify", "classify"])
+def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, verdict):
+    # Con(L), the d-lattice test and balance all read one principal table
+    calls = []
+    closure = fl.congruences._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(fl.congruences, "_closure", counting)
+    verdict(lattice)
+    n = lattice.size
+    assert len(calls) == n * (n - 1) // 2
+
+
+def test_d_lattice_by_table_matches_maximal_prime_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        by_table = fl.is_d_lattice_definition(lattice, fl.principal_table(lattice))
+        assert by_table == fl.is_d_lattice_maximal_prime(lattice)
+
+
 def test_classify_m3_witnesses():
     report = fl.classify(fl.standard_lattice("m3"))
     w = report.witnesses
