@@ -298,7 +298,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, lowest first.
 
     Cached: enumeration up to size 10 asks about at most 2**10 distinct
-    masks, over a million times in all.
+    masks, about 880,000 times in all.
     """
     out = []
     while mask:

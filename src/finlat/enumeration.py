@@ -18,6 +18,18 @@ will sit above.  Three prunes keep the tree small:
   bound.  Later elements can never repair a missing meet, and a finite
   meet-semilattice with a top is a lattice.
 
+A fourth prune runs on each finished placement, once its up-masks are
+known, before the canonical form: down-twins (elements with the same
+strict down-set) that are adjacent must be ordered by the key
+(|up-set|, sorted down-set sizes of the up-set's members).  Equal
+strict masks occur only inside one equal-size block, and there they
+are adjacent, so the argument above holds with each block sorted by
+(strict mask, key) instead of strict mask alone: the key is an
+isomorphism invariant, so relabelling later blocks changes no key
+already sorted.  At size 10 this leaves 6,402 of the 47,533
+placements for the canonical form (93,981 with the size prune alone)
+to find 5,994 classes.
+
 Survivors are deduplicated by canonical form, which is also the
 emission order.
 """
@@ -27,7 +39,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .congruences import is_balanced
 from .core import (
@@ -151,6 +163,24 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     yield from place(1)
 
 
+def _twins_in_order(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
+    """Whether every two adjacent down-twins are ordered by their key.
+
+    Down-twins share their strict down-set; adjacent elements j and
+    j + 1 are down-twins exactly when their down-masks differ in bits j
+    and j + 1 only.  The key of e is (|up-set of e|, the sorted down-set
+    sizes of its members); a placement lists elements by down-set size,
+    so the sizes read in index order are already sorted.
+    """
+    sizes = [mask.bit_count() for mask in down]
+    for j in range(1, n - 2):
+        if down[j] ^ down[j + 1] == 3 << j:
+            first, second = _bits(up[j]), _bits(up[j + 1])
+            if (len(first), [sizes[x] for x in first]) > (len(second), [sizes[x] for x in second]):
+                return False
+    return True
+
+
 _FORMS_CACHE: dict[int, tuple[bytes, ...]] = {}
 
 
@@ -165,7 +195,8 @@ def _canonical_forms(n: int) -> tuple[bytes, ...]:
         for i, mask in enumerate(down):
             for j in _bits(mask):
                 up[j] |= 1 << i
-        forms.add(_canonical_from_up_masks(n, up, down))
+        if _twins_in_order(n, up, down):
+            forms.add(_canonical_from_up_masks(n, up, down))
     result = tuple(sorted(forms))
     _FORMS_CACHE[n] = result
     return result

@@ -15,11 +15,13 @@ partition joins with every principal congruence and balance by closing
 each bound class again (the package reads both from one table of
 principal congruences, Con(L) as the down-sets of its
 join-irreducibles), two other derivations of those join-irreducibles,
-the placement generator with the down-set size prune only, the colour
+the placement generator with the down-set size prune only, the
+canonical forms of every placement with no down-twin prune, the colour
 refinement and the canonical form by a search over every permutation
 of every colour class, and the construction of the lattice tables by a
 scan for each pair's bound, which the package's tie-break prune,
-settled-class refinement, twin-aware search and mask lookup replace.
+down-twin prune, settled-class refinement, twin-aware search and mask
+lookup replace.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ from finlat import (
     standard_lattice,
 )
 from finlat.congruences import _closure, _join_labels
+from finlat.core import _canonical_from_up_masks
+from finlat.enumeration import _generate_down_masks
 
 
 def axiom_violations(lattice) -> list[tuple[str, tuple[int, ...]]]:
@@ -484,6 +488,19 @@ def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:
             yield from place(k + 1)
 
     yield from place(1)
+
+
+def canonical_forms_unfiltered(n: int) -> tuple[bytes, ...]:
+    """Sorted canonical forms of size n, canonicalizing every placement.
+
+    ``enumeration._canonical_forms`` before its down-twin prune: each
+    placement of ``_generate_down_masks`` is transposed to up-masks and
+    put through ``_canonical_from_up_masks``, with no placement skipped.
+    """
+    forms = {
+        _canonical_from_up_masks(n, up_masks(n, down), down) for down in _generate_down_masks(n)
+    }
+    return tuple(sorted(forms))
 
 
 def up_masks(n: int, down: Sequence[int]) -> tuple[int, ...]:

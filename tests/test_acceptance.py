@@ -3,7 +3,9 @@
 Each test prints one live pass/fail line (bypassing capture) so the
 gate's verdict is visible in the plain pytest output.  Criterion 1 is
 defined first so it pays the full cold-cache cost and its timing stays
-honest; later tests reuse the session caches.
+honest; later tests reuse the session caches.  Criterion 1 is checked
+twice: on every lattice of size <= 8, and by ``verify_theorem`` on all
+5,994 lattices of size 10 (marked slow).
 """
 
 from __future__ import annotations
@@ -44,6 +46,28 @@ def test_criterion_1_main_theorem_exhaustive(announce):
         1,
         f"balanced iff complemented and seven conditions equal on every d-lattice "
         f"of size <= 8 ({total} lattices, {elapsed:.1f}s)",
+        ok,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_1_main_theorem_exhaustive_at_size_10(announce):
+    start = time.perf_counter()
+    verdicts = [fl.verify_theorem(lattice) for lattice in fl.enumerate_lattices(10)]
+    elapsed = time.perf_counter() - start
+    in_scope = [v for v in verdicts if v.scope == "d-lattice"]
+    counts = (
+        len(verdicts),
+        len(in_scope),
+        sum(v.balanced for v in in_scope),
+        sum(v.complemented for v in in_scope),
+    )
+    ok = all(v.passed for v in verdicts) and counts == (5994, 871, 83, 83) and elapsed < 300.0
+    announce(
+        1,
+        f"verify_theorem passes on all {counts[0]} lattices of size 10 "
+        f"({counts[1]} d-lattices, {counts[2]} balanced, {counts[3]} complemented, "
+        f"{elapsed:.1f}s)",
         ok,
     )
 

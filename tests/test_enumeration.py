@@ -3,11 +3,17 @@ on-disk corpus writer."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import subprocess
+import sys
+
 import pytest
 
 import finlat as fl
 import oracles
 import support
+from finlat import enumeration
 from finlat.core import _canonical_from_up_masks
 from finlat.enumeration import _canonical_forms, _generate_down_masks
 
@@ -15,6 +21,12 @@ from finlat.enumeration import _canonical_forms, _generate_down_masks
 # weaker prune shows.  The size prune alone gives 25, 141, 1,007 and 8,892
 # at sizes 6 to 9.
 PLACEMENTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 24, 7: 122, 8: 758, 9: 5581}
+# Placements left for the canonical form by the down-twin prune, of 758,
+# 5,581 and 47,533; pinned likewise.
+SURVIVORS = {8: 230, 9: 1137, 10: 6402}
+# SHA-256 of every form of _canonical_forms(n), n = 1..10, concatenated in
+# emission order; unchanged by every prune since the size prune alone.
+FORMS_SHA256 = "796adab5479054d34b705692a950633f927e4071e3afc041d70e21cc25755303"
 
 
 def test_counts_match_known_sequence():
@@ -35,6 +47,57 @@ def test_forms_match_size_pruned_placements_and_permutation_search():
             for down in oracles.placements_by_size(n)
         }
         assert _canonical_forms(n) == tuple(sorted(reference)), f"size {n}"
+
+
+def test_forms_match_canonicalizing_every_placement():
+    for n in range(1, 10):
+        assert _canonical_forms(n) == oracles.canonical_forms_unfiltered(n), f"size {n}"
+
+
+def test_twin_prune_survivors_are_pinned_placements(monkeypatch):
+    survivors = []
+    canonical = enumeration._canonical_from_up_masks
+
+    def recording(n, up, down):
+        survivors.append(down)
+        return canonical(n, up, down)
+
+    monkeypatch.setattr(enumeration, "_canonical_from_up_masks", recording)
+    monkeypatch.setattr(enumeration, "_FORMS_CACHE", {})
+    for n, expected in SURVIVORS.items():
+        survivors.clear()
+        _canonical_forms(n)
+        assert len(survivors) == expected, f"size {n}"
+        assert set(survivors) <= set(_generate_down_masks(n)), f"size {n}"
+
+
+def test_forms_hash_is_pinned_through_size_10():
+    forms = b"".join(form for n in range(1, 11) for form in _canonical_forms(n))
+    assert hashlib.sha256(forms).hexdigest() == FORMS_SHA256
+
+
+_FORMS_UP_TO_8 = """
+import hashlib, json, sys
+from finlat.enumeration import _canonical_forms
+forms = [_canonical_forms(n) for n in range(1, 9)]
+digest = hashlib.sha256(b"".join(b"".join(f) for f in forms)).hexdigest()
+print(json.dumps([sys.flags.optimize, [len(f) for f in forms], digest]))
+"""
+
+
+def test_enumeration_under_optimize_flag():
+    # no prune may rely on an assert statement, which -O strips
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", _FORMS_UP_TO_8],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    optimize, counts, digest = json.loads(done.stdout)
+    forms = b"".join(form for n in range(1, 9) for form in _canonical_forms(n))
+    assert optimize == 1
+    assert counts == list(support.EXPECTED_COUNTS.values())
+    assert digest == hashlib.sha256(forms).hexdigest()
 
 
 def test_canonical_from_up_masks_matches_permutation_search():
