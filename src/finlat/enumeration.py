@@ -2,7 +2,9 @@
 
 Elements are placed one at a time along a fixed linear extension
 (bottom first, top last), choosing for each new element the down-set it
-will sit above.  Three prunes keep the tree small:
+will sit above.  The candidates are the down-sets of the elements
+already placed, kept as a list: placing k above S adds I | {k} for
+every listed I that contains S.  Three prunes keep the tree small:
 
 - Candidate down-sets must be at least as large as the previous
   element's.  Sorting any lattice by down-set size is a linear
@@ -18,20 +20,21 @@ will sit above.  Three prunes keep the tree small:
   bound.  Later elements can never repair a missing meet, and a finite
   meet-semilattice with a top is a lattice.
 
-A fourth prune runs on each finished placement, once its up-masks are
-known, before the canonical form: down-twins (elements with the same
-strict down-set) that are adjacent must be ordered by the key
-(|up-set|, sorted down-set sizes of the up-set's members).  Equal
-strict masks occur only inside one equal-size block, and there they
-are adjacent, so the argument above holds with each block sorted by
-(strict mask, key) instead of strict mask alone: the key is an
-isomorphism invariant, so relabelling later blocks changes no key
-already sorted.  At size 10 this leaves 6,402 of the 47,533
-placements for the canonical form (93,981 with the size prune alone)
-to find 5,994 classes.
+A fourth prune runs on each finished placement, read from its
+down-masks before they are transposed to up-masks for the canonical
+form: down-twins (elements with the same strict down-set) that are
+adjacent must be ordered by the key (|up-set|, sorted down-set sizes
+of the up-set's members).  Equal strict masks occur only inside one
+equal-size block, and there they are adjacent, so the argument above
+holds with each block sorted by (strict mask, key) instead of strict
+mask alone: the key is an isomorphism invariant, so relabelling later
+blocks changes no key already sorted.  At size 10 this leaves 6,402 of
+the 47,533 placements to transpose and canonicalize (93,981 with the
+size prune alone) to find 5,994 classes.
 
 Survivors are deduplicated by canonical form, which is also the
-emission order.
+emission order.  Nothing is cached: each call enumerates afresh, and a
+caller that reuses the classes keeps them.
 """
 
 from __future__ import annotations
@@ -118,88 +121,75 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     indices, the element count per mask is non-decreasing, equal counts
     have non-decreasing strict masks (``down[k]`` without bit k), and
     every pair of placed elements has a greatest common lower bound.
+
+    Element k's strict down-set is taken from ``downsets``, the
+    nonempty down-sets of the elements placed before it.  Placing k
+    above S adds I | {k} for every listed I that contains S: those are
+    the down-sets that hold k, since k is maximal among 0..k.
     """
-    if n == 1:
-        yield (1,)
-        return
     down = [0] * n
     down[0] = 1
+    down[-1] = (1 << n) - 1
+    if n <= 2:
+        yield tuple(down)
+        return
 
-    def place(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n - 1:
-            down[k] = (1 << n) - 1
-            yield tuple(down)
-            return
+    def place(k: int, downsets: list[int]) -> Iterator[tuple[int, ...]]:
         previous = down[k - 1] & ~(1 << (k - 1))
         least = previous.bit_count()
-        for strict in range(1, 1 << k, 2):
+        for strict in downsets:
             size = strict.bit_count()
             if size < least or size == least and strict < previous:
                 continue
-            rest = strict
-            closed = True
-            while rest:
-                j = (rest & -rest).bit_length() - 1
-                if down[j] & ~strict:
-                    closed = False
-                    break
-                rest &= rest - 1
-            if not closed:
-                continue
             mine = strict | 1 << k
-            meets_exist = True
-            for j in range(k):
-                common = down[j] & mine
-                greatest = common.bit_length() - 1
-                if common & ~down[greatest]:
-                    meets_exist = False
-                    break
-            if not meets_exist:
+            commons = (d & mine for d in down[:k])
+            if any(common & ~down[common.bit_length() - 1] for common in commons):
                 continue
             down[k] = mine
-            yield from place(k + 1)
-        return
+            if k == n - 2:
+                yield tuple(down)
+                continue
+            holding_k = [d | 1 << k for d in downsets if d & strict == strict]
+            yield from place(k + 1, downsets + holding_k)
 
-    yield from place(1)
+    yield from place(1, [1])
 
 
-def _twins_in_order(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
+def _twins_in_order(n: int, down: Sequence[int]) -> bool:
     """Whether every two adjacent down-twins are ordered by their key.
 
     Down-twins share their strict down-set; adjacent elements j and
     j + 1 are down-twins exactly when their down-masks differ in bits j
     and j + 1 only.  The key of e is (|up-set of e|, the sorted down-set
-    sizes of its members); a placement lists elements by down-set size,
-    so the sizes read in index order are already sorted.
+    sizes of its members), read from the down-masks: the up-set of e is
+    the i >= e with bit e in down[i].  A placement lists elements by
+    down-set size, so the sizes read in index order are already sorted.
     """
-    sizes = [mask.bit_count() for mask in down]
     for j in range(1, n - 2):
         if down[j] ^ down[j + 1] == 3 << j:
-            first, second = _bits(up[j]), _bits(up[j + 1])
-            if (len(first), [sizes[x] for x in first]) > (len(second), [sizes[x] for x in second]):
+            first = [mask.bit_count() for mask in down[j:] if mask >> j & 1]
+            second = [mask.bit_count() for mask in down[j + 1 :] if mask >> j + 1 & 1]
+            if (len(first), first) > (len(second), second):
                 return False
     return True
 
 
-_FORMS_CACHE: dict[int, tuple[bytes, ...]] = {}
-
-
 def _canonical_forms(n: int) -> tuple[bytes, ...]:
-    """Sorted canonical forms of all isomorphism classes of size n."""
-    cached = _FORMS_CACHE.get(n)
-    if cached is not None:
-        return cached
+    """Sorted canonical forms of all isomorphism classes of size n.
+
+    The down-twin prune reads the down-masks, so only its survivors are
+    transposed to up-masks for the canonical form.
+    """
     forms: set[bytes] = set()
     for down in _generate_down_masks(n):
+        if not _twins_in_order(n, down):
+            continue
         up = [0] * n
         for i, mask in enumerate(down):
             for j in _bits(mask):
                 up[j] |= 1 << i
-        if _twins_in_order(n, up, down):
-            forms.add(_canonical_from_up_masks(n, up, down))
-    result = tuple(sorted(forms))
-    _FORMS_CACHE[n] = result
-    return result
+        forms.add(_canonical_from_up_masks(n, up, down))
+    return tuple(sorted(forms))
 
 
 def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:

@@ -8,9 +8,10 @@ verdict plus a full classification report for a single lattice.
 The seven conditions and the report's counts and witnesses are read
 from one derivation per lattice (maximal and prime ideals and filters,
 the first unbalanced congruence, the first complementless element), so
-no fact is computed twice.  ``verify_theorem`` and ``classify`` build
-one table of principal congruences (``principal_table``); Con(L), the
-d-lattice test and balance are lookups in it.  No condition is
+no fact is computed twice.  ``verify_theorem``, ``classify`` and
+``seven_conditions`` read that derivation, which builds one table of
+principal congruences (``principal_table``); Con(L), the d-lattice
+test and balance are lookups in it.  No condition is
 inferred from another, so lattices outside the d-lattice scope still
 get a full (possibly divergent) condition vector as a negative control.
 """
@@ -305,15 +306,16 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
     return None
 
 
-def _derive(
-    lattice: FiniteLattice, congruences: Sequence[Congruence], principal: Optional[Principal]
-) -> tuple[SevenConditions, ReportCounts, ReportWitnesses]:
-    """The seven conditions, the counts and the least witnesses, each fact derived once.
+def _derive(lattice: FiniteLattice) -> tuple[bool, SevenConditions, ReportCounts, ReportWitnesses]:
+    """The d-lattice flag, the seven conditions, the counts and the least witnesses.
 
-    Balance reads ``principal`` (see ``is_balanced_congruence``).  The
-    non-prime maximal witnesses are filled in on every lattice;
+    Each fact is derived once.  One table of principal congruences
+    (``principal_table``) gives Con(L), the d-lattice test and balance.
+    The non-prime maximal witnesses are filled in on every lattice;
     ``classify`` reports them off the d-lattice scope only.
     """
+    principal = principal_table(lattice)
+    congruences = all_congruences(lattice, principal)
     (maximal_ideals, prime_ideals), (maximal_filters, prime_filters) = _maximal_and_prime(lattice)
     nested = _nested_pair(prime_ideals)
     unbalanced = next(
@@ -343,22 +345,12 @@ def _derive(
         nonprime_maximal_ideal=next((i for i in maximal_ideals if i not in prime_ideals), None),
         nonprime_maximal_filter=next((f for f in maximal_filters if f not in prime_filters), None),
     )
-    return seven, counts, witnesses
+    return is_d_lattice_definition(lattice, principal), seven, counts, witnesses
 
 
-def seven_conditions(
-    lattice: FiniteLattice, congruences: Optional[Sequence[Congruence]] = None
-) -> SevenConditions:
-    """All seven conditions, read from one derivation of the lattice's facts.
-
-    ``congruences`` may be supplied to reuse an already-computed Con(L);
-    it must equal all_congruences(lattice).  Otherwise one table of
-    principal congruences gives Con(L) and balance.
-    """
-    if congruences is not None:
-        return _derive(lattice, congruences, None)[0]
-    principal = principal_table(lattice)
-    return _derive(lattice, all_congruences(lattice, principal), principal)[0]
+def seven_conditions(lattice: FiniteLattice) -> SevenConditions:
+    """All seven conditions, read from one derivation of the lattice's facts."""
+    return _derive(lattice)[1]
 
 
 def three_chain_quotient_from_nested_primes(
@@ -453,11 +445,10 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
     the balanced/complemented booleans split; off-scope lattices pass
     vacuously with an explicit scope marker.
     """
-    principal = principal_table(lattice)
-    seven = _derive(lattice, all_congruences(lattice, principal), principal)[0]
+    d_lattice, seven, _, _ = _derive(lattice)
     balanced = not seven.c6
     complemented = not seven.c7
-    if not is_d_lattice_definition(lattice, principal):
+    if not d_lattice:
         return TheoremVerdict("not-a-d-lattice", True, seven, balanced, complemented)
     passed = seven.all_equal() and (balanced == complemented)
     return TheoremVerdict("d-lattice", passed, seven, balanced, complemented)
@@ -465,9 +456,7 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
 
 def classify(lattice: FiniteLattice) -> PropertyReport:
     """Aggregate every predicate, count, and least witness for one lattice."""
-    principal = principal_table(lattice)
-    seven, counts, witnesses = _derive(lattice, all_congruences(lattice, principal), principal)
-    d_lattice = is_d_lattice_definition(lattice, principal)
+    d_lattice, seven, counts, witnesses = _derive(lattice)
     if d_lattice:
         witnesses = replace(witnesses, nonprime_maximal_ideal=None, nonprime_maximal_filter=None)
     note = None

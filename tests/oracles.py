@@ -16,12 +16,14 @@ each bound class again (the package reads both from one table of
 principal congruences, Con(L) as the down-sets of its
 join-irreducibles), two other derivations of those join-irreducibles,
 the placement generator with the down-set size prune only, the
+placement generator that scans every odd mask for the next strict
+down-set, the down-twin prune read from transposed up-masks, the
 canonical forms of every placement with no down-twin prune, the colour
 refinement and the canonical form by a search over every permutation
 of every colour class, and the construction of the lattice tables by a
 scan for each pair's bound, which the package's tie-break prune,
-down-twin prune, settled-class refinement, twin-aware search and mask
-lookup replace.
+list of placed down-sets, down-twin prune read from the down-masks,
+settled-class refinement, twin-aware search and mask lookup replace.
 """
 
 from __future__ import annotations
@@ -488,6 +490,64 @@ def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:
             yield from place(k + 1)
 
     yield from place(1)
+
+
+def placements_by_mask_scan(n: int) -> Iterator[tuple[int, ...]]:
+    """The package's placements, found by scanning every odd mask.
+
+    The generator ``enumeration._generate_down_masks`` had before it
+    listed the down-sets of the placed elements: for element k it tries
+    each of the 2**(k-1) odd masks below bit k, keeps those that pass
+    the size and tie-break prunes, and checks from scratch that the mask
+    is down-closed and that every new pair has a meet.
+    """
+    if n == 1:
+        yield (1,)
+        return
+    down = [0] * n
+    down[0] = 1
+
+    def place(k: int) -> Iterator[tuple[int, ...]]:
+        if k == n - 1:
+            down[k] = (1 << n) - 1
+            yield tuple(down)
+            return
+        previous = down[k - 1] & ~(1 << (k - 1))
+        least = previous.bit_count()
+        for strict in range(1, 1 << k, 2):
+            size = strict.bit_count()
+            if size < least or size == least and strict < previous:
+                continue
+            if any(down[j] & ~strict for j in range(k) if strict >> j & 1):
+                continue
+            mine = strict | 1 << k
+            if any(
+                (down[j] & mine) & ~down[(down[j] & mine).bit_length() - 1]
+                for j in range(k)
+            ):
+                continue
+            down[k] = mine
+            yield from place(k + 1)
+
+    yield from place(1)
+
+
+def twins_in_order_by_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
+    """The down-twin prune read from the transposed up-masks.
+
+    ``enumeration._twins_in_order`` before it read the up-sets from the
+    down-masks: adjacent down-twins j and j + 1 must have keys
+    (|up-set|, down-set sizes of the up-set's members, in index order)
+    in order, with each up-set taken from ``up``.
+    """
+    sizes = [mask.bit_count() for mask in down]
+    for j in range(1, n - 2):
+        if down[j] ^ down[j + 1] == 3 << j:
+            first = [x for x in range(n) if up[j] >> x & 1]
+            second = [x for x in range(n) if up[j + 1] >> x & 1]
+            if (len(first), [sizes[x] for x in first]) > (len(second), [sizes[x] for x in second]):
+                return False
+    return True
 
 
 def canonical_forms_unfiltered(n: int) -> tuple[bytes, ...]:

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/parity.py
 
-Prints three SHA-256 hashes, each over a canonical text rendering:
+Prints four SHA-256 hashes, each over a canonical text rendering:
 
 - ``all_congruences``: the sorted Con(L) labelings of every lattice of
   size <= 9, in enumeration order;
@@ -11,9 +11,14 @@ Prints three SHA-256 hashes, each over a canonical text rendering:
 - ``cli``: stdout, stderr and exit code of ``check``, ``theorem``,
   ``congruences`` and ``ideals``, in text and json, on those lattices and
   on the 28 products of the benchmark's ``single`` workload (seed 1, read
-  through ``bench/inputs.py``).
+  through ``bench/inputs.py``);
+- ``batch``: the exit code and output of ``enumerate --size 8 --out DIR``
+  (with ``DIR`` masked) and the name and bytes of every file it writes,
+  the rows of ``census --max-size 8 --format json`` without ``elapsed``,
+  and stdout and exit code of ``search --max-size 8`` for each of the
+  four predicates, in text and json.
 
-A change that keeps every result the same prints the same three lines.
+A change that keeps every result the same prints the same four lines.
 """
 
 from __future__ import annotations
@@ -72,16 +77,37 @@ def _report_lines(lattices):
         yield json.dumps(fl.verify_theorem(lattice).to_dict(), sort_keys=True)
 
 
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _cli_lines(texts, directory: Path):
     path = directory / "input.latt"
     for text in texts:
         path.write_text(text, encoding="ascii")
         for command in COMMANDS:
             for fmt in ("text", "json"):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.run([command, str(path), "--format", fmt])
-                yield json.dumps([command, fmt, code, out.getvalue(), err.getvalue()])
+                yield json.dumps([command, fmt, *_run([command, str(path), "--format", fmt])])
+
+
+def _batch_lines(directory: Path):
+    out = directory / "lattices"
+    code, stdout, stderr = _run(["enumerate", "--size", "8", "--out", str(out)])
+    yield json.dumps([code, stdout.replace(str(out), "DIR"), stderr])
+    for path in sorted(out.iterdir()):
+        yield json.dumps([path.name, path.read_text(encoding="ascii")])
+    code, stdout, stderr = _run(["census", "--max-size", "8", "--format", "json"])
+    rows = [{k: v for k, v in row.items() if k != "elapsed"} for row in json.loads(stdout)["rows"]]
+    yield json.dumps([code, rows, stderr], sort_keys=True)
+    for predicate in sorted(fl.SEARCH_PREDICATES):
+        for fmt in ("text", "json"):
+            argv = ["search", "--predicate", predicate, "--max-size", "8", "--format", fmt]
+            code, stdout, _ = _run(argv)
+            yield json.dumps([predicate, fmt, code, stdout])
 
 
 def main() -> None:
@@ -92,6 +118,7 @@ def main() -> None:
     print("reports", _digest(_report_lines(lattices)))
     with tempfile.TemporaryDirectory() as directory:
         print("cli", _digest(_cli_lines(texts, Path(directory))))
+        print("batch", _digest(_batch_lines(Path(directory))))
 
 
 if __name__ == "__main__":

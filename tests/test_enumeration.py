@@ -40,6 +40,20 @@ def test_placement_counts_are_pinned():
         assert sum(1 for _ in _generate_down_masks(n)) == expected, f"size {n}"
 
 
+def test_placements_match_mask_scan():
+    for n in range(1, 10):
+        listed = sorted(_generate_down_masks(n))
+        assert listed == sorted(oracles.placements_by_mask_scan(n)), f"size {n}"
+
+
+def test_twin_prune_on_down_masks_matches_up_masks():
+    for n in range(1, 10):
+        for down in _generate_down_masks(n):
+            up = oracles.up_masks(n, down)
+            expected = oracles.twins_in_order_by_up_masks(n, up, down)
+            assert enumeration._twins_in_order(n, down) == expected, down
+
+
 def test_forms_match_size_pruned_placements_and_permutation_search():
     for n in range(1, 9):
         reference = {
@@ -63,7 +77,6 @@ def test_twin_prune_survivors_are_pinned_placements(monkeypatch):
         return canonical(n, up, down)
 
     monkeypatch.setattr(enumeration, "_canonical_from_up_masks", recording)
-    monkeypatch.setattr(enumeration, "_FORMS_CACHE", {})
     for n, expected in SURVIVORS.items():
         survivors.clear()
         _canonical_forms(n)

@@ -78,12 +78,6 @@ def test_seven_conditions_goldens():
     }
 
 
-def test_seven_conditions_accepts_precomputed_congruences():
-    n5 = fl.standard_lattice("n5")
-    congs = fl.all_congruences(n5)
-    assert fl.seven_conditions(n5, congs) == fl.seven_conditions(n5)
-
-
 def test_c5_and_complementedness_match_reference_forms():
     # c1/c2 against the complement-validating scan and c5 against
     # quotient-is-chain(3) up to size 7, complements against annihilators up to 8
@@ -231,9 +225,14 @@ def test_classify_derives_each_fact_once(monkeypatch):
     ],
     ids=["chain6", "n5xchain2"],
 )
-@pytest.mark.parametrize("verdict", [fl.verify_theorem, fl.classify], ids=["verify", "classify"])
+@pytest.mark.parametrize(
+    "verdict",
+    [fl.verify_theorem, fl.classify, fl.seven_conditions],
+    ids=["verify", "classify", "seven"],
+)
 def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, verdict):
-    # Con(L), the d-lattice test and balance all read one principal table
+    # Con(L), the d-lattice test and balance all read one principal table,
+    # built once by the derivation the three entry points share
     calls = []
     closure = fl.congruences._closure
 
