@@ -7,14 +7,17 @@ equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
 Only principal and generated congruences need the compatibility
-closure.  ``principal_table`` runs it once per pair of elements, and
-the other congruence facts are lookups in that table: Con(L) is
-distributive, so each congruence is the join of the join-irreducible
-congruences below it, and these are the principal congruences con(a, b)
-of the covering pairs a ≺ b.  Con(L) is built as the down-sets of that
-set, one join per congruence; a join in Con(L) is the join in the
-partition lattice Eq(L), a union-find merge of two labelings.  Balance
-looks up the principal congruences its two classes generate.
+closure.  Con(L) is distributive, so each congruence is the join of the
+join-irreducible congruences below it, and these are the principal
+congruences con(a, b) of the covering pairs a ≺ b.  Con(L) is built as
+the down-sets of that set, one join per congruence; a join in Con(L) is
+the join in the partition lattice Eq(L), a union-find merge of two
+labelings.  Called on its own, ``all_congruences`` runs one closure per
+covering pair.  Balance looks up the principal congruences its two
+classes generate.  ``principal_table`` runs the closure once per pair of
+elements; ``is_balanced`` and the property derivation behind
+``verify_theorem`` build it once and pass it to Con(L), the d-lattice
+test and balance, which then read every principal congruence from it.
 """
 
 from __future__ import annotations
@@ -224,8 +227,11 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     """con(a, b) for every pair of elements, as a lookup.
 
     One closure per pair a < b, computed up front; equal labelings are
-    stored once.  Con(L), the d-lattice test and balance all read from
-    the same table.
+    stored once.  ``is_balanced`` and the property derivation behind
+    ``verify_theorem`` build one table and pass it to Con(L), the
+    d-lattice test and balance.  Without it ``all_congruences`` runs one
+    closure per covering pair, and the d-lattice test and balance one
+    per lookup.
     """
     n = lattice.size
     identity = tuple(range(n))
@@ -327,11 +333,12 @@ def all_congruences(
     parent's members and whose smaller irreducibles the parent holds,
     so each costs one partition join (``_join_labels``; Con(L) is a
     sublattice of Eq(L)).  ``principal`` is the lookup of
-    ``principal_table``, built here when not given.  The result is
-    sorted by normalized representation.
+    ``principal_table``; without it each covering pair is one closure,
+    and no other pair is computed.  The result is sorted by normalized
+    representation.
     """
     if principal is None:
-        principal = principal_table(lattice)
+        principal = _principal_by_closure(lattice)
     witness = _join_irreducibles(lattice, principal)
     irreducible = sorted(witness, key=lambda labels: (-max(labels), labels))
     pairs = [witness[j] for j in irreducible]

@@ -19,6 +19,7 @@ Prints four SHA-256 hashes, each over a canonical text rendering:
   four predicates, in text and json.
 
 A change that keeps every result the same prints the same four lines.
+``tests/test_parity.py`` compares them with the committed values.
 """
 
 from __future__ import annotations
@@ -110,15 +111,24 @@ def _batch_lines(directory: Path):
             yield json.dumps([predicate, fmt, code, stdout])
 
 
-def main() -> None:
+def digests() -> dict[str, str]:
+    """The four hashes by name, in the order they are printed."""
     lattices = _lattices()
     products, _ = inputs.draw_single(1)
     texts = [fl.format_latt(lat) for lat in lattices] + [p.latt() for p in products]
-    print("all_congruences", _digest(_congruence_lines()))
-    print("reports", _digest(_report_lines(lattices)))
+    out = {
+        "all_congruences": _digest(_congruence_lines()),
+        "reports": _digest(_report_lines(lattices)),
+    }
     with tempfile.TemporaryDirectory() as directory:
-        print("cli", _digest(_cli_lines(texts, Path(directory))))
-        print("batch", _digest(_batch_lines(Path(directory))))
+        out["cli"] = _digest(_cli_lines(texts, Path(directory)))
+        out["batch"] = _digest(_batch_lines(Path(directory)))
+    return out
+
+
+def main() -> None:
+    for name, digest in digests().items():
+        print(name, digest)
 
 
 if __name__ == "__main__":

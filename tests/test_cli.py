@@ -246,6 +246,28 @@ def test_console_script_smoke(tmp_path):
     assert json.loads(done.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_congruences_of_large_lattices_in_bounded_time(tmp_path, flags):
+    # one closure per covering pair; principal_table's 7,750 closures on m3 x m3 x n5
+    # would run far past the bound
+    m3, n5 = fl.standard_lattice("m3"), fl.standard_lattice("n5")
+    cases = [
+        (fl.product(fl.product(m3, m3), n5), "count: 20"),  # 125 elements
+        (fl.standard_lattice("boolean", 7), "count: 128"),  # 128 elements
+    ]
+    for lattice, first_line in cases:
+        path = tmp_path / f"{lattice.size}.latt"
+        path.write_text(fl.format_latt(lattice))
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "finlat.cli", "congruences", str(path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+        assert done.stdout.splitlines()[0] == first_line
+
+
 def test_optimized_interpreter_gives_identical_output(latt_file, tmp_path):
     # python -O strips assert statements; no check the CLI relies on may be one
     rejected = tmp_path / "unbounded.latt"  # bottom plus a 2-antichain

@@ -152,6 +152,12 @@ def test_all_congruences_counts():
     assert len(fl.all_congruences(fl.standard_lattice("m3"))) == 2
     assert len(fl.all_congruences(fl.standard_lattice("n5"))) == 5
     assert len(fl.all_congruences(fl.standard_lattice("boolean", 2))) == 4
+    # larger inputs: a chain of n has 2^(n-1), a distributive lattice
+    # 2^|J(L)|, and |Con(L1 x L2)| = |Con L1| * |Con L2|
+    assert len(fl.all_congruences(fl.standard_lattice("chain", 12))) == 2**11
+    assert len(fl.all_congruences(fl.standard_lattice("boolean", 6))) == 2**6
+    assert len(fl.all_congruences(_catalog_product(("n5", "n5", "chain2")))) == 5 * 5 * 2
+    assert len(fl.all_congruences(_catalog_product(("m3", "m3", "chain3")))) == 2 * 2 * 4
 
 
 def test_all_congruences_sorted_and_unique():
@@ -229,15 +235,16 @@ def test_join_congruences_matches_closure_join_up_to_size_6():
 
 
 @pytest.mark.parametrize(
-    "lattice",
+    "lattice, covers",
     [
-        fl.standard_lattice("chain", 6),
-        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+        (fl.standard_lattice("chain", 6), 5),
+        (fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)), 15),
     ],
     ids=["chain6", "n5xchain2"],
 )
-def test_all_congruences_runs_one_closure_per_pair(monkeypatch, lattice):
-    # joins are partition joins: the only closures are the principal ones
+def test_all_congruences_runs_one_closure_per_covering_pair(monkeypatch, lattice, covers):
+    # joins are partition joins: the only closures are those of the
+    # covering pairs, and no table of all pairs is built
     calls = []
     closure = congruences._closure
 
@@ -247,8 +254,7 @@ def test_all_congruences_runs_one_closure_per_pair(monkeypatch, lattice):
 
     monkeypatch.setattr(congruences, "_closure", counting)
     fl.all_congruences(lattice)
-    n = lattice.size
-    assert len(calls) == n * (n - 1) // 2
+    assert len(calls) == covers
 
 
 def test_all_congruences_match_frontier_joins_up_to_size_8():
@@ -288,6 +294,8 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_frontier_joins(relabeled)
+    table = fl.principal_table(relabeled)
+    assert fl.all_congruences(relabeled) == fl.all_congruences(relabeled, table)
     _irreducibles_agree(relabeled)
     _balance_agrees(relabeled)
 
