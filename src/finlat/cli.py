@@ -28,14 +28,7 @@ from .enumeration import (
     search_counterexample,
     write_latt_files,
 )
-from .ideals import (
-    enumerate_filters,
-    enumerate_ideals,
-    is_maximal_filter,
-    is_maximal_ideal,
-    is_prime_filter,
-    is_prime_ideal,
-)
+from .ideals import _maximal_and_prime, enumerate_filters, enumerate_ideals
 from .properties import classify, verify_theorem
 
 
@@ -82,16 +75,15 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
 
 def _cmd_ideals(args: argparse.Namespace) -> int:
     lattice = _load(args.file)
-    sides = (
-        ("ideal", enumerate_ideals, is_prime_ideal, is_maximal_ideal),
-        ("filter", enumerate_filters, is_prime_filter, is_maximal_filter),
+    sides = zip(
+        ("ideal", "filter"), (enumerate_ideals, enumerate_filters), _maximal_and_prime(lattice)
     )
     rows = {
         side: [
-            {"set": str(s), "prime": is_prime(lattice, s), "maximal": is_maximal(lattice, s)}
+            {"set": str(s), "prime": s in primes, "maximal": s in maximals}
             for s in sets(lattice)
         ]
-        for side, sets, is_prime, is_maximal in sides
+        for side, sets, (maximals, primes) in sides
     }
     if args.format == "json":
         _emit({"filters": rows["filter"], "ideals": rows["ideal"]}, "json")

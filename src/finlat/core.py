@@ -25,7 +25,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class LatticeError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class of the package's errors about lattices and their parts.
+
+    A failed check on an order, a lattice, a set of elements, a
+    congruence, a size, a search predicate or a LATT file raises a
+    subclass, and the CLI maps each to exit code 2.  Malformed arguments
+    raise :class:`ValueError` instead: a ``standard_lattice`` size
+    parameter, a non-permutation given to ``relabel``, a malformed
+    ``lattice_from_canonical`` form, an empty or non-square
+    ``FiniteLattice`` matrix, and ``Partition`` blocks that overlap or
+    miss an element or labels that are not normalized.
+    """
 
 
 class NotAPartialOrder(LatticeError):

@@ -55,6 +55,7 @@ from .core import (
 )
 from .properties import (
     PropertyReport,
+    _Result,
     classify,
     is_complemented,
     is_d_lattice,
@@ -75,7 +76,7 @@ class UnknownPredicate(LatticeError):
 
 
 @dataclass(frozen=True)
-class EnumerationStats:
+class EnumerationStats(_Result):
     """Per-size census row.
 
     ``balanced_count`` and ``complemented_count`` are counts among the
@@ -89,16 +90,6 @@ class EnumerationStats:
     balanced_count: int
     complemented_count: int
     elapsed: float
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "balanced_count": self.balanced_count,
-            "complemented_count": self.complemented_count,
-            "d_lattice_count": self.d_lattice_count,
-            "elapsed": self.elapsed,
-            "lattice_count": self.lattice_count,
-            "size": self.size,
-        }
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,14 @@ principal congruences (``principal_table``); Con(L), the d-lattice
 test and balance are lookups in it.  No condition is
 inferred from another, so lattices outside the d-lattice scope still
 get a full (possibly divergent) condition vector as a negative control.
+Every result type serializes through one walk over its fields
+(``to_dict``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Any, Optional, Sequence
 
 from .congruences import (
     Congruence,
@@ -68,8 +70,32 @@ class NotDLattice(LatticeError):
     """The operation is only defined on d-lattices."""
 
 
+def _plain(value: object) -> Any:
+    """JSON-ready data: sets and congruences as text, tuples as lists, results as dicts.
+
+    A result's dict holds its fields in key order, each under its name or
+    under the ``key`` in the field's metadata.
+    """
+    if isinstance(value, (ElementSet, Congruence)):  # ElementSet is itself a dataclass
+        return str(value)
+    if is_dataclass(value):
+        items = ((f.metadata.get("key", f.name), getattr(value, f.name)) for f in fields(value))
+        return {key: _plain(item) for key, item in sorted(items)}
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+class _Result:
+    """Base of the result dataclasses; serializes them for the CLI."""
+
+    def to_dict(self) -> dict[str, object]:
+        """The fields as JSON-ready data, each under its name or metadata ``key``."""
+        return _plain(self)
+
+
 @dataclass(frozen=True)
-class SevenConditions:
+class SevenConditions(_Result):
     """The seven equivalent ways a d-lattice can fail to be complemented.
 
     c1: some maximal filter's complement is not a maximal ideal
@@ -96,30 +122,18 @@ class SevenConditions:
     def all_equal(self) -> bool:
         return len(set(self.as_tuple())) == 1
 
-    def to_dict(self) -> dict[str, bool]:
-        return {f"c{i}": v for i, v in enumerate(self.as_tuple(), start=1)}
-
 
 @dataclass(frozen=True)
-class ReportCounts:
+class ReportCounts(_Result):
     ideals: int
     filters: int
     prime_ideals: int
     prime_filters: int
     congruences: int
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "congruences": self.congruences,
-            "filters": self.filters,
-            "ideals": self.ideals,
-            "prime_filters": self.prime_filters,
-            "prime_ideals": self.prime_ideals,
-        }
-
 
 @dataclass(frozen=True)
-class ReportWitnesses:
+class ReportWitnesses(_Result):
     """Least witnesses (in the fixed element/enumeration order), when any.
 
     Each field is populated exactly when the matching report boolean
@@ -134,27 +148,9 @@ class ReportWitnesses:
     nonprime_maximal_ideal: Optional[ElementSet] = None
     nonprime_maximal_filter: Optional[ElementSet] = None
 
-    def to_dict(self) -> dict[str, object]:
-        nested = self.nested_prime_ideals
-        return {
-            "nested_prime_ideals": (
-                None if nested is None else [str(nested[0]), str(nested[1])]
-            ),
-            "noncomplemented_element": self.noncomplemented_element,
-            "nonprime_maximal_filter": (
-                None if self.nonprime_maximal_filter is None else str(self.nonprime_maximal_filter)
-            ),
-            "nonprime_maximal_ideal": (
-                None if self.nonprime_maximal_ideal is None else str(self.nonprime_maximal_ideal)
-            ),
-            "unbalanced_congruence": (
-                None if self.unbalanced_congruence is None else str(self.unbalanced_congruence)
-            ),
-        }
-
 
 @dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Result):
     """Everything this package can say about one lattice."""
 
     size: int
@@ -163,28 +159,14 @@ class PropertyReport:
     is_balanced: bool
     is_complemented: bool
     is_distributive: bool
-    seven: SevenConditions
+    seven: SevenConditions = field(metadata={"key": "seven_conditions"})
     counts: ReportCounts
     witnesses: ReportWitnesses
     convention_note: Optional[str] = None
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "convention_note": self.convention_note,
-            "counts": self.counts.to_dict(),
-            "is_balanced": self.is_balanced,
-            "is_bounded": self.is_bounded,
-            "is_complemented": self.is_complemented,
-            "is_d_lattice": self.is_d_lattice,
-            "is_distributive": self.is_distributive,
-            "seven_conditions": self.seven.to_dict(),
-            "size": self.size,
-            "witnesses": self.witnesses.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(_Result):
     """Outcome of checking the seven-way equivalence on one lattice.
 
     Lattices that are not d-lattices are out of the theorem's scope;
@@ -194,18 +176,9 @@ class TheoremVerdict:
 
     scope: str
     passed: bool
-    seven: SevenConditions
+    seven: SevenConditions = field(metadata={"key": "seven_conditions"})
     balanced: bool
     complemented: bool
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "balanced": self.balanced,
-            "complemented": self.complemented,
-            "passed": self.passed,
-            "scope": self.scope,
-            "seven_conditions": self.seven.to_dict(),
-        }
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,16 @@ of every colour class, and the construction of the lattice tables by a
 scan for each pair's bound, which the package's tie-break prune,
 list of placed down-sets, down-twin prune read from the down-masks,
 settled-class refinement, twin-aware search and mask lookup replace.
+A final group computes Con(L) and principal congruences from Day's
+dependency relation D on the join-irreducible elements, with no
+closure at all, the method meant to replace the package's table of
+principal congruences.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Iterator, Sequence
 
@@ -682,3 +686,109 @@ def lattice_tables_by_scan(matrix: Sequence[Sequence[object]]) -> dict[str, obje
         "down_masks": down,
         "up_masks": up,
     }
+
+
+def _lower_covers(lattice: FiniteLattice) -> list[list[int]]:
+    """The lower covers of every element, by scanning the strict down-sets."""
+    n, leq = lattice.size, lattice.leq
+    return [
+        [
+            a
+            for a in range(n)
+            if a != y
+            and leq[a][y]
+            and not any(c not in (a, y) and leq[a][c] and leq[c][y] for c in range(n))
+        ]
+        for y in range(n)
+    ]
+
+
+def _dependencies(lattice: FiniteLattice, lower: list[list[int]]) -> dict[int, set[int]]:
+    """Day's relation D on J(L): each join-irreducible q to the set of p with p D q.
+
+    p D q iff p != q and some x has p <= q∨x and p ≰ q_*∨x, where q_* is
+    the one lower cover of q.  ``lower`` lists each element's lower covers.
+    """
+    n, leq, join = lattice.size, lattice.leq, lattice.join
+    below = {q: covers[0] for q, covers in enumerate(lower) if len(covers) == 1}
+    return {
+        q: {
+            p
+            for p in below
+            if p != q
+            and any(leq[p][join[q][x]] and not leq[p][join[below[q]][x]] for x in range(n))
+        }
+        for q in below
+    }
+
+
+def _dependency_closure(depends: dict[int, set[int]], seed: set[int]) -> frozenset[int]:
+    """The least D*-closed set holding ``seed``: with q it holds every p with p D q."""
+    closed = set(seed)
+    stack = list(seed)
+    while stack:
+        for p in depends[stack.pop()] - closed:
+            closed.add(p)
+            stack.append(p)
+    return frozenset(closed)
+
+
+def _theta(
+    lattice: FiniteLattice, lower: list[list[int]], closed: frozenset[int]
+) -> tuple[int, ...]:
+    """θ_S as block labels, for a D*-closed set S of join-irreducibles.
+
+    The blocks are the components of the covering pairs x ≺ y whose
+    join-irreducibles below y and not below x all lie in S.
+    """
+    n, leq = lattice.size, lattice.leq
+    irreducibles = [p for p, covers in enumerate(lower) if len(covers) == 1]
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for y, covers in enumerate(lower):
+        for x in covers:
+            if all(p in closed for p in irreducibles if leq[p][y] and not leq[p][x]):
+                neighbours[x].append(y)
+                neighbours[y].append(x)
+    labels = [-1] * n
+    block = 0
+    for start in range(n):
+        if labels[start] != -1:
+            continue
+        labels[start] = block
+        stack = [start]
+        while stack:
+            for e in neighbours[stack.pop()]:
+                if labels[e] == -1:
+                    labels[e] = block
+                    stack.append(e)
+        block += 1
+    return tuple(labels)
+
+
+def congruences_by_dependency_relation(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+    """Con(L) as sorted label tuples: θ_S for every D*-closed set S of join-irreducibles.
+
+    Con(L) is isomorphic to the lattice of D*-closed subsets of J(L)
+    (Freese, Ježek & Nation, *Free Lattices*, ch. 2), so no closure of a
+    partition is run.  Every closed set is listed, and no duplicate is
+    removed, so two sets with one congruence would show twice.
+    """
+    lower = _lower_covers(lattice)
+    depends = _dependencies(lattice, lower)
+    irreducibles = sorted(depends)
+    return sorted(
+        _theta(lattice, lower, frozenset(subset))
+        for r in range(len(irreducibles) + 1)
+        for subset in combinations(irreducibles, r)
+        if all(depends[q] <= set(subset) for q in subset)
+    )
+
+
+def principal_by_dependency_relation(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
+    """con(a, b) as θ of the D*-closure of {p ∈ J(L) : p <= a∨b, p ≰ a∧b}."""
+    leq = lattice.leq
+    top, bottom = lattice.join[a][b], lattice.meet[a][b]
+    lower = _lower_covers(lattice)
+    depends = _dependencies(lattice, lower)
+    seed = {p for p in depends if leq[p][top] and not leq[p][bottom]}
+    return _theta(lattice, lower, _dependency_closure(depends, seed))

@@ -15,6 +15,7 @@ import pytest
 
 import finlat as fl
 from finlat import cli, enumeration
+import support
 
 
 @pytest.fixture()
@@ -125,6 +126,37 @@ def test_ideals_text_listing(latt_file, capsys):
     assert "ideal {0}: prime=true maximal=true" in out
     assert "ideal {0,1}: prime=false maximal=false" in out
     assert "filter {1}: prime=true maximal=true" in out
+
+
+def test_ideals_flags_match_the_public_predicates(tmp_path, capsys):
+    # the rows read the flags from the one derivation of maximal and prime
+    # sets; the four public predicates, run on each set, are the reference
+    path = tmp_path / "input.latt"
+    sides = (
+        ("ideal", fl.enumerate_ideals, fl.is_prime_ideal, fl.is_maximal_ideal),
+        ("filter", fl.enumerate_filters, fl.is_prime_filter, fl.is_maximal_filter),
+    )
+    for lattice in [*support.lattices_up_to(7), *support.catalog().values()]:
+        path.write_text(fl.format_latt(lattice))
+        rows = {
+            side: [
+                {"set": str(s), "prime": is_prime(lattice, s), "maximal": is_maximal(lattice, s)}
+                for s in sets(lattice)
+            ]
+            for side, sets, is_prime, is_maximal in sides
+        }
+        assert cli.run(["ideals", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "filters": rows["filter"],
+            "ideals": rows["ideal"],
+        }
+        assert cli.run(["ideals", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{side} {row['set']}: prime={json.dumps(row['prime'])} "
+            f"maximal={json.dumps(row['maximal'])}"
+            for side in ("ideal", "filter")
+            for row in rows[side]
+        ]
 
 
 def test_enumerate_counts_and_writes(tmp_path, capsys):

@@ -222,6 +222,27 @@ def test_all_congruences_match_pair_closure_on_relabelled_products(data):
     assert _con_keys(relabeled) == oracles.congruences_by_pair_closure(relabeled)
 
 
+def test_all_congruences_match_dependency_relation_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        assert _con_keys(lattice) == oracles.congruences_by_dependency_relation(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_all_congruences_match_dependency_relation_on_relabelled_products(data):
+    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert _con_keys(relabeled) == oracles.congruences_by_dependency_relation(relabeled)
+
+
+def test_principal_congruence_matches_dependency_relation_up_to_size_7():
+    for lattice in support.lattices_up_to(7):
+        for a in lattice.elements():
+            for b in lattice.elements():
+                expected = oracles.principal_by_dependency_relation(lattice, a, b)
+                assert fl.principal_congruence(lattice, a, b).partition.block_of == expected
+
+
 def test_join_congruences_matches_closure_join_up_to_size_6():
     for lattice in support.lattices_up_to(6):
         congs = fl.all_congruences(lattice)

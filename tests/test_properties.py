@@ -295,3 +295,109 @@ def test_report_to_dict_is_json_serializable():
             "size",
             "witnesses",
         }
+
+
+def _witnesses_with_every_field():
+    n5 = fl.standard_lattice("n5")
+    return fl.ReportWitnesses(
+        nested_prime_ideals=_sets(n5, [0], [0, 1]),
+        noncomplemented_element=2,
+        unbalanced_congruence=fl.all_congruences(n5)[1],
+        nonprime_maximal_ideal=_sets(n5, [0, 1, 2])[0],
+        nonprime_maximal_filter=_sets(n5, [3, 4])[0],
+    )
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        pytest.param(
+            lambda: fl.SevenConditions(True, False, True, False, True, False, True),
+            {"c1": True, "c2": False, "c3": True, "c4": False, "c5": True, "c6": False, "c7": True},
+            id="SevenConditions",
+        ),
+        pytest.param(
+            lambda: fl.ReportCounts(
+                ideals=5, filters=6, prime_ideals=2, prime_filters=3, congruences=4
+            ),
+            {"congruences": 4, "filters": 6, "ideals": 5, "prime_filters": 3, "prime_ideals": 2},
+            id="ReportCounts",
+        ),
+        pytest.param(
+            _witnesses_with_every_field,
+            {
+                "nested_prime_ideals": ["{0}", "{0,1}"],
+                "noncomplemented_element": 2,
+                "nonprime_maximal_filter": "{3,4}",
+                "nonprime_maximal_ideal": "{0,1,2}",
+                "unbalanced_congruence": "{{0,1,2},{3,4}}",
+            },
+            id="ReportWitnesses",
+        ),
+        pytest.param(
+            lambda: fl.classify(fl.standard_lattice("chain", 1)),
+            {
+                "convention_note": (
+                    "one-element lattice: d-lattice, complemented and balanced "
+                    "hold by convention (all defining implications are vacuous)"
+                ),
+                "counts": {
+                    "congruences": 1,
+                    "filters": 1,
+                    "ideals": 1,
+                    "prime_filters": 0,
+                    "prime_ideals": 0,
+                },
+                "is_balanced": True,
+                "is_bounded": True,
+                "is_complemented": True,
+                "is_d_lattice": True,
+                "is_distributive": True,
+                "seven_conditions": {f"c{i}": False for i in range(1, 8)},
+                "size": 1,
+                "witnesses": {
+                    "nested_prime_ideals": None,
+                    "noncomplemented_element": None,
+                    "nonprime_maximal_filter": None,
+                    "nonprime_maximal_ideal": None,
+                    "unbalanced_congruence": None,
+                },
+            },
+            id="PropertyReport",
+        ),
+        pytest.param(
+            lambda: fl.verify_theorem(fl.standard_lattice("chain", 3)),
+            {
+                "balanced": False,
+                "complemented": False,
+                "passed": True,
+                "scope": "d-lattice",
+                "seven_conditions": {f"c{i}": True for i in range(1, 8)},
+            },
+            id="TheoremVerdict",
+        ),
+        pytest.param(
+            lambda: fl.EnumerationStats(
+                size=6,
+                lattice_count=15,
+                d_lattice_count=7,
+                balanced_count=2,
+                complemented_count=2,
+                elapsed=0.25,
+            ),
+            {
+                "balanced_count": 2,
+                "complemented_count": 2,
+                "d_lattice_count": 7,
+                "elapsed": 0.25,
+                "lattice_count": 15,
+                "size": 6,
+            },
+            id="EnumerationStats",
+        ),
+    ],
+)
+def test_to_dict_goldens(make, expected):
+    payload = make().to_dict()
+    assert payload == expected
+    assert list(payload) == sorted(payload)
