@@ -32,6 +32,7 @@ from .core import (
     OwnerMismatch,
     SizeMismatch,
     _blocks_compatible,
+    _fold,
 )
 
 
@@ -208,15 +209,20 @@ def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
 
 
 def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Congruence:
-    """The least congruence collapsing all the given elements to one class."""
+    """The least congruence collapsing all the given elements to one class.
+
+    Congruence classes are convex sublattices, so a class holds the set
+    S iff it holds ⋀S and ⋁S: the answer is con(⋀S, ⋁S), one closure.
+    """
     members = sorted(set(elements))
     if not members:
         raise EmptySet("generating set is empty")
     n = lattice.size
     if not all(0 <= e < n for e in members):
         raise SizeMismatch(f"elements {members} not all inside [0, {n})")
-    first = members[0]
-    return Congruence(lattice, _closure(lattice, [(first, e) for e in members[1:]]))
+    mask = sum(1 << e for e in members)
+    pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
+    return Congruence(lattice, _closure(lattice, [pair]))
 
 
 Principal = Callable[[int, int], tuple[int, ...]]

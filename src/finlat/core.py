@@ -215,6 +215,21 @@ def _meet_join_tables(
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
+def _fold(table: Sequence[Sequence[int]], mask: int) -> int:
+    """The meet (or join) of the members of a nonempty mask, by its table.
+
+    A plain bit loop from the lowest member, which is folded with itself
+    first (both operations are idempotent); the cached ``_bits`` would
+    fill with masks of large sets that are read once.
+    """
+    acc = (mask & -mask).bit_length() - 1
+    while mask:
+        low = mask & -mask
+        acc = table[acc][low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def from_leq_matrix(matrix: Sequence[Sequence[object]]) -> FiniteLattice:
     """Build a validated bounded lattice from an n-by-n order matrix.
 

@@ -3,7 +3,12 @@
 An ideal is a nonempty downward-closed join-closed subset; a filter is
 the dual.  In a finite lattice every ideal is a principal down-set (a
 nonempty join-closed set has a greatest element), which keeps
-enumeration linear and reduces maximality to a coatom (or atom) test.
+enumeration linear.  Every other fact is read off one fold of join or
+meet over a set's members (``core._fold``): a set is an ideal iff it is
+the down-set of its join; the ideal generated by S is the down-set of
+the join of S; an ideal is maximal iff its join is a coatom; and a
+proper ideal ↓g is prime iff the meet of its complement lies outside
+it.  Filters are the duals.  Each test is linear in the lattice size.
 Sets are bitmasks wrapped in :class:`ElementSet` so reports can print
 them uniformly.
 """
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .congruences import Congruence, Partition, is_congruence
-from .core import EmptySet, FiniteLattice, LatticeError, NotACongruence, SizeMismatch
+from .core import EmptySet, FiniteLattice, LatticeError, NotACongruence, SizeMismatch, _fold
 
 
 _Masks = tuple[int, ...]
@@ -103,25 +108,20 @@ def _require_sized(lattice: FiniteLattice, subset: ElementSet) -> None:
         raise SizeMismatch("set sized for a different lattice")
 
 
-def _is_closed(lattice: FiniteLattice, subset: ElementSet, masks: _Masks, table: _Table) -> bool:
-    """Nonempty, closed under one side's principal sets and its operation."""
+def _is_principal(lattice: FiniteLattice, subset: ElementSet, masks: _Masks, table: _Table) -> bool:
+    """Nonempty, and one side's principal set of its fold under the side's operation."""
     _require_sized(lattice, subset)
-    if subset.mask == 0:
-        return False
-    members = subset.members()
-    if any(masks[x] & ~subset.mask for x in members):
-        return False
-    return all(table[x][y] in subset for x in members for y in members)
+    return subset.mask != 0 and masks[_fold(table, subset.mask)] == subset.mask
 
 
 def is_ideal(lattice: FiniteLattice, subset: ElementSet) -> bool:
-    """Nonempty, downward closed, and closed under binary join."""
-    return _is_closed(lattice, subset, lattice.down_masks, lattice.join)
+    """Nonempty, downward closed, and closed under binary join: the down-set of its join."""
+    return _is_principal(lattice, subset, lattice.down_masks, lattice.join)
 
 
 def is_filter(lattice: FiniteLattice, subset: ElementSet) -> bool:
-    """Nonempty, upward closed, and closed under binary meet."""
-    return _is_closed(lattice, subset, lattice.up_masks, lattice.meet)
+    """Nonempty, upward closed, and closed under binary meet: the up-set of its meet."""
+    return _is_principal(lattice, subset, lattice.up_masks, lattice.meet)
 
 
 def enumerate_ideals(lattice: FiniteLattice) -> list[ElementSet]:
@@ -140,12 +140,15 @@ def enumerate_filters(lattice: FiniteLattice) -> list[ElementSet]:
     return sorted(ElementSet(n, lattice.up_masks[a]) for a in range(n))
 
 
-def _is_prime(lattice: FiniteLattice, subset: ElementSet, other: _Table) -> bool:
-    """Proper, with the complement closed under the other side's operation."""
-    if subset.mask == (1 << lattice.size) - 1:
-        return False
-    outside = subset.complement().members()
-    return all(other[x][y] not in subset for x in outside for y in outside)
+def _is_prime(lattice: FiniteLattice, mask: int, other: _Table) -> bool:
+    """A principal set: proper, with the other side's fold of its complement outside it.
+
+    The complement of an ideal ↓g is an up-set, so the meets of its
+    members all lie above the meet m of the whole complement; they all
+    avoid ↓g iff m does.  Filters are dual.
+    """
+    outside = ~mask & (1 << lattice.size) - 1
+    return outside != 0 and not mask >> _fold(other, outside) & 1
 
 
 def is_prime_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
@@ -156,39 +159,36 @@ def is_prime_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
     """
     if not is_ideal(lattice, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
-    return _is_prime(lattice, ideal, lattice.meet)
+    return _is_prime(lattice, ideal.mask, lattice.meet)
 
 
 def is_prime_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
     """Proper, and x∨y inside implies x or y inside."""
     if not is_filter(lattice, filt):
         raise NotAFilter(f"{filt} is not a filter")
-    return _is_prime(lattice, filt, lattice.join)
+    return _is_prime(lattice, filt.mask, lattice.join)
 
 
 def is_maximal_ideal(lattice: FiniteLattice, ideal: ElementSet) -> bool:
     """Proper and not strictly contained in another proper ideal.
 
-    The ideal is the down-set of its greatest element g, and ↓g ⊊ ↓h
-    exactly when g < h, so it is maximal iff g is a coatom: the up-set
-    of g is {g, top}.
+    The ideal is the down-set of its join g, and ↓g ⊊ ↓h exactly when
+    g < h, so it is maximal iff g is a coatom: the up-set of g is
+    {g, top}.
     """
     if not is_ideal(lattice, ideal):
         raise NotAnIdeal(f"{ideal} is not an ideal")
-    g = next(x for x in ideal if lattice.down_masks[x] == ideal.mask)
-    return lattice.up_masks[g].bit_count() == 2
+    return lattice.up_masks[_fold(lattice.join, ideal.mask)].bit_count() == 2
 
 
 def is_maximal_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
     """Proper and not strictly contained in another proper filter.
 
-    Dually, the filter is the up-set of its least element, which must
-    be an atom.
+    Dually, the filter is the up-set of its meet, which must be an atom.
     """
     if not is_filter(lattice, filt):
         raise NotAFilter(f"{filt} is not a filter")
-    a = next(x for x in filt if lattice.up_masks[x] == filt.mask)
-    return lattice.down_masks[a].bit_count() == 2
+    return lattice.down_masks[_fold(lattice.meet, filt.mask)].bit_count() == 2
 
 
 def _maximal_and_prime(lattice: FiniteLattice) -> tuple[tuple[list[ElementSet], ...], ...]:
@@ -206,19 +206,19 @@ def _maximal_and_prime(lattice: FiniteLattice) -> tuple[tuple[list[ElementSet], 
     return tuple(
         (
             sorted(ElementSet(n, masks[g]) for g in range(n) if other_masks[g].bit_count() == 2),
-            [s for s in principal(lattice) if _is_prime(lattice, s, other)],
+            [s for s in principal(lattice) if _is_prime(lattice, s.mask, other)],
         )
         for principal, masks, other_masks, other in sides
     )
 
 
 def ideal_generated_by(lattice: FiniteLattice, subset: ElementSet | Iterable[int]) -> ElementSet:
-    """Least ideal containing the set: join-close, down-close, repeat."""
+    """Least ideal containing the set: the down-set of its join."""
     return _generated(lattice, subset, lattice.join, lattice.down_masks)
 
 
 def filter_generated_by(lattice: FiniteLattice, subset: ElementSet | Iterable[int]) -> ElementSet:
-    """Least filter containing the set: meet-close, up-close, repeat."""
+    """Least filter containing the set: the up-set of its meet."""
     return _generated(lattice, subset, lattice.meet, lattice.up_masks)
 
 
@@ -226,7 +226,7 @@ def _generated(
     lattice: FiniteLattice,
     subset: ElementSet | Iterable[int],
     table: _Table,
-    closure_masks: _Masks,
+    masks: _Masks,
 ) -> ElementSet:
     n = lattice.size
     if isinstance(subset, ElementSet):
@@ -236,16 +236,7 @@ def _generated(
         mask = ElementSet.from_iterable(n, subset).mask
     if mask == 0:
         raise EmptySet("generating set is empty")
-    while True:
-        new = mask
-        members = [e for e in range(n) if mask >> e & 1]
-        for x in members:
-            new |= closure_masks[x]
-            for y in members:
-                new |= 1 << table[x][y]
-        if new == mask:
-            return ElementSet(n, mask)
-        mask = new
+    return ElementSet(n, masks[_fold(table, mask)])
 
 
 def _annihilator(lattice: FiniteLattice, a: int, table: _Table, bound: int) -> ElementSet:

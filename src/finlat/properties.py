@@ -36,6 +36,7 @@ from .core import (
     LatticeError,
     LatticeHomomorphism,
     SizeMismatch,
+    _fold,
     is_homomorphism,
     is_surjective,
     standard_lattice,
@@ -259,14 +260,21 @@ def is_complemented(lattice: FiniteLattice) -> bool:
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
-    """Full triple scan of x∧(y∨z) = (x∧y)∨(x∧z)."""
-    n = lattice.size
-    meet, join = lattice.meet, lattice.join
+    """Birkhoff's form: x ↦ J(L) ∩ ↓x preserves binary joins.
+
+    j is join-irreducible iff the join of its strict down-set is not j;
+    that join starts from the bottom, so the bottom is not one.  Every x
+    is the join of J(L) ∩ ↓x and the map preserves meets, so it embeds L
+    in the subsets of J(L) exactly when it also preserves joins, that
+    is, when every join-irreducible is join-prime.  One mask test per
+    pair of elements.
+    """
+    n, down, join = lattice.size, lattice.down_masks, lattice.join
+    bottom = 1 << lattice.bottom
+    irreducible = sum(1 << j for j in range(n) if _fold(join, down[j] & ~(1 << j) | bottom) != j)
+    below = [mask & irreducible for mask in down]
     return all(
-        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
-        for x in range(n)
-        for y in range(n)
-        for z in range(n)
+        below[join[x][y]] == below[x] | below[y] for x in range(n) for y in range(x + 1, n)
     )
 
 
@@ -362,10 +370,11 @@ def _check(holds: bool, message: str) -> None:
 def witness_from_noncomplemented(lattice: FiniteLattice, a: int) -> NonComplementedWitness:
     """Build and verify the filter/ideal chain showing condition c1.
 
-    Requires a d-lattice and an element with no complement.  The maximal
-    filter is grown greedily: repeatedly adjoin the least element whose
-    filter closure stays proper.  Every witness invariant is re-checked
-    before returning.
+    Requires a d-lattice and an element with no complement.  The seed
+    filter is the up-set of its meet s, and the maximal filter is ↑p for
+    the least atom p below s; a seed that is the whole lattice has no
+    such atom and means an internal bug.  Every witness invariant is
+    re-checked before returning.
     """
     if not is_d_lattice(lattice):
         raise NotDLattice("witness construction is defined on d-lattices only")
@@ -374,21 +383,14 @@ def witness_from_noncomplemented(lattice: FiniteLattice, a: int) -> NonComplemen
     if blockers.mask & killers.mask:
         raise HasComplement(f"element {a} has a complement")
 
-    n = lattice.size
+    n, down = lattice.size, lattice.down_masks
     full = (1 << n) - 1
     seed = filter_generated_by(lattice, blockers.with_element(a))
-    maximal = seed
-    grew = True
-    while grew:
-        grew = False
-        for e in range(n):
-            if e in maximal:
-                continue
-            candidate = filter_generated_by(lattice, maximal.with_element(e))
-            if candidate.mask != full:
-                maximal = candidate
-                grew = True
-                break
+    below = down[_fold(lattice.meet, seed.mask)]
+    atom = next((x for x in range(n) if below >> x & 1 and down[x].bit_count() == 2), None)
+    if atom is None:
+        raise HomomorphismCheckFailed("seed filter is the whole lattice")
+    maximal = ElementSet(n, lattice.up_masks[atom])
     residual = maximal.complement()
     extended = ideal_generated_by(lattice, residual.with_element(a))
 

@@ -24,6 +24,12 @@ of every colour class, and the construction of the lattice tables by a
 scan for each pair's bound, which the package's tie-break prune,
 list of placed down-sets, down-twin prune read from the down-masks,
 settled-class refinement, twin-aware search and mask lookup replace.
+The same group keeps the pair scans and fixpoints that one fold of
+join or meet over a set replaces: ideal and filter tests and primality
+by scanning pairs of members, generated ideals and filters by closing
+until nothing changes, the maximal filter of the non-complemented
+witness grown greedily, the generated congruence closed from one pair
+per member, and distributivity by a scan of every triple.
 A final group computes Con(L) and principal congruences from Day's
 dependency relation D on the join-irreducible elements, with no
 closure at all, the method meant to replace the package's table of
@@ -39,8 +45,10 @@ from typing import Iterator, Sequence
 
 from finlat import (
     Congruence,
+    ElementSet,
     FiniteLattice,
     LatticeError,
+    NonComplementedWitness,
     NotALattice,
     NotAPartialOrder,
     NotBounded,
@@ -63,6 +71,8 @@ from finlat import (
 from finlat.congruences import _closure, _join_labels
 from finlat.core import _canonical_from_up_masks
 from finlat.enumeration import _generate_down_masks
+
+Table = Sequence[Sequence[int]]
 
 
 def axiom_violations(lattice) -> list[tuple[str, tuple[int, ...]]]:
@@ -686,6 +696,98 @@ def lattice_tables_by_scan(matrix: Sequence[Sequence[object]]) -> dict[str, obje
         "down_masks": down,
         "up_masks": up,
     }
+
+
+def closed_by_pairs(
+    lattice: FiniteLattice, subset: ElementSet, masks: Sequence[int], table: Table
+) -> bool:
+    """Nonempty, closed under one side's principal sets and its operation, pair by pair.
+
+    ``masks`` and ``table`` are ``down_masks`` and ``join`` for an ideal,
+    ``up_masks`` and ``meet`` for a filter.
+    """
+    if subset.mask == 0:
+        return False
+    members = subset.members()
+    if any(masks[x] & ~subset.mask for x in members):
+        return False
+    return all(table[x][y] in subset for x in members for y in members)
+
+
+def prime_by_pairs(lattice: FiniteLattice, subset: ElementSet, other: Table) -> bool:
+    """Proper, with the complement closed under the other side's operation, pair by pair."""
+    if subset.mask == (1 << lattice.size) - 1:
+        return False
+    outside = subset.complement().members()
+    return all(other[x][y] not in subset for x in outside for y in outside)
+
+
+def generated_by_fixpoint(
+    lattice: FiniteLattice, mask: int, table: Table, masks: Sequence[int]
+) -> int:
+    """The least ideal (filter) holding a nonempty mask: close under the operation
+    and the principal sets, and repeat until nothing changes."""
+    n = lattice.size
+    while True:
+        new = mask
+        members = [e for e in range(n) if mask >> e & 1]
+        for x in members:
+            new |= masks[x]
+            for y in members:
+                new |= 1 << table[x][y]
+        if new == mask:
+            return mask
+        mask = new
+
+
+def generated_congruence_by_pairs(
+    lattice: FiniteLattice, members: Sequence[int]
+) -> tuple[int, ...]:
+    """The least congruence collapsing the members: one closure of (first, e) per other e."""
+    first, *rest = sorted(set(members))
+    return _closure(lattice, [(first, e) for e in rest]).block_of
+
+
+def distributive_by_triples(lattice: FiniteLattice) -> bool:
+    """Full triple scan of x∧(y∨z) = (x∧y)∨(x∧z)."""
+    n = lattice.size
+    meet, join = lattice.meet, lattice.join
+    return all(
+        meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+        for x in range(n)
+        for y in range(n)
+        for z in range(n)
+    )
+
+
+def witness_by_greedy_growth(lattice: FiniteLattice, a: int) -> NonComplementedWitness:
+    """The non-complemented witness with the maximal filter grown greedily.
+
+    From the seed filter, repeatedly adjoin the least element whose
+    generated filter stays proper.  Every generated set is closed by
+    ``generated_by_fixpoint``.  Nothing is checked; the caller tests the
+    invariants.
+    """
+    n, meet, up = lattice.size, lattice.meet, lattice.up_masks
+    full = (1 << n) - 1
+    seed = generated_by_fixpoint(lattice, annihilator_filter(lattice, a).mask | 1 << a, meet, up)
+    maximal = seed
+    grew = True
+    while grew:
+        grew = False
+        for e in range(n):
+            if maximal >> e & 1:
+                continue
+            candidate = generated_by_fixpoint(lattice, maximal | 1 << e, meet, up)
+            if candidate != full:
+                maximal = candidate
+                grew = True
+                break
+    residual = ~maximal & full
+    extended = generated_by_fixpoint(lattice, residual | 1 << a, lattice.join, lattice.down_masks)
+    return NonComplementedWitness(
+        a, *(ElementSet(n, mask) for mask in (seed, maximal, residual, extended))
+    )
 
 
 def _lower_covers(lattice: FiniteLattice) -> list[list[int]]:

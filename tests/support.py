@@ -7,7 +7,8 @@ caller (the timed exhaustive acceptance check) still pays full price.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations_with_replacement
 
 import finlat as fl
 
@@ -49,3 +50,27 @@ def catalog() -> dict[str, fl.FiniteLattice]:
         "n5": fl.standard_lattice("n5"),
         "m3": fl.standard_lattice("m3"),
     }
+
+
+def catalog_product(names: tuple[str, ...]) -> fl.FiniteLattice:
+    named = catalog()
+    return reduce(fl.product, (named[name] for name in names))
+
+
+@lru_cache(maxsize=None)
+def product_shapes() -> tuple[tuple[str, ...], ...]:
+    # 2 or 3 nontrivial factors, at most 40 elements and 32 congruences;
+    # |Con(L1 x L2)| = |Con L1| * |Con L2|, so the factors give the count
+    named = catalog()
+    names = sorted(name for name, lattice in named.items() if lattice.size > 1)
+    counts = {name: len(fl.all_congruences(named[name])) for name in names}
+    shapes = []
+    for k in (2, 3):
+        for shape in combinations_with_replacement(names, k):
+            size = count = 1
+            for name in shape:
+                size *= named[name].size
+                count *= counts[name]
+            if size <= 40 and count <= 32:
+                shapes.append(shape)
+    return tuple(shapes)

@@ -300,6 +300,44 @@ def test_congruences_of_large_lattices_in_bounded_time(tmp_path, flags):
         assert done.stdout.splitlines()[0] == first_line
 
 
+def _grid_latt(k: int) -> str:
+    """The LATT text of chain(k) x chain(k), with (a, b) numbered a*k + b."""
+    n = k * k
+    rows = (
+        "".join("1" if a <= c and b <= d else "0" for c in range(k) for d in range(k))
+        for a in range(k)
+        for b in range(k)
+    )
+    return f"LATT 1\nn={n}\n" + "".join(row + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_ideals_of_large_lattices_in_bounded_time(tmp_path, flags):
+    # one fold per set; scanning the pairs of each ideal's members is cubic on a chain
+    n = 1000
+    chain = f"LATT 1\nn={n}\n" + "".join("0" * i + "1" * (n - i) + "\n" for i in range(n))
+    cases = [
+        # every proper ideal and filter of a chain is prime; one of each is maximal
+        (chain, "ideal {0}: prime=true maximal=false", 2 * (n - 1), 2),
+        # the grid's primes are its ideals ↓(a, 29) and ↓(29, b) and their duals
+        (_grid_latt(30), "ideal {0}: prime=false maximal=false", 116, 4),
+    ]
+    for index, (text, first_line, primes, maximals) in enumerate(cases):
+        path = tmp_path / f"{index}.latt"
+        path.write_text(text)
+        done = subprocess.run(
+            [sys.executable, *flags, "-m", "finlat.cli", "ideals", str(path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=10,
+        )
+        lines = done.stdout.splitlines()
+        assert lines[0] == first_line
+        assert sum("prime=true" in line for line in lines) == primes
+        assert sum("maximal=true" in line for line in lines) == maximals
+
+
 def test_optimized_interpreter_gives_identical_output(latt_file, tmp_path):
     # python -O strips assert statements; no check the CLI relies on may be one
     rejected = tmp_path / "unbounded.latt"  # bottom plus a 2-antichain

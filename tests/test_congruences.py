@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,6 +106,15 @@ def test_generated_congruence_accepts_element_sets():
     assert fl.generated_congruence(n5, members) == fl.generated_congruence(n5, [1, 2])
 
 
+def test_generated_congruence_matches_member_pairs_up_to_size_6():
+    # con(⋀S, ⋁S) against the closure of one pair per member, on every nonempty subset
+    for lattice in support.lattices_up_to(6):
+        for mask in range(1, 1 << lattice.size):
+            members = fl.ElementSet(lattice.size, mask).members()
+            expected = oracles.generated_congruence_by_pairs(lattice, members)
+            assert fl.generated_congruence(lattice, members).partition.block_of == expected
+
+
 def test_join_and_meet_unit_laws():
     c3 = fl.standard_lattice("chain", 3)
     identity = fl.Congruence(c3, fl.Partition.identity(3))
@@ -156,8 +162,8 @@ def test_all_congruences_counts():
     # 2^|J(L)|, and |Con(L1 x L2)| = |Con L1| * |Con L2|
     assert len(fl.all_congruences(fl.standard_lattice("chain", 12))) == 2**11
     assert len(fl.all_congruences(fl.standard_lattice("boolean", 6))) == 2**6
-    assert len(fl.all_congruences(_catalog_product(("n5", "n5", "chain2")))) == 5 * 5 * 2
-    assert len(fl.all_congruences(_catalog_product(("m3", "m3", "chain3")))) == 2 * 2 * 4
+    assert len(fl.all_congruences(support.catalog_product(("n5", "n5", "chain2")))) == 5 * 5 * 2
+    assert len(fl.all_congruences(support.catalog_product(("m3", "m3", "chain3")))) == 2 * 2 * 4
 
 
 def test_all_congruences_sorted_and_unique():
@@ -177,38 +183,14 @@ def test_all_congruences_match_pair_closure_up_to_size_8():
         assert _con_keys(lattice) == oracles.congruences_by_pair_closure(lattice)
 
 
-def _catalog_product(names: tuple[str, ...]) -> fl.FiniteLattice:
-    catalog = support.catalog()
-    return reduce(fl.product, (catalog[name] for name in names))
-
-
-@lru_cache(maxsize=None)
-def _product_shapes() -> tuple[tuple[str, ...], ...]:
-    # 2 or 3 nontrivial factors, at most 40 elements and 32 congruences;
-    # |Con(L1 x L2)| = |Con L1| * |Con L2|, so the factors give the count
-    catalog = support.catalog()
-    names = sorted(name for name, lattice in catalog.items() if lattice.size > 1)
-    counts = {name: len(fl.all_congruences(catalog[name])) for name in names}
-    shapes = []
-    for k in (2, 3):
-        for shape in combinations_with_replacement(names, k):
-            size = count = 1
-            for name in shape:
-                size *= catalog[name].size
-                count *= counts[name]
-            if size <= 40 and count <= 32:
-                shapes.append(shape)
-    return tuple(shapes)
-
-
 @pytest.mark.parametrize(
     "names, count",
     [(("chain2", "chain3", "chain3"), 32), (("m3", "m3"), 4)],
     ids=["chain2xchain3xchain3", "m3xm3"],
 )
 def test_all_congruences_match_pair_closure_on_named_products(names, count):
-    lattice = _catalog_product(names)
-    assert names in _product_shapes()
+    lattice = support.catalog_product(names)
+    assert names in support.product_shapes()
     keys = _con_keys(lattice)
     assert len(keys) == count
     assert keys == oracles.congruences_by_pair_closure(lattice)
@@ -217,7 +199,7 @@ def test_all_congruences_match_pair_closure_on_named_products(names, count):
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_all_congruences_match_pair_closure_on_relabelled_products(data):
-    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_pair_closure(relabeled)
 
@@ -230,7 +212,7 @@ def test_all_congruences_match_dependency_relation_up_to_size_8():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_all_congruences_match_dependency_relation_on_relabelled_products(data):
-    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_dependency_relation(relabeled)
 
@@ -312,7 +294,7 @@ def test_balance_by_table_matches_generated_closure_up_to_size_8():
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_table_readers_match_replaced_paths_on_relabelled_products(data):
-    lattice = _catalog_product(data.draw(st.sampled_from(_product_shapes())))
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_frontier_joins(relabeled)
     table = fl.principal_table(relabeled)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 import finlat as fl
+from finlat import ideals
 import oracles
 import support
 
@@ -196,3 +197,40 @@ def test_two_block_partition_soundness_up_to_size_7():
             labels = [0 if e in ideal else 1 for e in lattice.elements()]
             two_block_ok = fl.is_congruence(lattice, fl.Partition.from_labels(labels))
             assert two_block_ok == fl.is_prime_ideal(lattice, ideal)
+
+
+def test_folds_match_pair_scans_and_fixpoints_up_to_size_6():
+    # every nonempty subset: the ideal and filter tests against the pair
+    # scans, and the generated sets against the closing fixpoint
+    for lattice in support.lattices_up_to(6):
+        n = lattice.size
+        sides = (
+            (fl.is_ideal, fl.ideal_generated_by, lattice.down_masks, lattice.join),
+            (fl.is_filter, fl.filter_generated_by, lattice.up_masks, lattice.meet),
+        )
+        for mask in range(1, 1 << n):
+            subset = fl.ElementSet(n, mask)
+            for is_closed, generated_by, masks, table in sides:
+                assert is_closed(lattice, subset) == oracles.closed_by_pairs(
+                    lattice, subset, masks, table
+                )
+                assert generated_by(lattice, subset).mask == oracles.generated_by_fixpoint(
+                    lattice, mask, table, masks
+                )
+
+
+def test_primality_and_maximality_match_scans_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        maximal_ideals = oracles.brute_maximal_ideals(lattice)
+        maximal_filters = oracles.brute_maximal_ideals(fl.dual(lattice))
+        (maximals, primes), (maximal_fs, prime_fs) = ideals._maximal_and_prime(lattice)
+        for ideal in fl.enumerate_ideals(lattice):
+            prime = oracles.prime_by_pairs(lattice, ideal, lattice.meet)
+            assert fl.is_prime_ideal(lattice, ideal) == prime == (ideal in primes)
+            maximal = ideal.mask in maximal_ideals
+            assert fl.is_maximal_ideal(lattice, ideal) == maximal == (ideal in maximals)
+        for filt in fl.enumerate_filters(lattice):
+            prime = oracles.prime_by_pairs(lattice, filt, lattice.join)
+            assert fl.is_prime_filter(lattice, filt) == prime == (filt in prime_fs)
+            maximal = filt.mask in maximal_filters
+            assert fl.is_maximal_filter(lattice, filt) == maximal == (filt in maximal_fs)

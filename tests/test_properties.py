@@ -7,6 +7,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import finlat as fl
 import oracles
@@ -52,6 +54,19 @@ def test_is_distributive_examples():
     assert fl.is_distributive(fl.standard_lattice("boolean", 3))
     assert not fl.is_distributive(fl.standard_lattice("n5"))
     assert not fl.is_distributive(fl.standard_lattice("m3"))
+
+
+def test_is_distributive_matches_triple_scan_up_to_size_9():
+    for lattice in support.lattices_up_to(9):
+        assert fl.is_distributive(lattice) == oracles.distributive_by_triples(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_is_distributive_matches_triple_scan_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert fl.is_distributive(relabeled) == oracles.distributive_by_triples(relabeled)
 
 
 def test_seven_conditions_goldens():
@@ -143,6 +158,56 @@ def test_witness_check_failure_is_a_typed_error(monkeypatch):
     monkeypatch.setattr("finlat.properties.is_maximal_filter", lambda lattice, filt: False)
     with pytest.raises(fl.HomomorphismCheckFailed, match="greedy extension is not maximal"):
         fl.witness_from_noncomplemented(fl.standard_lattice("chain", 3), 1)
+
+
+def test_witness_from_whole_seed_filter_is_a_typed_error(monkeypatch):
+    # the paper rules out a seed filter that is the whole lattice; reaching
+    # one is an internal bug, reported as such and not as StopIteration
+    monkeypatch.setattr(
+        "finlat.properties.filter_generated_by", lambda lattice, subset: fl.ElementSet.full(3)
+    )
+    with pytest.raises(fl.HomomorphismCheckFailed, match="seed filter is the whole lattice"):
+        fl.witness_from_noncomplemented(fl.standard_lattice("chain", 3), 1)
+
+
+def _assert_witness_invariants(lattice, witness, maximal_ideals, maximal_filters):
+    """Every invariant the witness promises, read through the replaced scans."""
+    a, full = witness.element, (1 << lattice.size) - 1
+    seed, maximal = witness.seed_filter, witness.maximal_filter
+    residual, extended = witness.residual_ideal, witness.extended_ideal
+    blockers = fl.annihilator_filter(lattice, a)
+    meet, join, up, down = lattice.meet, lattice.join, lattice.up_masks, lattice.down_masks
+    assert seed.mask == oracles.generated_by_fixpoint(lattice, blockers.mask | 1 << a, meet, up)
+    assert seed.isdisjoint(fl.annihilator_ideal(lattice, a))
+    assert seed.issubset(maximal) and maximal.mask in maximal_filters
+    assert residual == maximal.complement()
+    assert oracles.closed_by_pairs(lattice, residual, down, join)
+    assert residual.mask not in maximal_ideals
+    extended_mask = oracles.generated_by_fixpoint(lattice, residual.mask | 1 << a, join, down)
+    assert extended.mask == extended_mask
+    assert extended.mask != full and extended.isdisjoint(blockers)
+    assert residual.issubset(extended) and residual.mask != extended.mask
+
+
+def test_witness_and_greedy_witness_hold_every_invariant_up_to_size_8():
+    # the maximal filter is ↑ of the least atom below the seed's meet; the
+    # greedy growth it replaces may reach another atom's up-set
+    checked = 0
+    for lattice, report in support.classified_up_to(8):
+        if not report.is_d_lattice:
+            continue
+        maximal_ideals = oracles.brute_maximal_ideals(lattice)
+        maximal_filters = oracles.brute_maximal_ideals(fl.dual(lattice))
+        for a in lattice.elements():
+            if fl.complements_of(lattice, a):
+                continue
+            for witness in (
+                fl.witness_from_noncomplemented(lattice, a),
+                oracles.witness_by_greedy_growth(lattice, a),
+            ):
+                _assert_witness_invariants(lattice, witness, maximal_ideals, maximal_filters)
+            checked += 1
+    assert checked > 0
 
 
 def test_verify_theorem_verdicts():
