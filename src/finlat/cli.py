@@ -76,7 +76,9 @@ def _cmd_congruences(args: argparse.Namespace) -> int:
 def _cmd_ideals(args: argparse.Namespace) -> int:
     lattice = _load(args.file)
     sides = zip(
-        ("ideal", "filter"), (enumerate_ideals, enumerate_filters), _maximal_and_prime(lattice)
+        ("ideal", "filter"),
+        (enumerate_ideals, enumerate_filters),
+        (map(set, pair) for pair in _maximal_and_prime(lattice)),
     )
     rows = {
         side: [

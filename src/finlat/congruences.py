@@ -15,9 +15,9 @@ the join in the partition lattice Eq(L), a union-find merge of two
 labelings.  Called on its own, ``all_congruences`` runs one closure per
 covering pair.  Balance looks up the principal congruences its two
 classes generate.  ``principal_table`` runs the closure once per pair of
-elements; ``is_balanced`` and the property derivation behind
-``verify_theorem`` build it once and pass it to Con(L), the d-lattice
-test and balance, which then read every principal congruence from it.
+elements; the property derivation behind ``verify_theorem`` builds it
+once and passes it to Con(L) and balance, which then read every
+principal congruence from it.  No closure decides the d-lattice scope.
 """
 
 from __future__ import annotations
@@ -233,11 +233,10 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     """con(a, b) for every pair of elements, as a lookup.
 
     One closure per pair a < b, computed up front; equal labelings are
-    stored once.  ``is_balanced`` and the property derivation behind
-    ``verify_theorem`` build one table and pass it to Con(L), the
-    d-lattice test and balance.  Without it ``all_congruences`` runs one
-    closure per covering pair, and the d-lattice test and balance one
-    per lookup.
+    stored once.  The property derivation behind ``verify_theorem``
+    builds one table and passes it to Con(L) and balance.  Without it
+    ``all_congruences`` runs one closure per covering pair, and balance
+    one per lookup.
     """
     n = lattice.size
     identity = tuple(range(n))
@@ -376,6 +375,9 @@ def is_balanced_congruence(
     collapsing the 1-class, and dually.  A congruence class is a convex
     sublattice, so the 1-class is an interval [m, top] and generates
     con(m, top); dually the 0-class [bottom, z] generates con(bottom, z).
+    m and z are folds over the two class masks.  con(m, top) lies below
+    the congruence, so its class of bottom is an interval inside
+    [bottom, z], and equals it iff it holds z; dually for top and m.
     ``principal`` is the lookup of ``principal_table``; without it each
     of the two is one closure.
     """
@@ -384,27 +386,9 @@ def is_balanced_congruence(
     if principal is None:
         principal = _principal_by_closure(lattice)
     labels = cong.partition.block_of
-    bottom, top, meet, join = lattice.bottom, lattice.top, lattice.meet, lattice.join
+    bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]
-    least, greatest = top, bottom
-    for e, label in enumerate(labels):
-        if label == one:
-            least = meet[least][e]
-        if label == zero:
-            greatest = join[greatest][e]
-
-    def same_class(theta: tuple[int, ...], x: int, label: int) -> bool:
-        """The class of x in theta is the class labelled ``label`` in cong."""
-        return all((theta[e] == theta[x]) == (mine == label) for e, mine in enumerate(labels))
-
-    return same_class(principal(least, top), bottom, zero) and same_class(
-        principal(bottom, greatest), top, one
-    )
-
-
-def is_balanced(lattice: FiniteLattice) -> bool:
-    """True iff every congruence of the lattice is balanced; builds one table."""
-    principal = principal_table(lattice)
-    return all(
-        is_balanced_congruence(lattice, c, principal) for c in all_congruences(lattice, principal)
-    )
+    least = _fold(lattice.meet, sum(1 << e for e, label in enumerate(labels) if label == one))
+    greatest = _fold(lattice.join, sum(1 << e for e, label in enumerate(labels) if label == zero))
+    up, down = principal(least, top), principal(bottom, greatest)
+    return up[bottom] == up[greatest] and down[top] == down[least]

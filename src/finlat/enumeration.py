@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .congruences import is_balanced
 from .core import (
     FiniteLattice,
     LatticeError,
@@ -57,10 +56,10 @@ from .properties import (
     PropertyReport,
     _Result,
     classify,
+    is_balanced,
     is_complemented,
     is_d_lattice,
     is_d_lattice_definition,
-    is_d_lattice_maximal_prime,
     seven_conditions,
 )
 
@@ -202,10 +201,9 @@ def census(max_n: int) -> list[EnumerationStats]:
             if not is_d_lattice(lattice):
                 continue
             d_count += 1
-            if is_balanced(lattice):
-                balanced_d += 1
-            if is_complemented(lattice):
-                complemented_d += 1
+            seven = seven_conditions(lattice)
+            balanced_d += not seven.c6
+            complemented_d += not seven.c7
         rows.append(
             EnumerationStats(
                 size=n,
@@ -220,11 +218,7 @@ def census(max_n: int) -> list[EnumerationStats]:
 
 
 def _want_balanced_not_complemented_d(lattice: FiniteLattice) -> bool:
-    return (
-        is_d_lattice(lattice)
-        and is_balanced(lattice)
-        and not is_complemented(lattice)
-    )
+    return is_d_lattice(lattice) and not is_complemented(lattice) and is_balanced(lattice)
 
 
 def _want_complemented_not_balanced(lattice: FiniteLattice) -> bool:
@@ -232,7 +226,7 @@ def _want_complemented_not_balanced(lattice: FiniteLattice) -> bool:
 
 
 def _want_definition_mismatch(lattice: FiniteLattice) -> bool:
-    return is_d_lattice_definition(lattice) != is_d_lattice_maximal_prime(lattice)
+    return is_d_lattice_definition(lattice) != is_d_lattice(lattice)
 
 
 def _want_seven_split(lattice: FiniteLattice) -> bool:

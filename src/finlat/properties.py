@@ -5,15 +5,23 @@ seven equivalent conditions for non-complementedness of a d-lattice,
 constructive witnesses for two of the implications, and an end-to-end
 verdict plus a full classification report for a single lattice.
 
-The seven conditions and the report's counts and witnesses are read
-from one derivation per lattice (maximal and prime ideals and filters,
-the first unbalanced congruence, the first complementless element), so
-no fact is computed twice.  ``verify_theorem``, ``classify`` and
-``seven_conditions`` read that derivation, which builds one table of
-principal congruences (``principal_table``); Con(L), the d-lattice
-test and balance are lookups in it.  No condition is
-inferred from another, so lattices outside the d-lattice scope still
-get a full (possibly divergent) condition vector as a negative control.
+The d-lattice scope is decided by the characterization (Lemma
+``charact``): every maximal ideal and maximal filter is prime.  It reads
+the maximal and prime sets alone, with no closure; the defining
+implications, read from principal congruences, are kept as
+``is_d_lattice_definition`` for the tests and searches that compare
+the two.
+
+The scope, the seven conditions and the report's counts and witnesses
+are read from one derivation per lattice (maximal and prime ideals and
+filters, the first unbalanced congruence, the first complementless
+element), so no fact is computed twice.  ``verify_theorem``,
+``classify``, ``seven_conditions`` and ``is_balanced`` read that
+derivation, which builds one table of principal congruences
+(``principal_table``); Con(L) and balance are lookups in it.  No
+condition is inferred from another, so lattices outside the d-lattice
+scope still get a full (possibly divergent) condition vector as a
+negative control.
 Every result type serializes through one walk over its fields
 (``to_dict``).
 """
@@ -25,8 +33,7 @@ from typing import Any, Optional, Sequence
 
 from .congruences import (
     Congruence,
-    Principal,
-    _principal_by_closure,
+    _closure,
     all_congruences,
     is_balanced_congruence,
     principal_table,
@@ -201,19 +208,13 @@ class NonComplementedWitness:
     extended_ideal: ElementSet
 
 
-def is_d_lattice_definition(
-    lattice: FiniteLattice, principal: Optional[Principal] = None
-) -> bool:
+def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     """The defining implications, checked over all element pairs.
 
     For all a, c: if (a, top) lies in the congruence generated by
     (bottom, c) then a∨c = top, and dually with the roles of the bounds
-    swapped.  ``principal`` is the lookup of ``principal_table``;
-    without it the test runs one closure per congruence it reads, at
-    most 2n.
+    swapped.  One closure per congruence read, at most 2n.
     """
-    if principal is None:
-        principal = _principal_by_closure(lattice)
     n = lattice.size
     sides = (
         (lattice.bottom, lattice.top, lattice.join),
@@ -221,20 +222,30 @@ def is_d_lattice_definition(
     )
     for c in range(n):
         for bound, opposite, table in sides:
-            theta = principal(bound, c)
+            theta = _closure(lattice, [(bound, c)]).block_of
             if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
                 return False
     return True
 
 
-def is_d_lattice_maximal_prime(lattice: FiniteLattice) -> bool:
-    """Characterization: all maximal ideals and maximal filters are prime."""
-    return all(set(maximal) <= set(prime) for maximal, prime in _maximal_and_prime(lattice))
+def _nonprime_maximal(maximal: list[ElementSet], prime: list[ElementSet]) -> Optional[ElementSet]:
+    """The first maximal set that is not prime; a d-lattice has none on either side."""
+    primes = set(prime)
+    return next((s for s in maximal if s not in primes), None)
 
 
 def is_d_lattice(lattice: FiniteLattice) -> bool:
-    """The defining-implications form (the characterization is cross-checked in tests)."""
-    return is_d_lattice_definition(lattice)
+    """Characterization: all maximal ideals and maximal filters are prime.
+
+    Lemma ``charact``: in a d-lattice the complement of a maximal filter
+    is a prime ideal, and dually.  No closure runs; the tests and the
+    ``dlattice-characterizations-disagree`` search check it against
+    ``is_d_lattice_definition``.
+    """
+    return all(_nonprime_maximal(*side) is None for side in _maximal_and_prime(lattice))
+
+
+is_d_lattice_maximal_prime = is_d_lattice  # the characterization's own public name
 
 
 def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
@@ -257,6 +268,11 @@ def _complementless(lattice: FiniteLattice) -> Optional[int]:
 def is_complemented(lattice: FiniteLattice) -> bool:
     """Every element has a complement."""
     return _complementless(lattice) is None
+
+
+def is_balanced(lattice: FiniteLattice) -> bool:
+    """Every congruence is balanced: condition c6 fails."""
+    return not seven_conditions(lattice).c6
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -291,14 +307,17 @@ def _derive(lattice: FiniteLattice) -> tuple[bool, SevenConditions, ReportCounts
     """The d-lattice flag, the seven conditions, the counts and the least witnesses.
 
     Each fact is derived once.  One table of principal congruences
-    (``principal_table``) gives Con(L), the d-lattice test and balance.
-    The non-prime maximal witnesses are filled in on every lattice;
-    ``classify`` reports them off the d-lattice scope only.
+    (``principal_table``) gives Con(L) and balance.  The non-prime
+    maximal witnesses decide the d-lattice flag; they are filled in on
+    every lattice, and ``classify`` reports them off the d-lattice scope
+    only.
     """
     principal = principal_table(lattice)
     congruences = all_congruences(lattice, principal)
     (maximal_ideals, prime_ideals), (maximal_filters, prime_filters) = _maximal_and_prime(lattice)
     nested = _nested_pair(prime_ideals)
+    nonprime_ideal = _nonprime_maximal(maximal_ideals, prime_ideals)
+    nonprime_filter = _nonprime_maximal(maximal_filters, prime_filters)
     unbalanced = next(
         (c for c in congruences if not is_balanced_congruence(lattice, c, principal)), None
     )
@@ -323,10 +342,10 @@ def _derive(lattice: FiniteLattice) -> tuple[bool, SevenConditions, ReportCounts
         nested_prime_ideals=nested,
         noncomplemented_element=complementless,
         unbalanced_congruence=unbalanced,
-        nonprime_maximal_ideal=next((i for i in maximal_ideals if i not in prime_ideals), None),
-        nonprime_maximal_filter=next((f for f in maximal_filters if f not in prime_filters), None),
+        nonprime_maximal_ideal=nonprime_ideal,
+        nonprime_maximal_filter=nonprime_filter,
     )
-    return is_d_lattice_definition(lattice, principal), seven, counts, witnesses
+    return nonprime_ideal is None and nonprime_filter is None, seven, counts, witnesses
 
 
 def seven_conditions(lattice: FiniteLattice) -> SevenConditions:

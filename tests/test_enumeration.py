@@ -188,9 +188,9 @@ def test_census_rows():
 
 
 def test_census_closure_count_is_pinned(monkeypatch):
-    # 2n closures at most for the d-lattice test, then one table of
-    # n(n-1)/2 per d-lattice that balance and Con(L) both read; the
-    # census closed each congruence's two bound classes again, 480 in all
+    # the d-lattice test runs no closure, then one table of n(n-1)/2 per
+    # d-lattice that balance and Con(L) both read: the sum over the
+    # d-lattices of size <= 6
     calls = []
     closure = fl.congruences._closure
 
@@ -200,7 +200,7 @@ def test_census_closure_count_is_pinned(monkeypatch):
 
     monkeypatch.setattr(fl.congruences, "_closure", counting)
     fl.census(6)
-    assert len(calls) == 392
+    assert len(calls) == 191
 
 
 def test_search_rejects_unknown_predicate():

@@ -311,10 +311,68 @@ def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, verdict):
     assert len(calls) == n * (n - 1) // 2
 
 
-def test_d_lattice_by_table_matches_maximal_prime_up_to_size_8():
+def test_d_lattice_matches_definition_up_to_size_8():
+    # the characterization decides scope; the definition runs closures
     for lattice in support.lattices_up_to(8):
-        by_table = fl.is_d_lattice_definition(lattice, fl.principal_table(lattice))
-        assert by_table == fl.is_d_lattice_maximal_prime(lattice)
+        assert fl.is_d_lattice(lattice) == fl.is_d_lattice_definition(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_d_lattice_matches_definition_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert fl.is_d_lattice(relabeled) == fl.is_d_lattice_definition(relabeled)
+
+
+@pytest.mark.slow
+def test_d_lattice_matches_definition_at_size_10():
+    scopes = Counter(
+        (fl.is_d_lattice(lattice), fl.is_d_lattice_definition(lattice))
+        for lattice in fl.enumerate_lattices(10)
+    )
+    assert scopes == {(True, True): 871, (False, False): 5994 - 871}
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    closure = fl.congruences._closure
+
+    def counting(*args):
+        calls.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(fl.congruences, "_closure", counting)
+    monkeypatch.setattr(fl.properties, "_closure", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        fl.standard_lattice("chain", 6),
+        fl.standard_lattice("m3"),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+    ],
+    ids=["chain6", "m3", "n5xchain2"],
+)
+def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice):
+    calls = _count_closures(monkeypatch)
+    fl.is_d_lattice(lattice)
+    assert calls == []
+    n = lattice.size
+    fl.is_balanced(lattice)
+    assert len(calls) == n * (n - 1) // 2
+
+
+def test_witness_scope_check_runs_no_closure(monkeypatch):
+    calls = _count_closures(monkeypatch)
+    chain = fl.standard_lattice("chain", 4)
+    for a in (1, 2):
+        fl.witness_from_noncomplemented(chain, a)
+    with pytest.raises(fl.NotDLattice):
+        fl.witness_from_noncomplemented(fl.standard_lattice("m3"), 1)
+    assert calls == []
 
 
 def test_classify_m3_witnesses():
