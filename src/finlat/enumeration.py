@@ -18,7 +18,11 @@ every listed I that contains S.  Three prunes keep the tree small:
   labeling therefore survives per isomorphism class.
 - Every new pair of elements must already have a greatest common lower
   bound.  Later elements can never repair a missing meet, and a finite
-  meet-semilattice with a top is a lattice.
+  meet-semilattice with a top is a lattice.  So a listed down-set is
+  dropped from the list the first time it meets a placed element in a
+  non-principal set, and never tested again: for i < k, the down-set
+  of i meets T | {k} where it meets T, so no later T | {k} can repair
+  it either.
 
 A fourth prune runs on each finished placement, read from its
 down-masks before they are transposed to up-masks for the canonical
@@ -113,9 +117,14 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     every pair of placed elements has a greatest common lower bound.
 
     Element k's strict down-set is taken from ``downsets``, the
-    nonempty down-sets of the elements placed before it.  Placing k
-    above S adds I | {k} for every listed I that contains S: those are
-    the down-sets that hold k, since k is maximal among 0..k.
+    nonempty down-sets of the elements placed before it that meet each
+    of those elements in a principal down-set, so every listed set is
+    admissible.  Placing k above S keeps the listed d whose d & S is
+    principal and adds I | {k} for every listed I that contains S:
+    those are the down-sets that hold k, since k is maximal among
+    0..k, and they meet k in S | {k} and each earlier element as I
+    does.  A set dropped stays dropped, since for i < k the down-set of
+    i meets T | {k} where it meets T.
     """
     down = [0] * n
     down[0] = 1
@@ -131,16 +140,13 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
             size = strict.bit_count()
             if size < least or size == least and strict < previous:
                 continue
-            mine = strict | 1 << k
-            commons = (d & mine for d in down[:k])
-            if any(common & ~down[common.bit_length() - 1] for common in commons):
-                continue
-            down[k] = mine
+            down[k] = strict | 1 << k
             if k == n - 2:
                 yield tuple(down)
                 continue
+            kept = [d for d in downsets if (d & strict) & ~down[(d & strict).bit_length() - 1] == 0]
             holding_k = [d | 1 << k for d in downsets if d & strict == strict]
-            yield from place(k + 1, downsets + holding_k)
+            yield from place(k + 1, kept + holding_k)
 
     yield from place(1, [1])
 

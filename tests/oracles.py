@@ -17,13 +17,16 @@ principal congruences, Con(L) as the down-sets of its
 join-irreducibles), two other derivations of those join-irreducibles,
 the placement generator with the down-set size prune only, the
 placement generator that scans every odd mask for the next strict
-down-set, the down-twin prune read from transposed up-masks, the
-canonical forms of every placement with no down-twin prune, the colour
-refinement and the canonical form by a search over every permutation
-of every colour class, and the construction of the lattice tables by a
-scan for each pair's bound, which the package's tie-break prune,
-list of placed down-sets, down-twin prune read from the down-masks,
-settled-class refinement, twin-aware search and mask lookup replace.
+down-set, the placement generator that tests every listed down-set's
+meets with all placed elements, the down-twin prune read from
+transposed up-masks, the canonical forms of every placement with no
+down-twin prune, the colour refinement and the canonical form by a
+search over every permutation of every colour class, and the
+construction of the lattice tables by a scan for each pair's bound,
+which the package's tie-break prune, list of placed down-sets,
+dropping of a down-set at its first failed meet, down-twin prune read
+from the down-masks, settled-class refinement, twin-aware search and
+mask lookup replace.
 The same group keeps the pair scans and fixpoints that one fold of
 join or meet over a set replaces: ideal and filter tests and primality
 by scanning pairs of members, generated ideals and filters by closing
@@ -544,6 +547,43 @@ def placements_by_mask_scan(n: int) -> Iterator[tuple[int, ...]]:
             yield from place(k + 1)
 
     yield from place(1)
+
+
+def placements_by_meet_scan(n: int) -> Iterator[tuple[int, ...]]:
+    """The package's placements, testing every listed down-set's meets.
+
+    The generator ``enumeration._generate_down_masks`` had before it
+    dropped a down-set from its list on the first failed meet: the list
+    holds every down-set of the placed elements, and each candidate
+    that passes the size and tie-break prunes is checked against every
+    placed element for a principal meet.
+    """
+    down = [0] * n
+    down[0] = 1
+    down[-1] = (1 << n) - 1
+    if n <= 2:
+        yield tuple(down)
+        return
+
+    def place(k: int, downsets: list[int]) -> Iterator[tuple[int, ...]]:
+        previous = down[k - 1] & ~(1 << (k - 1))
+        least = previous.bit_count()
+        for strict in downsets:
+            size = strict.bit_count()
+            if size < least or size == least and strict < previous:
+                continue
+            mine = strict | 1 << k
+            commons = (d & mine for d in down[:k])
+            if any(common & ~down[common.bit_length() - 1] for common in commons):
+                continue
+            down[k] = mine
+            if k == n - 2:
+                yield tuple(down)
+                continue
+            holding_k = [d | 1 << k for d in downsets if d & strict == strict]
+            yield from place(k + 1, downsets + holding_k)
+
+    yield from place(1, [1])
 
 
 def twins_in_order_by_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bool:

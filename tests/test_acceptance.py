@@ -5,7 +5,8 @@ gate's verdict is visible in the plain pytest output.  Criterion 1 is
 defined first so it pays the full cold-cache cost and its timing stays
 honest; later tests reuse the session caches.  Criterion 1 is checked
 twice: on every lattice of size <= 8, and by ``verify_theorem`` on all
-5,994 lattices of size 10 (marked slow).
+5,994 lattices of size 10 (marked slow); criterion 8 likewise, with its
+constructions counted at size 10.
 """
 
 from __future__ import annotations
@@ -198,22 +199,34 @@ def test_criterion_7_enumeration_counts(announce):
     )
 
 
-def test_criterion_8_implication_diagram_and_constructions(announce):
-    arrows = {
-        ("c7", "c1"): 0,
-        ("c7", "c2"): 0,
-        ("c1", "c3"): 0,
-        ("c2", "c4"): 0,
-        ("c3", "c5"): 0,
-        ("c4", "c5"): 0,
-        ("c5", "c6"): 0,
-        ("c6", "c7"): 0,
-    }
-    construction_failures = 0
-    for lattice, report in support.classified_up_to(8):
-        conditions = report.seven.to_dict()
-        if report.is_d_lattice:
-            for (source, target), _ in arrows.items():
+_ARROWS = (
+    ("c7", "c1"),
+    ("c7", "c2"),
+    ("c1", "c3"),
+    ("c2", "c4"),
+    ("c3", "c5"),
+    ("c4", "c5"),
+    ("c5", "c6"),
+    ("c6", "c7"),
+)
+
+
+def _criterion_8_tally(verdicts):
+    """Arrow failures, constructions built and construction failures.
+
+    ``verdicts`` yields (lattice, is a d-lattice, seven conditions).  The
+    arrows are counted on d-lattices; a three-chain homomorphism is built
+    for every nested pair of prime ideals and a congruence for every
+    prime ideal of every lattice, and a witness for every complementless
+    element of a d-lattice.
+    """
+    arrows = dict.fromkeys(_ARROWS, 0)
+    built = {"homomorphisms": 0, "congruences": 0, "witnesses": 0}
+    failures = 0
+    for lattice, d_lattice, seven in verdicts:
+        conditions = seven.to_dict()
+        if d_lattice:
+            for source, target in _ARROWS:
                 if conditions[source] and not conditions[target]:
                     arrows[(source, target)] += 1
 
@@ -226,9 +239,11 @@ def test_criterion_8_implication_diagram_and_constructions(announce):
             for outer in primes:
                 if inner.mask == outer.mask or not inner.issubset(outer):
                     continue
+                built["homomorphisms"] += 1
                 hom = fl.three_chain_quotient_from_nested_primes(lattice, inner, outer)
                 if not fl.is_homomorphism(hom) or not fl.is_surjective(hom):
-                    construction_failures += 1
+                    failures += 1
+            built["congruences"] += 1
             congruence = fl.prime_ideal_congruence(lattice, inner)
             members = frozenset(inner)
             blocks_match = all(
@@ -236,18 +251,47 @@ def test_criterion_8_implication_diagram_and_constructions(announce):
                 for x in lattice.elements()
             )
             if congruence.num_blocks != 2 or not blocks_match:
-                construction_failures += 1
+                failures += 1
 
-        if report.is_d_lattice:
+        if d_lattice:
             for a in lattice.elements():
                 if len(fl.complements_of(lattice, a)) == 0:
+                    built["witnesses"] += 1
                     witness = fl.witness_from_noncomplemented(lattice, a)
                     if witness.element != a:
-                        construction_failures += 1
-    ok = all(v == 0 for v in arrows.values()) and construction_failures == 0
+                        failures += 1
+    return arrows, built, failures
+
+
+def test_criterion_8_implication_diagram_and_constructions(announce):
+    arrows, _, failures = _criterion_8_tally(
+        (lattice, report.is_d_lattice, report.seven)
+        for lattice, report in support.classified_up_to(8)
+    )
+    ok = all(v == 0 for v in arrows.values()) and failures == 0
     announce(
         8,
         "every implication arrow holds on every d-lattice of size <= 8 and all "
         "constructive operations verify on every applicable instance",
+        ok,
+    )
+
+
+@pytest.mark.slow
+def test_criterion_8_implication_diagram_and_constructions_at_size_10(announce):
+    start = time.perf_counter()
+    verdicts = ((lattice, fl.verify_theorem(lattice)) for lattice in fl.enumerate_lattices(10))
+    arrows, built, failures = _criterion_8_tally(
+        (lattice, verdict.scope == "d-lattice", verdict.seven) for lattice, verdict in verdicts
+    )
+    elapsed = time.perf_counter() - start
+    expected = {"homomorphisms": 6532, "congruences": 9584, "witnesses": 5697}
+    ok = all(v == 0 for v in arrows.values()) and built == expected and failures == 0
+    announce(
+        8,
+        f"every implication arrow holds on every d-lattice of size 10 and all "
+        f"{sum(built.values())} constructions verify ({built['homomorphisms']} "
+        f"three-chain homomorphisms, {built['congruences']} prime-ideal congruences, "
+        f"{built['witnesses']} witnesses, {elapsed:.1f}s)",
         ok,
     )

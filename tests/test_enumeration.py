@@ -46,6 +46,13 @@ def test_placements_match_mask_scan():
         assert listed == sorted(oracles.placements_by_mask_scan(n)), f"size {n}"
 
 
+def test_placements_match_meet_scan_through_size_10():
+    for n in range(1, 11):
+        listed = sorted(_generate_down_masks(n))
+        assert listed == sorted(oracles.placements_by_meet_scan(n)), f"size {n}"
+    assert len(listed) == 47533
+
+
 def test_twin_prune_on_down_masks_matches_up_masks():
     for n in range(1, 10):
         for down in _generate_down_masks(n):

@@ -224,6 +224,42 @@ def test_verify_theorem_verdicts():
     assert json.dumps(m3.to_dict(), sort_keys=True)
 
 
+# Counts of the (c1..c7) vectors, c1 first, of the lattices outside the
+# d-lattice scope; sizes 1 to 4 have none.  1100001 is balanced (c6 false)
+# and not complemented (c7 true), so from size 8 on the theorem needs its
+# hypothesis.  No vector is complemented and not balanced.
+OFF_SCOPE_VECTORS = {
+    5: {"1100000": 1},
+    6: {"1100000": 4, "1100011": 2},
+    7: {"1100000": 15, "1111111": 7, "1100011": 6, "0100011": 1, "1000011": 1},
+    8: {
+        "1100000": 62,
+        "1111111": 44,
+        "1100011": 32,
+        "1100001": 9,
+        "0100011": 3,
+        "1000011": 3,
+    },
+}
+
+
+def test_off_scope_vector_counts_are_pinned_up_to_size_8():
+    vectors = {n: Counter() for n in range(1, 9)}
+    balanced_not_complemented = dict.fromkeys(range(1, 9), 0)
+    complemented_not_balanced = 0
+    for lattice, report in support.classified_up_to(8):
+        complemented_not_balanced += report.is_complemented and not report.is_balanced
+        if report.is_d_lattice:
+            continue
+        vectors[lattice.size]["".join("01"[c] for c in report.seven.as_tuple())] += 1
+        balanced_not_complemented[lattice.size] += (
+            report.is_balanced and not report.is_complemented
+        )
+    assert vectors == {n: Counter(OFF_SCOPE_VECTORS.get(n, {})) for n in range(1, 9)}
+    assert balanced_not_complemented == {**dict.fromkeys(range(1, 8), 0), 8: 9}
+    assert complemented_not_balanced == 0
+
+
 def test_classify_one_element_lattice():
     report = fl.classify(fl.standard_lattice("chain", 1))
     assert report.size == 1
@@ -296,8 +332,9 @@ def test_classify_derives_each_fact_once(monkeypatch):
     ids=["verify", "classify", "seven"],
 )
 def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, verdict):
-    # Con(L), the d-lattice test and balance all read one principal table,
-    # built once by the derivation the three entry points share
+    # Con(L) and balance read one principal table, built once by the
+    # derivation the three entry points share; the d-lattice test reads
+    # the maximal and prime sets and runs no closure
     calls = []
     closure = fl.congruences._closure
 
