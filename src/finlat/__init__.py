@@ -7,6 +7,8 @@ bounded lattice up to size 10 (one representative per isomorphism
 class) to verify those relationships exhaustively.
 """
 
+from types import ModuleType as _Module
+
 from .congruences import (
     Congruence,
     Partition,
@@ -104,89 +106,9 @@ from .properties import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Congruence",
-    "ElementSet",
-    "EmptySet",
-    "EnumerationStats",
-    "FiniteLattice",
-    "HasComplement",
-    "HomomorphismCheckFailed",
-    "LatticeError",
-    "LatticeHomomorphism",
-    "MAX_SIZE",
-    "NonComplementedWitness",
-    "NotACongruence",
-    "NotAFilter",
-    "NotALattice",
-    "NotAPartialOrder",
-    "NotAnIdeal",
-    "NotBounded",
-    "NotDLattice",
-    "NotNestedPrimes",
-    "NotPrime",
-    "OwnerMismatch",
-    "ParseError",
-    "Partition",
-    "PropertyReport",
-    "ReportCounts",
-    "ReportWitnesses",
-    "SEARCH_PREDICATES",
-    "SearchWitness",
-    "SevenConditions",
-    "SizeMismatch",
-    "SizeOutOfRange",
-    "TheoremVerdict",
-    "UnknownName",
-    "UnknownPredicate",
-    "all_congruences",
-    "annihilator_filter",
-    "annihilator_ideal",
-    "canonical_form",
-    "census",
-    "classify",
-    "complements_of",
-    "dual",
-    "enumerate_filters",
-    "enumerate_ideals",
-    "enumerate_lattices",
-    "filter_generated_by",
-    "format_latt",
-    "from_leq_matrix",
-    "generated_congruence",
-    "ideal_generated_by",
-    "is_balanced",
-    "is_balanced_congruence",
-    "is_complemented",
-    "is_congruence",
-    "is_d_lattice",
-    "is_d_lattice_definition",
-    "is_d_lattice_maximal_prime",
-    "is_distributive",
-    "is_filter",
-    "is_homomorphism",
-    "is_ideal",
-    "is_isomorphic",
-    "is_maximal_filter",
-    "is_maximal_ideal",
-    "is_prime_filter",
-    "is_prime_ideal",
-    "is_surjective",
-    "join_congruences",
-    "lattice_from_canonical",
-    "meet_congruences",
-    "parse_latt",
-    "prime_ideal_congruence",
-    "principal_congruence",
-    "principal_table",
-    "product",
-    "quotient",
-    "relabel",
-    "search_counterexample",
-    "seven_conditions",
-    "standard_lattice",
-    "three_chain_quotient_from_nested_primes",
-    "verify_theorem",
-    "witness_from_noncomplemented",
-    "write_latt_files",
-]
+# every public name imported above; the submodules bound here on import are left out
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _Module)
+)

@@ -15,8 +15,8 @@ the join in the partition lattice Eq(L), a union-find merge of two
 labelings.  Called on its own, ``all_congruences`` runs one closure per
 covering pair.  Balance looks up the principal congruences its two
 classes generate.  ``principal_table`` runs the closure once per pair of
-elements; the property derivation behind ``verify_theorem`` builds it
-once and passes it to Con(L) and balance, which then read every
+elements; the per-lattice record of facts behind ``verify_theorem``
+builds it once and passes it to Con(L) and balance, which then read every
 principal congruence from it.  No closure decides the d-lattice scope.
 """
 
@@ -233,8 +233,9 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     """con(a, b) for every pair of elements, as a lookup.
 
     One closure per pair a < b, computed up front; equal labelings are
-    stored once.  The property derivation behind ``verify_theorem``
-    builds one table and passes it to Con(L) and balance.  Without it
+    stored once.  The per-lattice record of facts behind
+    ``verify_theorem`` builds one table and passes it to Con(L) and
+    balance.  Without it
     ``all_congruences`` runs one closure per covering pair, and balance
     one per lookup.
     """

@@ -56,16 +56,7 @@ from .core import (
     format_latt,
     lattice_from_canonical,
 )
-from .properties import (
-    PropertyReport,
-    _Result,
-    classify,
-    is_balanced,
-    is_complemented,
-    is_d_lattice,
-    is_d_lattice_definition,
-    seven_conditions,
-)
+from .properties import PropertyReport, _Facts, _Result, is_d_lattice_definition
 
 MAX_SIZE = 10
 
@@ -202,14 +193,12 @@ def census(max_n: int) -> list[EnumerationStats]:
     for n in range(1, max_n + 1):
         start = time.perf_counter()
         total = d_count = balanced_d = complemented_d = 0
-        for lattice in enumerate_lattices(n):
-            total += 1
-            if not is_d_lattice(lattice):
-                continue
-            d_count += 1
-            seven = seven_conditions(lattice)
-            balanced_d += not seven.c6
-            complemented_d += not seven.c7
+        for total, lattice in enumerate(enumerate_lattices(n), 1):
+            facts = _Facts(lattice)
+            if facts.d_lattice:
+                d_count += 1
+                balanced_d += facts.unbalanced is None
+                complemented_d += facts.complementless is None
         rows.append(
             EnumerationStats(
                 size=n,
@@ -223,27 +212,17 @@ def census(max_n: int) -> list[EnumerationStats]:
     return rows
 
 
-def _want_balanced_not_complemented_d(lattice: FiniteLattice) -> bool:
-    return is_d_lattice(lattice) and not is_complemented(lattice) and is_balanced(lattice)
-
-
-def _want_complemented_not_balanced(lattice: FiniteLattice) -> bool:
-    return is_complemented(lattice) and not is_balanced(lattice)
-
-
-def _want_definition_mismatch(lattice: FiniteLattice) -> bool:
-    return is_d_lattice_definition(lattice) != is_d_lattice(lattice)
-
-
-def _want_seven_split(lattice: FiniteLattice) -> bool:
-    return is_d_lattice(lattice) and not seven_conditions(lattice).all_equal()
-
-
-SEARCH_PREDICATES: dict[str, Callable[[FiniteLattice], bool]] = {
-    "balanced-not-complemented-d": _want_balanced_not_complemented_d,
-    "complemented-not-balanced": _want_complemented_not_balanced,
-    "dlattice-characterizations-disagree": _want_definition_mismatch,
-    "seven-conditions-split": _want_seven_split,
+SEARCH_PREDICATES: dict[str, Callable[[_Facts], bool]] = {
+    "balanced-not-complemented-d": lambda facts: (
+        facts.d_lattice and facts.complementless is not None and facts.unbalanced is None
+    ),
+    "complemented-not-balanced": lambda facts: (
+        facts.complementless is None and facts.unbalanced is not None
+    ),
+    "dlattice-characterizations-disagree": lambda facts: (
+        is_d_lattice_definition(facts.lattice) != facts.d_lattice
+    ),
+    "seven-conditions-split": lambda facts: facts.d_lattice and not facts.seven.all_equal(),
 }
 
 
@@ -251,7 +230,9 @@ def search_counterexample(predicate: str, max_n: int) -> list[SearchWitness]:
     """Scan every lattice of size <= max_n for the named condition.
 
     All four registered predicates encode statements the verified
-    theorems say are impossible, so nonempty output is a finding.
+    theorems say are impossible, so nonempty output is a finding.  Each
+    predicate reads the record of one lattice's facts, and the witness
+    report reads the same record.
     """
     try:
         want = SEARCH_PREDICATES[predicate]
@@ -262,8 +243,9 @@ def search_counterexample(predicate: str, max_n: int) -> list[SearchWitness]:
     witnesses = []
     for n in range(1, max_n + 1):
         for lattice in enumerate_lattices(n):
-            if want(lattice):
-                witnesses.append(SearchWitness(lattice, classify(lattice)))
+            facts = _Facts(lattice)
+            if want(facts):
+                witnesses.append(SearchWitness(lattice, facts.report()))
     return witnesses
 
 

@@ -12,27 +12,32 @@ implications, read from principal congruences, are kept as
 ``is_d_lattice_definition`` for the tests and searches that compare
 the two.
 
-The scope, the seven conditions and the report's counts and witnesses
-are read from one derivation per lattice (maximal and prime ideals and
-filters, the first unbalanced congruence, the first complementless
-element), so no fact is computed twice.  ``verify_theorem``,
-``classify``, ``seven_conditions`` and ``is_balanced`` read that
-derivation, which builds one table of principal congruences
-(``principal_table``); Con(L) and balance are lookups in it.  No
-condition is inferred from another, so lattices outside the d-lattice
-scope still get a full (possibly divergent) condition vector as a
-negative control.
+Every predicate, verdict and report reads one record per lattice
+(``_Facts``) that derives each fact on its first read and keeps it:
+the maximal and prime ideals and filters, the first non-prime maximal
+ideal and filter (the d-lattice flag), the least complementless
+element, Con(L) from one table of principal congruences
+(``principal_table``), its first unbalanced congruence, and the seven
+conditions.  A caller reads only what it needs (``is_d_lattice`` runs
+no closure, ``is_balanced`` no complement scan), and the census and
+searches read the scope, the conditions and the report off one record.
+The record lives only while its caller holds it; nothing is cached on
+the lattice.  No condition is inferred from another, so lattices
+outside the d-lattice scope still get a full (possibly divergent)
+condition vector as a negative control.
 Every result type serializes through one walk over its fields
 (``to_dict``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property
 from typing import Any, Optional, Sequence
 
 from .congruences import (
     Congruence,
+    Principal,
     _closure,
     all_congruences,
     is_balanced_congruence,
@@ -228,12 +233,6 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     return True
 
 
-def _nonprime_maximal(maximal: list[ElementSet], prime: list[ElementSet]) -> Optional[ElementSet]:
-    """The first maximal set that is not prime; a d-lattice has none on either side."""
-    primes = set(prime)
-    return next((s for s in maximal if s not in primes), None)
-
-
 def is_d_lattice(lattice: FiniteLattice) -> bool:
     """Characterization: all maximal ideals and maximal filters are prime.
 
@@ -242,7 +241,7 @@ def is_d_lattice(lattice: FiniteLattice) -> bool:
     ``dlattice-characterizations-disagree`` search check it against
     ``is_d_lattice_definition``.
     """
-    return all(_nonprime_maximal(*side) is None for side in _maximal_and_prime(lattice))
+    return _Facts(lattice).d_lattice
 
 
 is_d_lattice_maximal_prime = is_d_lattice  # the characterization's own public name
@@ -260,19 +259,14 @@ def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
     )
 
 
-def _complementless(lattice: FiniteLattice) -> Optional[int]:
-    """The least element with no complement, if any."""
-    return next((a for a in lattice.elements() if not complements_of(lattice, a)), None)
-
-
 def is_complemented(lattice: FiniteLattice) -> bool:
     """Every element has a complement."""
-    return _complementless(lattice) is None
+    return _Facts(lattice).complementless is None
 
 
 def is_balanced(lattice: FiniteLattice) -> bool:
     """Every congruence is balanced: condition c6 fails."""
-    return not seven_conditions(lattice).c6
+    return _Facts(lattice).unbalanced is None
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -303,54 +297,103 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
     return None
 
 
-def _derive(lattice: FiniteLattice) -> tuple[bool, SevenConditions, ReportCounts, ReportWitnesses]:
-    """The d-lattice flag, the seven conditions, the counts and the least witnesses.
+class _Facts:
+    """The facts the theorem is read from, for one lattice, each derived on first read.
 
-    Each fact is derived once.  One table of principal congruences
-    (``principal_table``) gives Con(L) and balance.  The non-prime
-    maximal witnesses decide the d-lattice flag; they are filled in on
-    every lattice, and ``classify`` reports them off the d-lattice scope
-    only.
+    ``sides`` holds the (maximal, prime) ideals, then filters, in
+    enumeration order, and ``nonprime_maximal`` the first maximal ideal,
+    then filter, that is not prime; a d-lattice has neither.  Con(L) and
+    balance read one table of principal congruences.  Each source is
+    called by its module-level name, so patched or traced sources see
+    every call.
     """
-    principal = principal_table(lattice)
-    congruences = all_congruences(lattice, principal)
-    (maximal_ideals, prime_ideals), (maximal_filters, prime_filters) = _maximal_and_prime(lattice)
-    nested = _nested_pair(prime_ideals)
-    nonprime_ideal = _nonprime_maximal(maximal_ideals, prime_ideals)
-    nonprime_filter = _nonprime_maximal(maximal_filters, prime_filters)
-    unbalanced = next(
-        (c for c in congruences if not is_balanced_congruence(lattice, c, principal)), None
-    )
-    complementless = _complementless(lattice)
-    seven = SevenConditions(
-        c1=any(f.complement() not in maximal_ideals for f in maximal_filters),
-        c2=any(i.complement() not in maximal_filters for i in maximal_ideals),
-        c3=nested is not None,
-        c4=_nested_pair(prime_filters) is not None,
-        c5=any(c.num_blocks == 3 for c in congruences),
-        c6=unbalanced is not None,
-        c7=complementless is not None,
-    )
-    counts = ReportCounts(
-        ideals=lattice.size,  # one principal ideal (and filter) per element
-        filters=lattice.size,
-        prime_ideals=len(prime_ideals),
-        prime_filters=len(prime_filters),
-        congruences=len(congruences),
-    )
-    witnesses = ReportWitnesses(
-        nested_prime_ideals=nested,
-        noncomplemented_element=complementless,
-        unbalanced_congruence=unbalanced,
-        nonprime_maximal_ideal=nonprime_ideal,
-        nonprime_maximal_filter=nonprime_filter,
-    )
-    return nonprime_ideal is None and nonprime_filter is None, seven, counts, witnesses
+
+    def __init__(self, lattice: FiniteLattice) -> None:
+        self.lattice = lattice
+
+    @cached_property
+    def sides(self) -> tuple[tuple[list[ElementSet], ...], ...]:
+        return _maximal_and_prime(self.lattice)
+
+    @cached_property
+    def nonprime_maximal(self) -> tuple[Optional[ElementSet], ...]:
+        return tuple(min(set(m).difference(p), default=None) for m, p in self.sides)
+
+    @property
+    def d_lattice(self) -> bool:
+        return self.nonprime_maximal == (None, None)
+
+    @cached_property
+    def complementless(self) -> Optional[int]:
+        """The least element with no complement, if any."""
+        lattice = self.lattice
+        return next((a for a in lattice.elements() if not complements_of(lattice, a)), None)
+
+    @cached_property
+    def principal(self) -> Principal:
+        return principal_table(self.lattice)
+
+    @cached_property
+    def congruences(self) -> list[Congruence]:
+        return all_congruences(self.lattice, self.principal)
+
+    @cached_property
+    def unbalanced(self) -> Optional[Congruence]:
+        """The first congruence that is not balanced, if any."""
+        lattice, principal = self.lattice, self.principal
+        return next(
+            (c for c in self.congruences if not is_balanced_congruence(lattice, c, principal)), None
+        )
+
+    @cached_property
+    def nested_primes(self) -> Optional[tuple[ElementSet, ElementSet]]:
+        return _nested_pair(self.sides[0][1])
+
+    @cached_property
+    def seven(self) -> SevenConditions:
+        (maximal_ideals, _), (maximal_filters, prime_filters) = self.sides
+        return SevenConditions(
+            c1=any(f.complement() not in maximal_ideals for f in maximal_filters),
+            c2=any(i.complement() not in maximal_filters for i in maximal_ideals),
+            c3=self.nested_primes is not None,
+            c4=_nested_pair(prime_filters) is not None,
+            c5=any(c.num_blocks == 3 for c in self.congruences),
+            c6=self.unbalanced is not None,
+            c7=self.complementless is not None,
+        )
+
+    def report(self) -> PropertyReport:
+        """Every predicate, count and least witness; see ``ReportWitnesses``."""
+        lattice, seven = self.lattice, self.seven
+        (_, prime_ideals), (_, prime_filters) = self.sides
+        return PropertyReport(
+            size=lattice.size,
+            is_bounded=True,  # FiniteLattice construction rejects unbounded orders
+            is_d_lattice=self.d_lattice,
+            is_balanced=not seven.c6,
+            is_complemented=not seven.c7,
+            is_distributive=is_distributive(lattice),
+            seven=seven,
+            counts=ReportCounts(
+                ideals=lattice.size,  # one principal ideal (and filter) per element
+                filters=lattice.size,
+                prime_ideals=len(prime_ideals),
+                prime_filters=len(prime_filters),
+                congruences=len(self.congruences),
+            ),
+            witnesses=ReportWitnesses(
+                self.nested_primes, self.complementless, self.unbalanced, *self.nonprime_maximal
+            ),
+            convention_note=None if lattice.size > 1 else (
+                "one-element lattice: d-lattice, complemented and balanced "
+                "hold by convention (all defining implications are vacuous)"
+            ),
+        )
 
 
 def seven_conditions(lattice: FiniteLattice) -> SevenConditions:
-    """All seven conditions, read from one derivation of the lattice's facts."""
-    return _derive(lattice)[1]
+    """All seven conditions, read from one record of the lattice's facts."""
+    return _Facts(lattice).seven
 
 
 def three_chain_quotient_from_nested_primes(
@@ -439,10 +482,10 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
     the balanced/complemented booleans split; off-scope lattices pass
     vacuously with an explicit scope marker.
     """
-    d_lattice, seven, _, _ = _derive(lattice)
-    balanced = not seven.c6
-    complemented = not seven.c7
-    if not d_lattice:
+    facts = _Facts(lattice)
+    seven = facts.seven
+    balanced, complemented = not seven.c6, not seven.c7
+    if not facts.d_lattice:
         return TheoremVerdict("not-a-d-lattice", True, seven, balanced, complemented)
     passed = seven.all_equal() and (balanced == complemented)
     return TheoremVerdict("d-lattice", passed, seven, balanced, complemented)
@@ -450,24 +493,4 @@ def verify_theorem(lattice: FiniteLattice) -> TheoremVerdict:
 
 def classify(lattice: FiniteLattice) -> PropertyReport:
     """Aggregate every predicate, count, and least witness for one lattice."""
-    d_lattice, seven, counts, witnesses = _derive(lattice)
-    if d_lattice:
-        witnesses = replace(witnesses, nonprime_maximal_ideal=None, nonprime_maximal_filter=None)
-    note = None
-    if lattice.size == 1:
-        note = (
-            "one-element lattice: d-lattice, complemented and balanced "
-            "hold by convention (all defining implications are vacuous)"
-        )
-    return PropertyReport(
-        size=lattice.size,
-        is_bounded=True,  # FiniteLattice construction rejects unbounded orders
-        is_d_lattice=d_lattice,
-        is_balanced=not seven.c6,
-        is_complemented=not seven.c7,
-        is_distributive=is_distributive(lattice),
-        seven=seven,
-        counts=counts,
-        witnesses=witnesses,
-        convention_note=note,
-    )
+    return _Facts(lattice).report()

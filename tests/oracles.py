@@ -226,7 +226,8 @@ def brute_principal(
         congruences = brute_congruences(lattice)
     candidates = [p for p in congruences if p[a] == p[b]]
     least = [p for p in candidates if all(refines(p, q) for q in candidates)]
-    assert len(least) == 1, "congruences containing a pair must have a least element"
+    if len(least) != 1:  # an explicit raise, so the check survives python -O
+        raise AssertionError("congruences containing a pair must have a least element")
     return least[0]
 
 

@@ -1,4 +1,4 @@
-"""Shared caches for the test suite.
+"""Shared caches and a call counter for the test suite.
 
 Enumeration and classification of all lattices up to size 8 are needed
 by several tests; caching them keeps the suite fast while the first
@@ -13,6 +13,25 @@ from itertools import combinations_with_replacement
 import finlat as fl
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+
+
+def count_calls(monkeypatch, name: str, *modules) -> list[tuple]:
+    """Record the arguments of every call to ``name`` through any of the modules.
+
+    One wrapper around the first module's function replaces the name in
+    each module, so calls that reach it under any of those bindings land
+    in the one list returned.
+    """
+    calls: list[tuple] = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @lru_cache(maxsize=None)
@@ -37,6 +56,11 @@ def classified_up_to(max_n: int) -> list[tuple[fl.FiniteLattice, fl.PropertyRepo
     for n in range(1, max_n + 1):
         out.extend(classified(n))
     return out
+
+
+@lru_cache(maxsize=None)
+def verdicts_of(n: int) -> tuple[fl.TheoremVerdict, ...]:
+    return tuple(fl.verify_theorem(lattice) for lattice in fl.enumerate_lattices(n))
 
 
 def catalog() -> dict[str, fl.FiniteLattice]:

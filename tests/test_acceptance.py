@@ -54,7 +54,7 @@ def test_criterion_1_main_theorem_exhaustive(announce):
 @pytest.mark.slow
 def test_criterion_1_main_theorem_exhaustive_at_size_10(announce):
     start = time.perf_counter()
-    verdicts = [fl.verify_theorem(lattice) for lattice in fl.enumerate_lattices(10)]
+    verdicts = support.verdicts_of(10)
     elapsed = time.perf_counter() - start
     in_scope = [v for v in verdicts if v.scope == "d-lattice"]
     counts = (

@@ -175,14 +175,7 @@ def test_enumerate_counts_and_writes(tmp_path, capsys):
 
 
 def test_enumerate_out_rebuilds_each_class_once(tmp_path, capsys, monkeypatch):
-    rebuilt = []
-    rebuild = enumeration.lattice_from_canonical
-
-    def counting(form):
-        rebuilt.append(form)
-        return rebuild(form)
-
-    monkeypatch.setattr(enumeration, "lattice_from_canonical", counting)
+    rebuilt = support.count_calls(monkeypatch, "lattice_from_canonical", enumeration)
     out_dir = tmp_path / "corpus"
     assert cli.run(["enumerate", "--size", "6", "--out", str(out_dir), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -248,14 +248,7 @@ def test_join_congruences_matches_closure_join_up_to_size_6():
 def test_all_congruences_runs_one_closure_per_covering_pair(monkeypatch, lattice, covers):
     # joins are partition joins: the only closures are those of the
     # covering pairs, and no table of all pairs is built
-    calls = []
-    closure = congruences._closure
-
-    def counting(*args):
-        calls.append(args)
-        return closure(*args)
-
-    monkeypatch.setattr(congruences, "_closure", counting)
+    calls = support.count_calls(monkeypatch, "_closure", congruences)
     fl.all_congruences(lattice)
     assert len(calls) == covers
 
@@ -314,14 +307,7 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
 )
 def test_all_congruences_runs_one_join_per_congruence(monkeypatch, lattice):
     # each down-set of J(Con L) but the empty one is one join from its parent
-    calls = []
-    join_labels = congruences._join_labels
-
-    def counting(*args):
-        calls.append(args)
-        return join_labels(*args)
-
-    monkeypatch.setattr(congruences, "_join_labels", counting)
+    calls = support.count_calls(monkeypatch, "_join_labels", congruences)
     count = len(fl.all_congruences(lattice))
     assert len(calls) == count - 1
 

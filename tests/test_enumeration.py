@@ -76,19 +76,12 @@ def test_forms_match_canonicalizing_every_placement():
 
 
 def test_twin_prune_survivors_are_pinned_placements(monkeypatch):
-    survivors = []
-    canonical = enumeration._canonical_from_up_masks
-
-    def recording(n, up, down):
-        survivors.append(down)
-        return canonical(n, up, down)
-
-    monkeypatch.setattr(enumeration, "_canonical_from_up_masks", recording)
+    calls = support.count_calls(monkeypatch, "_canonical_from_up_masks", enumeration)
     for n, expected in SURVIVORS.items():
-        survivors.clear()
+        calls.clear()
         _canonical_forms(n)
-        assert len(survivors) == expected, f"size {n}"
-        assert set(survivors) <= set(_generate_down_masks(n)), f"size {n}"
+        assert len(calls) == expected, f"size {n}"
+        assert {down for _, _, down in calls} <= set(_generate_down_masks(n)), f"size {n}"
 
 
 def test_forms_hash_is_pinned_through_size_10():
@@ -198,16 +191,31 @@ def test_census_closure_count_is_pinned(monkeypatch):
     # the d-lattice test runs no closure, then one table of n(n-1)/2 per
     # d-lattice that balance and Con(L) both read: the sum over the
     # d-lattices of size <= 6
-    calls = []
-    closure = fl.congruences._closure
-
-    def counting(*args):
-        calls.append(args)
-        return closure(*args)
-
-    monkeypatch.setattr(fl.congruences, "_closure", counting)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     fl.census(6)
     assert len(calls) == 191
+
+
+def test_census_derives_scope_once_per_lattice(monkeypatch):
+    # one record per lattice: the maximal and prime sets once for each of
+    # the 300 lattices of size <= 8, then one principal table (n(n-1)/2
+    # closures) per d-lattice, read by balance and Con(L) alike
+    derived = support.count_calls(monkeypatch, "_maximal_and_prime", fl.properties)
+    tables = support.count_calls(monkeypatch, "principal_table", fl.properties)
+    closures = support.count_calls(monkeypatch, "_closure", fl.congruences)
+    fl.census(8)
+    assert (len(derived), len(tables), len(closures)) == (300, 110, 2606)
+
+
+def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
+    # a predicate that holds on every d-lattice: the 9 d-lattices among the
+    # 10 lattices of size <= 5 are witnesses, and each lattice's maximal and
+    # prime sets are derived once, for the predicate and its report alike
+    monkeypatch.setitem(fl.SEARCH_PREDICATES, "every-d-lattice", lambda facts: facts.d_lattice)
+    derived = support.count_calls(monkeypatch, "_maximal_and_prime", fl.properties)
+    witnesses = fl.search_counterexample("every-d-lattice", 5)
+    assert [w.report.is_d_lattice for w in witnesses] == [True] * 9
+    assert len(derived) == 10
 
 
 def test_search_rejects_unknown_predicate():

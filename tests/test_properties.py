@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from typing import Iterable
 
 import pytest
 from hypothesis import given, settings
@@ -240,24 +241,57 @@ OFF_SCOPE_VECTORS = {
         "0100011": 3,
         "1000011": 3,
     },
+    9: {
+        "1100000": 283,
+        "1111111": 256,
+        "1100011": 181,
+        "1100001": 102,
+        "1000011": 13,
+        "0100011": 13,
+    },
+    10: {
+        "1111111": 1519,
+        "1100000": 1511,
+        "1100011": 1086,
+        "1100001": 901,
+        "1000011": 53,
+        "0100011": 53,
+    },
 }
+# Off-scope lattices that are balanced and not complemented, by size
+BALANCED_NOT_COMPLEMENTED = {8: 9, 9: 102, 10: 901}
+
+
+def _off_scope_counts(scoped: Iterable[tuple[bool, fl.SevenConditions]]) -> tuple:
+    """Off-scope vector counts, how many of those lattices are balanced and
+    not complemented, and how many lattices in all are complemented and not
+    balanced, from (in d-lattice scope, seven conditions) pairs."""
+    vectors: Counter = Counter()
+    balanced_not_complemented = complemented_not_balanced = 0
+    for d_lattice, seven in scoped:
+        complemented_not_balanced += seven.c6 and not seven.c7
+        if d_lattice:
+            continue
+        vectors["".join("01"[c] for c in seven.as_tuple())] += 1
+        balanced_not_complemented += seven.c7 and not seven.c6
+    return vectors, balanced_not_complemented, complemented_not_balanced
+
+
+def _pinned(n: int) -> tuple:
+    return Counter(OFF_SCOPE_VECTORS.get(n, {})), BALANCED_NOT_COMPLEMENTED.get(n, 0), 0
 
 
 def test_off_scope_vector_counts_are_pinned_up_to_size_8():
-    vectors = {n: Counter() for n in range(1, 9)}
-    balanced_not_complemented = dict.fromkeys(range(1, 9), 0)
-    complemented_not_balanced = 0
-    for lattice, report in support.classified_up_to(8):
-        complemented_not_balanced += report.is_complemented and not report.is_balanced
-        if report.is_d_lattice:
-            continue
-        vectors[lattice.size]["".join("01"[c] for c in report.seven.as_tuple())] += 1
-        balanced_not_complemented[lattice.size] += (
-            report.is_balanced and not report.is_complemented
-        )
-    assert vectors == {n: Counter(OFF_SCOPE_VECTORS.get(n, {})) for n in range(1, 9)}
-    assert balanced_not_complemented == {**dict.fromkeys(range(1, 8), 0), 8: 9}
-    assert complemented_not_balanced == 0
+    for n in range(1, 9):
+        scoped = ((report.is_d_lattice, report.seven) for _, report in support.classified(n))
+        assert _off_scope_counts(scoped) == _pinned(n), f"size {n}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [9, 10])
+def test_off_scope_vector_counts_are_pinned_at_sizes_9_and_10(n):
+    scoped = ((verdict.scope == "d-lattice", verdict.seven) for verdict in support.verdicts_of(n))
+    assert _off_scope_counts(scoped) == _pinned(n)
 
 
 def test_classify_one_element_lattice():
@@ -298,24 +332,15 @@ def test_classify_derives_each_fact_once(monkeypatch):
     # witnesses are the first congruence and element that fail those scans;
     # _maximal_and_prime yields the maximal and prime ideals and filters
     names = ("all_congruences", "_maximal_and_prime", "is_balanced_congruence", "complements_of")
-    originals = {name: getattr(fl.properties, name) for name in names}
     chain3 = fl.standard_lattice("chain", 3)
     for lattice in (chain3, fl.product(chain3, fl.standard_lattice("n5"))):
-        calls = Counter()
-
-        def counted(name):
-            def wrapper(*args):
-                calls[name, tuple(map(str, args[1:]))] += 1
-                return originals[name](*args)
-
-            return wrapper
-
-        for name in names:
-            monkeypatch.setattr(fl.properties, name, counted(name))
-        report = fl.classify(lattice)
+        with monkeypatch.context() as patch:
+            calls = {name: support.count_calls(patch, name, fl.properties) for name in names}
+            report = fl.classify(lattice)
         assert report.seven.c6 and report.seven.c7
-        assert {name for name, _ in calls} == set(names)
-        assert max(calls.values()) == 1, calls.most_common(3)
+        for name, args in calls.items():
+            keys = [tuple(map(str, call[1:])) for call in args]
+            assert keys and len(keys) == len(set(keys)), (name, keys)
 
 
 @pytest.mark.parametrize(
@@ -333,16 +358,9 @@ def test_classify_derives_each_fact_once(monkeypatch):
 )
 def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, verdict):
     # Con(L) and balance read one principal table, built once by the
-    # derivation the three entry points share; the d-lattice test reads
+    # record each of the three entry points reads; the d-lattice flag reads
     # the maximal and prime sets and runs no closure
-    calls = []
-    closure = fl.congruences._closure
-
-    def counting(*args):
-        calls.append(args)
-        return closure(*args)
-
-    monkeypatch.setattr(fl.congruences, "_closure", counting)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     verdict(lattice)
     n = lattice.size
     assert len(calls) == n * (n - 1) // 2
@@ -371,19 +389,6 @@ def test_d_lattice_matches_definition_at_size_10():
     assert scopes == {(True, True): 871, (False, False): 5994 - 871}
 
 
-def _count_closures(monkeypatch):
-    calls = []
-    closure = fl.congruences._closure
-
-    def counting(*args):
-        calls.append(args)
-        return closure(*args)
-
-    monkeypatch.setattr(fl.congruences, "_closure", counting)
-    monkeypatch.setattr(fl.properties, "_closure", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "lattice",
     [
@@ -394,7 +399,7 @@ def _count_closures(monkeypatch):
     ids=["chain6", "m3", "n5xchain2"],
 )
 def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice):
-    calls = _count_closures(monkeypatch)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences, fl.properties)
     fl.is_d_lattice(lattice)
     assert calls == []
     n = lattice.size
@@ -403,7 +408,7 @@ def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice):
 
 
 def test_witness_scope_check_runs_no_closure(monkeypatch):
-    calls = _count_closures(monkeypatch)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences, fl.properties)
     chain = fl.standard_lattice("chain", 4)
     for a in (1, 2):
         fl.witness_from_noncomplemented(chain, a)
