@@ -43,9 +43,31 @@ def _flat_lines(value: object, prefix: str = "") -> list[str]:
     return [f"{prefix}: {json.dumps(value, sort_keys=True)}"]
 
 
+def _indented_json(value: object, margin: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, built from scalar dumps.
+
+    With ``indent`` set the standard library runs its pure-Python
+    encoder, whose nested closures leave cyclic garbage behind on every
+    call; a scalar dump runs the C encoder and leaves none.  Keys are
+    strings, as in every payload here.
+    """
+    inner = margin + "  "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{inner}{json.dumps(key)}: {_indented_json(value[key], inner)}" for key in sorted(value)
+        ]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        items = [inner + _indented_json(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    return f"{brackets[0]}\n" + ",\n".join(items) + f"\n{margin}{brackets[1]}"
+
+
 def _emit(payload: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_indented_json(payload))
     else:
         print("\n".join(_flat_lines(payload)))
 

@@ -14,16 +14,19 @@ the down-sets of that set, one join per congruence; a join in Con(L) is
 the join in the partition lattice Eq(L), a union-find merge of two
 labelings.  Called on its own, ``all_congruences`` runs one closure per
 covering pair.  Balance looks up the principal congruences its two
-classes generate.  ``principal_table`` runs the closure once per pair of
-elements; the per-lattice record of facts behind ``verify_theorem``
-builds it once and passes it to Con(L) and balance, which then read every
-principal congruence from it.  No closure decides the d-lattice scope.
+classes generate.  A congruence class is a convex sublattice, so
+con(a, b) = con(a∧b, a∨b): ``principal_table`` runs the closure once per
+comparable pair a < b and reads every other pair at its meet and join.
+The per-lattice record of facts behind ``verify_theorem`` builds it once
+and passes it to Con(L) and balance, which then read every principal
+congruence from it.  No closure decides the d-lattice scope.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .core import (
@@ -232,22 +235,25 @@ Principal = Callable[[int, int], tuple[int, ...]]
 def principal_table(lattice: FiniteLattice) -> Principal:
     """con(a, b) for every pair of elements, as a lookup.
 
-    One closure per pair a < b, computed up front; equal labelings are
-    stored once.  The per-lattice record of facts behind
+    A congruence class is a convex sublattice, so a ≡ b iff
+    a∧b ≡ a∨b, and con(a, b) = con(a∧b, a∨b).  One closure per
+    comparable pair a < b is computed up front, equal labelings stored
+    once, and every lookup reads the pair (a∧b, a∨b), which is (a, b)
+    itself when a ≤ b.  The per-lattice record of facts behind
     ``verify_theorem`` builds one table and passes it to Con(L) and
-    balance.  Without it
-    ``all_congruences`` runs one closure per covering pair, and balance
-    one per lookup.
+    balance.  Without it ``all_congruences`` runs one closure per
+    covering pair, and balance one per lookup.
     """
-    n = lattice.size
+    n, leq, meet, join = lattice.size, lattice.leq, lattice.meet, lattice.join
     identity = tuple(range(n))
     rows = [[identity] * n for _ in range(n)]
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in range(n):
-        for b in range(a + 1, n):
-            labels = _closure(lattice, [(a, b)]).block_of
-            rows[a][b] = rows[b][a] = stored.setdefault(labels, labels)
-    return lambda a, b: rows[a][b]
+        for b in compress(range(n), leq[a]):
+            if b != a:
+                labels = _closure(lattice, [(a, b)]).block_of
+                rows[a][b] = stored.setdefault(labels, labels)
+    return lambda a, b: rows[meet[a][b]][join[a][b]]
 
 
 def _principal_by_closure(lattice: FiniteLattice) -> Principal:

@@ -107,7 +107,13 @@ class FiniteLattice:
         n = len(matrix)
         if n < 1 or any(len(row) != n for row in matrix):
             raise ValueError("order matrix must be square with n >= 1")
-        leq = tuple(tuple(map(bool, row)) for row in matrix)
+        # a row that is already a tuple of bools is kept, so lattices rebuilt
+        # from cached rows share them
+        leq = tuple(
+            row if type(row) is tuple and all(map(bool.__instancecheck__, row))
+            else tuple(map(bool, row))
+            for row in matrix
+        )
         bits = [1 << j for j in range(n)]
         up = tuple(sum(itertools.compress(bits, row)) for row in leq)
         down = tuple(sum(itertools.compress(bits, column)) for column in zip(*leq))
@@ -393,17 +399,23 @@ def _class_orders(
     for e in members:
         twins.setdefault((down[e] & ~(1 << e), up[e] & ~(1 << e)), []).append(e)
 
-    def arrange(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
-        if not any(groups):
-            yield ()
-        for group in groups:
-            if group:
-                e = group.pop()
-                for rest in arrange(groups):
-                    yield (e, *rest)
-                group.append(e)
+    return list(_arrangements(list(twins.values())))
 
-    return list(arrange(list(twins.values())))
+
+def _arrangements(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    """Every sequence that takes each group's members in pop order.
+
+    A module-level function, not a closure: a recursive closure refers
+    to itself through its cell and is left for the cycle collector.
+    """
+    if not any(groups):
+        yield ()
+    for group in groups:
+        if group:
+            e = group.pop()
+            for rest in _arrangements(groups):
+                yield (e, *rest)
+            group.append(e)
 
 
 def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bytes:

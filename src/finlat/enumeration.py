@@ -123,23 +123,29 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     if n <= 2:
         yield tuple(down)
         return
+    yield from _place(down, 1, [1])
 
-    def place(k: int, downsets: list[int]) -> Iterator[tuple[int, ...]]:
-        previous = down[k - 1] & ~(1 << (k - 1))
-        least = previous.bit_count()
-        for strict in downsets:
-            size = strict.bit_count()
-            if size < least or size == least and strict < previous:
-                continue
-            down[k] = strict | 1 << k
-            if k == n - 2:
-                yield tuple(down)
-                continue
-            kept = [d for d in downsets if (d & strict) & ~down[(d & strict).bit_length() - 1] == 0]
-            holding_k = [d | 1 << k for d in downsets if d & strict == strict]
-            yield from place(k + 1, kept + holding_k)
 
-    yield from place(1, [1])
+def _place(down: list[int], k: int, downsets: list[int]) -> Iterator[tuple[int, ...]]:
+    """Place elements k..n-2 of ``_generate_down_masks``, yielding each placement.
+
+    A module-level function, not a closure: a recursive closure refers
+    to itself through its cell and is left for the cycle collector.
+    """
+    previous = down[k - 1] & ~(1 << (k - 1))
+    least = previous.bit_count()
+    last = len(down) - 2
+    for strict in downsets:
+        size = strict.bit_count()
+        if size < least or size == least and strict < previous:
+            continue
+        down[k] = strict | 1 << k
+        if k == last:
+            yield tuple(down)
+            continue
+        kept = [d for d in downsets if (d & strict) & ~down[(d & strict).bit_length() - 1] == 0]
+        holding_k = [d | 1 << k for d in downsets if d & strict == strict]
+        yield from _place(down, k + 1, kept + holding_k)
 
 
 def _twins_in_order(n: int, down: Sequence[int]) -> bool:

@@ -17,10 +17,12 @@ Every predicate, verdict and report reads one record per lattice
 the maximal and prime ideals and filters, the first non-prime maximal
 ideal and filter (the d-lattice flag), the least complementless
 element, Con(L) from one table of principal congruences
-(``principal_table``), its first unbalanced congruence, and the seven
-conditions.  A caller reads only what it needs (``is_d_lattice`` runs
-no closure, ``is_balanced`` no complement scan), and the census and
-searches read the scope, the conditions and the report off one record.
+(``principal_table``, one closure per comparable pair, any other pair
+read at its meet and join), its first unbalanced congruence, and the
+seven conditions.  A caller reads only what it needs (``is_d_lattice``
+runs no closure, ``is_balanced`` no complement scan), and the census
+and searches read the scope, the conditions and the report off one
+record.
 The record lives only while its caller holds it; nothing is cached on
 the lattice.  No condition is inferred from another, so lattices
 outside the d-lattice scope still get a full (possibly divergent)

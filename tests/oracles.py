@@ -14,7 +14,10 @@ Con(L) and the join of congruences by a compatibility closure per join
 partition joins with every principal congruence and balance by closing
 each bound class again (the package reads both from one table of
 principal congruences, Con(L) as the down-sets of its
-join-irreducibles), two other derivations of those join-irreducibles,
+join-irreducibles), that table with one closure for every pair of
+elements (the package closes the comparable pairs only and reads any
+other pair at its meet and join), two other derivations of those
+join-irreducibles,
 the placement generator with the down-set size prune only, the
 placement generator that scans every odd mask for the next strict
 down-set, the placement generator that tests every listed down-set's
@@ -44,7 +47,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import factorial, prod
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from finlat import (
     Congruence,
@@ -440,6 +443,23 @@ def balanced_by_generated_closure(lattice: FiniteLattice, cong: Congruence) -> b
     if generated_congruence(lattice, one_class).class_of(lattice.bottom) != zero_class:
         return False
     return generated_congruence(lattice, zero_class).class_of(lattice.top) == one_class
+
+
+def principal_table_by_all_pairs(lattice: FiniteLattice) -> Callable[[int, int], tuple[int, ...]]:
+    """con(a, b) for every pair of elements, as a lookup: one closure per pair a < b.
+
+    Equal labelings are stored once.  The package runs a closure for the
+    comparable pairs only and reads any other pair at (a∧b, a∨b).
+    """
+    n = lattice.size
+    identity = tuple(range(n))
+    rows = [[identity] * n for _ in range(n)]
+    stored: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            labels = _closure(lattice, [(a, b)]).block_of
+            rows[a][b] = rows[b][a] = stored.setdefault(labels, labels)
+    return lambda a, b: rows[a][b]
 
 
 def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[tuple[int, ...]]:

@@ -258,6 +258,65 @@ def test_second_run_leaves_no_cyclic_garbage(latt_file, capsys):
         gc.enable()
 
 
+def _json_cases(path: str) -> list[list[str]]:
+    return [
+        [*argv, "--format", "json"]
+        for argv in (
+            ["check", path],
+            ["theorem", path],
+            ["ideals", path],
+            ["congruences", path],
+            ["census", "--max-size", "5"],
+            ["search", "--predicate", "seven-conditions-split", "--max-size", "5"],
+        )
+    ]
+
+
+def test_json_runs_leave_no_cyclic_garbage(latt_file, capsys):
+    # the indented JSON is assembled from scalar dumps, which run the C
+    # encoder, and the recursive generators of enumeration and the
+    # canonical form are module-level functions, not self-referring closures
+    cases = _json_cases(latt_file("n5"))
+    for argv in cases:
+        cli.run(argv)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in cases:
+            cli.run(argv)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage == []
+
+
+def test_json_output_matches_the_standard_encoder(latt_file, capsys, monkeypatch):
+    for argv in _json_cases(latt_file("n5")):
+        cli.run(argv)
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+    n5 = fl.standard_lattice("n5")
+    witness = fl.SearchWitness(lattice=n5, report=fl.classify(n5))
+    monkeypatch.setattr(cli, "search_counterexample", lambda predicate, max_n: [witness])
+    argv = ["search", "--predicate", "complemented-not-balanced", "--max-size", "4"]
+    assert cli.run([*argv, "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert "\\n" in out  # the LATT text of the witness, newlines escaped
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    payloads = [
+        {},
+        [],
+        {"rows": [{"elapsed": 0.1 + 0.2, "size": 3}, {"elapsed": 1e-07, "size": 4}]},
+        {"lattice": fl.format_latt(n5), "witnesses": [], "nested": {"empty": {}, "x": [[]]}},
+        {"flags": [True, False, None], "text": "é\t\"quoted\"", "tuple": (1, (2, 3))},
+    ]
+    for payload in payloads:
+        assert cli._indented_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
 def test_console_script_smoke(tmp_path):
     path = tmp_path / "c3.latt"
     path.write_text(fl.format_latt(fl.standard_lattice("chain", 3)))
@@ -273,8 +332,8 @@ def test_console_script_smoke(tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_congruences_of_large_lattices_in_bounded_time(tmp_path, flags):
-    # one closure per covering pair; principal_table's 7,750 closures on m3 x m3 x n5
-    # would run far past the bound
+    # one closure per covering pair; principal_table's 1,747 closures (one per
+    # comparable pair) on m3 x m3 x n5 would run far past the bound
     m3, n5 = fl.standard_lattice("m3"), fl.standard_lattice("n5")
     cases = [
         (fl.product(fl.product(m3, m3), n5), "count: 20"),  # 125 elements

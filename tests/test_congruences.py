@@ -225,6 +225,37 @@ def test_principal_congruence_matches_dependency_relation_up_to_size_7():
                 assert fl.principal_congruence(lattice, a, b).partition.block_of == expected
 
 
+def test_principal_congruence_is_read_at_meet_and_join_up_to_size_7():
+    # a congruence class is a convex sublattice: con(a, b) = con(a∧b, a∨b)
+    for lattice in support.lattices_up_to(7):
+        for a in lattice.elements():
+            for b in lattice.elements():
+                low, high = lattice.meet[a][b], lattice.join[a][b]
+                got = fl.principal_congruence(lattice, a, b)
+                assert got == fl.principal_congruence(lattice, low, high)
+
+
+def _tables_agree(lattice: fl.FiniteLattice) -> None:
+    table = fl.principal_table(lattice)
+    expected = oracles.principal_table_by_all_pairs(lattice)
+    for a in lattice.elements():
+        for b in lattice.elements():
+            assert table(a, b) == expected(a, b), (a, b)
+
+
+def test_principal_table_matches_all_pairs_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        _tables_agree(lattice)
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_principal_table_matches_all_pairs_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    _tables_agree(relabeled)
+
+
 def test_join_congruences_matches_closure_join_up_to_size_6():
     for lattice in support.lattices_up_to(6):
         congs = fl.all_congruences(lattice)

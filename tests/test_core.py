@@ -50,6 +50,17 @@ def test_diamond_matrix_gives_boolean_square():
     assert fl.is_isomorphic(lattice, fl.standard_lattice("boolean", 2))
 
 
+def test_rows_of_bools_are_shared_and_other_rows_normalized():
+    # lattices rebuilt from canonical forms keep the cached rows they get
+    first, second, *_ = fl.enumerate_lattices(5)
+    shared = [(r, s) for r in first.leq for s in second.leq if r == s]
+    assert shared and all(r is s for r, s in shared)
+    for matrix in ([[1, 1], [0, 1]], ((1, 1), (0, 1)), [(True, 1), [False, True]]):
+        leq = fl.from_leq_matrix(matrix).leq
+        assert leq == ((True, True), (False, True))
+        assert all(type(row) is tuple and all(type(v) is bool for v in row) for row in leq)
+
+
 def test_from_leq_matrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         fl.from_leq_matrix([[1, 1], [0, 1], [0, 0]])

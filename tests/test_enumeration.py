@@ -188,23 +188,24 @@ def test_census_rows():
 
 
 def test_census_closure_count_is_pinned(monkeypatch):
-    # the d-lattice test runs no closure, then one table of n(n-1)/2 per
-    # d-lattice that balance and Con(L) both read: the sum over the
-    # d-lattices of size <= 6
+    # the d-lattice test runs no closure, then one table per d-lattice that
+    # balance and Con(L) both read, with one closure per comparable pair
+    # a < b: the sum of those pairs over the d-lattices of size <= 6
     calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     fl.census(6)
-    assert len(calls) == 191
+    assert len(calls) == 169
 
 
 def test_census_derives_scope_once_per_lattice(monkeypatch):
     # one record per lattice: the maximal and prime sets once for each of
-    # the 300 lattices of size <= 8, then one principal table (n(n-1)/2
-    # closures) per d-lattice, read by balance and Con(L) alike
+    # the 300 lattices of size <= 8, then one principal table (one closure
+    # per comparable pair a < b) per d-lattice, read by balance and Con(L)
+    # alike
     derived = support.count_calls(monkeypatch, "_maximal_and_prime", fl.properties)
     tables = support.count_calls(monkeypatch, "principal_table", fl.properties)
     closures = support.count_calls(monkeypatch, "_closure", fl.congruences)
     fl.census(8)
-    assert (len(derived), len(tables), len(closures)) == (300, 110, 2606)
+    assert (len(derived), len(tables), len(closures)) == (300, 110, 2203)
 
 
 def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
