@@ -157,12 +157,20 @@ def _twins_in_order(n: int, down: Sequence[int]) -> bool:
     sizes of its members), read from the down-masks: the up-set of e is
     the i >= e with bit e in down[i].  A placement lists elements by
     down-set size, so the sizes read in index order are already sorted.
+    Twins are incomparable and equally large, so each key leaves out
+    the twin itself and reads only the elements from j + 2 on; the
+    lists of sizes are built only when both twins lie below equally
+    many of them.
     """
     for j in range(1, n - 2):
         if down[j] ^ down[j + 1] == 3 << j:
-            first = [mask.bit_count() for mask in down[j:] if mask >> j & 1]
-            second = [mask.bit_count() for mask in down[j + 1 :] if mask >> j + 1 & 1]
-            if (len(first), first) > (len(second), second):
+            later = down[j + 2 :]
+            first = [mask for mask in later if mask >> j & 1]
+            second = [mask for mask in later if mask >> j + 1 & 1]
+            if len(first) != len(second):
+                if len(first) > len(second):
+                    return False
+            elif list(map(int.bit_count, first)) > list(map(int.bit_count, second)):
                 return False
     return True
 

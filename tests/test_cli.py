@@ -10,6 +10,7 @@ import gc
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,27 @@ def test_search_empty_result_shape(capsys):
         "witness_count": 0,
         "witnesses": [],
     }
+
+
+def test_readme_off_scope_example_is_the_cli_output(tmp_path, capsys):
+    # the least lattice, in enumeration order, that is balanced, not
+    # complemented and not a d-lattice; none of size 7 or less is balanced
+    # and not complemented
+    def split(report):
+        return report.is_balanced and not report.is_complemented
+
+    assert not any(split(report) for _, report in support.classified_up_to(7))
+    hits = [lattice for lattice, report in support.classified(8) if split(report)]
+    assert len(hits) == 9 and not fl.is_d_lattice(hits[0])
+    assert hits[0] is support.lattices_of(8)[20]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    latt = readme.split("```\nLATT 1\nn=8\n", 1)[1].split("```", 1)[0]
+    shown = readme.split("$ finlat check offscope.latt\n", 1)[1].split("```", 1)[0]
+    assert "LATT 1\nn=8\n" + latt == fl.format_latt(hits[0])
+    path = tmp_path / "offscope.latt"
+    path.write_text(fl.format_latt(hits[0]), encoding="ascii")
+    assert cli.run(["check", str(path)]) == 0
+    assert capsys.readouterr().out == shown
 
 
 def test_congruences_text_listing(latt_file, capsys):

@@ -166,6 +166,56 @@ def test_all_congruences_counts():
     assert len(fl.all_congruences(support.catalog_product(("m3", "m3", "chain3")))) == 2 * 2 * 4
 
 
+def _join_irreducible_count(lattice: fl.FiniteLattice) -> int:
+    """|J(L)|: the elements with exactly one lower cover, read off the order."""
+    down, up = lattice.down_masks, lattice.up_masks
+    count = 0
+    for x in lattice.elements():
+        covers = [
+            y for y in lattice.elements()
+            if y != x and down[x] >> y & 1 and (down[x] & up[y]) == (1 << x | 1 << y)
+        ]
+        count += len(covers) == 1
+    return count
+
+
+def test_distributive_lattices_have_two_to_the_join_irreducibles_congruences():
+    # Con(L) of a finite distributive lattice is the Boolean lattice on J(L)
+    distributive = [lattice for lattice in support.lattices_up_to(9) if fl.is_distributive(lattice)]
+    assert len(distributive) == 62
+    for lattice in distributive:
+        assert len(fl.all_congruences(lattice)) == 2 ** _join_irreducible_count(lattice)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabelled_chain_and_boolean_products_have_two_to_the_join_irreducibles(data):
+    chains = [("chain", k) for k in (1, 2, 3, 4)]
+    factor = st.sampled_from(chains + [("boolean", k) for k in (1, 2, 3)])
+    names = data.draw(st.lists(factor, min_size=1, max_size=3))
+    lattice = fl.standard_lattice(*names[0])
+    for name in names[1:]:
+        lattice = fl.product(lattice, fl.standard_lattice(*name))
+    lattice = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    assert fl.is_distributive(lattice)
+    assert len(fl.all_congruences(lattice)) == 2 ** _join_irreducible_count(lattice)
+
+
+def _m_n(n: int) -> fl.FiniteLattice:
+    """M_n from its order: bottom 0, n pairwise incomparable atoms, top n + 1."""
+    size = n + 2
+    return fl.from_leq_matrix(
+        [[x == y or x == 0 or y == size - 1 for y in range(size)] for x in range(size)]
+    )
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (2, 4), (3, 2), (4, 2), (5, 2), (6, 2), (7, 2)])
+def test_m_n_is_simple_from_three_atoms_on(n, count):
+    # M_1 is the 3-chain and M_2 the square; from M_3 on, every pair of
+    # atoms collapses the whole lattice
+    assert len(fl.all_congruences(_m_n(n))) == count
+
+
 def test_all_congruences_sorted_and_unique():
     for lattice in support.catalog().values():
         congs = fl.all_congruences(lattice)

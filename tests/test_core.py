@@ -61,6 +61,32 @@ def test_rows_of_bools_are_shared_and_other_rows_normalized():
         assert all(type(row) is tuple and all(type(v) is bool for v in row) for row in leq)
 
 
+def test_equal_meet_and_join_rows_are_one_object():
+    # a fresh enumeration, not the suite's cached one: equal rows of
+    # different lattices are the one tuple the cache handed out first
+    lattices = [lattice for n in range(1, 9) for lattice in fl.enumerate_lattices(n)]
+    rows = [row for lattice in lattices for table in (lattice.meet, lattice.join) for row in table]
+    assert len(rows) == 4552
+    assert len({id(row) for row in rows}) == len(set(rows)) == 863
+    assert all(type(row) is tuple and all(type(v) is int for v in row) for row in rows)
+
+
+def test_tables_survive_a_cycled_row_cache():
+    # more distinct rows than the cache holds, so every row of the last
+    # lattice is built after evictions: sharing may be lost, values not
+    chains = [fl.standard_lattice("chain", k) for k in range(2, 12)]
+    distinct = set()
+    for first in chains:
+        for second in chains:
+            built = fl.product(first, second)
+            distinct.update(built.meet + built.join)
+    assert len(distinct) > core._shared.cache_info().maxsize
+    lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("m3"))
+    relabelled = _relabelled(lattice.leq, list(reversed(range(lattice.size))))
+    _assert_construction_matches_scan(relabelled)
+    _assert_construction_matches_scan(lattice.leq)
+
+
 def test_from_leq_matrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         fl.from_leq_matrix([[1, 1], [0, 1], [0, 0]])
