@@ -23,8 +23,9 @@ from .congruences import all_congruences
 from .core import FiniteLattice, LatticeError, ParseError, format_latt, parse_latt
 from .enumeration import (
     SEARCH_PREDICATES,
+    _canonical_forms,
+    _require_size,
     census,
-    enumerate_lattices,
     search_counterexample,
     write_latt_files,
 )
@@ -128,7 +129,8 @@ def _cmd_theorem(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     payload: dict[str, object] = {"size": args.size}
     if args.out is None:
-        payload["count"] = sum(1 for _ in enumerate_lattices(args.size))
+        _require_size(args.size)
+        payload["count"] = len(_canonical_forms(args.size))
     else:
         written = write_latt_files(args.size, args.out)
         payload["count"] = payload["files_written"] = len(written)

@@ -24,17 +24,21 @@ every listed I that contains S.  Three prunes keep the tree small:
   of i meets T | {k} where it meets T, so no later T | {k} can repair
   it either.
 
-A fourth prune runs on each finished placement, read from its
-down-masks before they are transposed to up-masks for the canonical
-form: down-twins (elements with the same strict down-set) that are
-adjacent must be ordered by the key (|up-set|, sorted down-set sizes
-of the up-set's members).  Equal strict masks occur only inside one
-equal-size block, and there they are adjacent, so the argument above
-holds with each block sorted by (strict mask, key) instead of strict
-mask alone: the key is an isomorphism invariant, so relabelling later
-blocks changes no key already sorted.  At size 10 this leaves 6,402 of
-the 47,533 placements to transpose and canonicalize (93,981 with the
-size prune alone) to find 5,994 classes.
+A fourth prune runs at each leaf of the placement tree: down-twins
+(elements with the same strict down-set) that are adjacent must be
+ordered by the key (|up-set|, sorted down-set sizes of the up-set's
+members).  Equal strict masks occur only inside one equal-size block,
+and there they are adjacent, so the argument above holds with each
+block sorted by (strict mask, key) instead of strict mask alone: the
+key is an isomorphism invariant, so relabelling later blocks changes no
+key already sorted.  The key needs the up-sets, so they are carried
+through the recursion: placing an element sets its bit in the up-set of
+each element below it, and taking it back clears the bit.  A twin pair
+is recorded as it is placed, since k is a twin of k - 1 exactly when
+their strict masks are equal.  Only survivors leave the recursion, with
+their up-sets, ready for the canonical form: 7,848 over sizes 1 to 10,
+6,402 of the 47,533 placements at size 10 (93,981 with the size prune
+alone), to find 5,994 classes.
 
 Survivors are deduplicated by canonical form, which is also the
 emission order.  Nothing is cached: each call enumerates afresh, and a
@@ -99,13 +103,15 @@ def _require_size(n: int) -> None:
         raise SizeOutOfRange(f"size {n} outside 1..{MAX_SIZE}")
 
 
-def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
-    """All placements of n elements as down-set masks, bottom 0 to top n-1.
+def _placements(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The surviving placements of n elements as (down-masks, up-masks).
 
-    down[k] holds bit j iff j <= k; masks only ever reference earlier
+    Elements run from bottom 0 to top n-1, and down[k] holds bit j iff
+    j <= k, up[j] bit k likewise.  Masks only ever reference earlier
     indices, the element count per mask is non-decreasing, equal counts
-    have non-decreasing strict masks (``down[k]`` without bit k), and
-    every pair of placed elements has a greatest common lower bound.
+    have non-decreasing strict masks (``down[k]`` without bit k), every
+    pair of placed elements has a greatest common lower bound, and
+    adjacent down-twins are in key order (``_twins_in_order``).
 
     Element k's strict down-set is taken from ``downsets``, the
     nonempty down-sets of the elements placed before it that meet each
@@ -120,14 +126,25 @@ def _generate_down_masks(n: int) -> Iterator[tuple[int, ...]]:
     down = [0] * n
     down[0] = 1
     down[-1] = (1 << n) - 1
+    top = 1 << n - 1
+    up = [1 << i | top for i in range(n)]
     if n <= 2:
-        yield tuple(down)
+        yield tuple(down), tuple(up)
         return
-    yield from _place(down, 1, [1])
+    yield from _place(down, up, 1, [1], ())
 
 
-def _place(down: list[int], k: int, downsets: list[int]) -> Iterator[tuple[int, ...]]:
-    """Place elements k..n-2 of ``_generate_down_masks``, yielding each placement.
+def _place(
+    down: list[int], up: list[int], k: int, downsets: list[int], twins: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Place elements k..n-2 of ``_placements``, yielding each survivor.
+
+    Placing k sets bit k in the up-mask of every element below it and
+    clears it again before the next candidate, so ``up`` is the
+    transpose of ``down`` over the placed elements and, at a leaf, of
+    the whole placement.  k is a down-twin of k - 1 exactly when its
+    strict mask equals the previous one; ``twins`` lists the lower
+    twin j of each such adjacent pair (j, j + 1) placed so far.
 
     A module-level function, not a closure: a recursive closure refers
     to itself through its cell and is left for the cycle collector.
@@ -135,62 +152,52 @@ def _place(down: list[int], k: int, downsets: list[int]) -> Iterator[tuple[int, 
     previous = down[k - 1] & ~(1 << (k - 1))
     least = previous.bit_count()
     last = len(down) - 2
+    bit = 1 << k
     for strict in downsets:
         size = strict.bit_count()
         if size < least or size == least and strict < previous:
             continue
-        down[k] = strict | 1 << k
+        down[k] = strict | bit
+        below = _bits(strict)
+        for i in below:
+            up[i] |= bit
+        placed = twins + (k - 1,) if strict == previous else twins
         if k == last:
-            yield tuple(down)
-            continue
-        kept = [d for d in downsets if (d & strict) & ~down[(d & strict).bit_length() - 1] == 0]
-        holding_k = [d | 1 << k for d in downsets if d & strict == strict]
-        yield from _place(down, k + 1, kept + holding_k)
+            if _twins_in_order(down, up, placed):
+                yield tuple(down), tuple(up)
+        else:
+            kept = [d for d in downsets if (m := d & strict) & ~down[m.bit_length() - 1] == 0]
+            holding_k = [d | bit for d in downsets if d & strict == strict]
+            yield from _place(down, up, k + 1, kept + holding_k, placed)
+        for i in below:
+            up[i] ^= bit
 
 
-def _twins_in_order(n: int, down: Sequence[int]) -> bool:
-    """Whether every two adjacent down-twins are ordered by their key.
+def _twins_in_order(down: Sequence[int], up: Sequence[int], twins: Sequence[int]) -> bool:
+    """Whether each listed pair of down-twins (j, j + 1) is in key order.
 
-    Down-twins share their strict down-set; adjacent elements j and
-    j + 1 are down-twins exactly when their down-masks differ in bits j
-    and j + 1 only.  The key of e is (|up-set of e|, the sorted down-set
-    sizes of its members), read from the down-masks: the up-set of e is
-    the i >= e with bit e in down[i].  A placement lists elements by
-    down-set size, so the sizes read in index order are already sorted.
-    Twins are incomparable and equally large, so each key leaves out
-    the twin itself and reads only the elements from j + 2 on; the
-    lists of sizes are built only when both twins lie below equally
-    many of them.
+    The key of e is (|up-set of e|, the down-set sizes of its members
+    in index order).  A placement lists elements by down-set size, so
+    the sizes read in index order are already sorted.  Twins are
+    incomparable and equally large, so each list of sizes leaves out
+    the twin itself, the lowest member of its up-set; the lists are
+    built only when both twins lie below equally many elements.
     """
-    for j in range(1, n - 2):
-        if down[j] ^ down[j + 1] == 3 << j:
-            later = down[j + 2 :]
-            first = [mask for mask in later if mask >> j & 1]
-            second = [mask for mask in later if mask >> j + 1 & 1]
-            if len(first) != len(second):
-                if len(first) > len(second):
-                    return False
-            elif list(map(int.bit_count, first)) > list(map(int.bit_count, second)):
+    for j in twins:
+        first, second = up[j], up[j + 1]
+        if first.bit_count() != second.bit_count():
+            if first.bit_count() > second.bit_count():
                 return False
+        elif [down[i].bit_count() for i in _bits(first)[1:]] > [
+            down[i].bit_count() for i in _bits(second)[1:]
+        ]:
+            return False
     return True
 
 
 def _canonical_forms(n: int) -> tuple[bytes, ...]:
-    """Sorted canonical forms of all isomorphism classes of size n.
-
-    The down-twin prune reads the down-masks, so only its survivors are
-    transposed to up-masks for the canonical form.
-    """
-    forms: set[bytes] = set()
-    for down in _generate_down_masks(n):
-        if not _twins_in_order(n, down):
-            continue
-        up = [0] * n
-        for i, mask in enumerate(down):
-            for j in _bits(mask):
-                up[j] |= 1 << i
-        forms.add(_canonical_from_up_masks(n, up, down))
-    return tuple(sorted(forms))
+    """Sorted canonical forms of all isomorphism classes of size n."""
+    return tuple(sorted({_canonical_from_up_masks(n, up, down) for down, up in _placements(n)}))
 
 
 def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:

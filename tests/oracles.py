@@ -59,6 +59,7 @@ from finlat import (
     NotAPartialOrder,
     NotBounded,
     OwnerMismatch,
+    Partition,
     all_congruences,
     annihilator_filter,
     annihilator_ideal,
@@ -67,6 +68,7 @@ from finlat import (
     enumerate_ideals,
     from_leq_matrix,
     generated_congruence,
+    is_balanced_congruence,
     is_filter,
     is_ideal,
     is_maximal_filter,
@@ -74,9 +76,8 @@ from finlat import (
     quotient,
     standard_lattice,
 )
-from finlat.congruences import _closure, _join_labels
+from finlat.congruences import Principal, _closure, _join_labels
 from finlat.core import _canonical_from_up_masks
-from finlat.enumeration import _generate_down_masks
 
 Table = Sequence[Sequence[int]]
 
@@ -367,6 +368,25 @@ def c1_c2_by_scan(lattice: FiniteLattice) -> tuple[bool, bool]:
     return c1, c2
 
 
+def unbalanced_by_covering_pairs(lattice: FiniteLattice, principal: Principal) -> bool:
+    """Whether some con(a, b) over a covering pair a ≺ b is unbalanced.
+
+    These are the join-irreducible congruences.  That a lattice with an
+    unbalanced congruence has an unbalanced join-irreducible one is
+    observed, not proved; the tests compare this with the scan over all
+    of Con(L).  ``principal`` is the lookup of ``principal_table``.
+    """
+    n, down, up = lattice.size, lattice.down_masks, lattice.up_masks
+    return any(
+        not is_balanced_congruence(
+            lattice, Congruence(lattice, Partition(n, principal(a, b))), principal
+        )
+        for a in range(n)
+        for b in range(n)
+        if a != b and (up[a] & down[b]).bit_count() == 2
+    )
+
+
 def _block_pairs(block_of: Sequence[int]) -> list[tuple[int, int]]:
     """(least element of its block, e) for every other element e."""
     first: dict[int, int] = {}
@@ -495,8 +515,8 @@ def irreducibles_by_join_test(lattice: FiniteLattice) -> set[tuple[int, ...]]:
 def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:
     """Down-mask placements with the down-set size prune only.
 
-    The generator ``enumeration._generate_down_masks`` had before its
-    tie-break between equal sizes: every candidate down-set at least as
+    The down-masks ``enumeration._placements`` yielded before its
+    tie-break between equal sizes and its down-twin prune: every candidate down-set at least as
     large as the previous element's whose pairs with all placed elements
     have a greatest common lower bound.  Its output is a superset of the
     package's placements and still holds every isomorphism class.
@@ -531,9 +551,9 @@ def placements_by_size(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def placements_by_mask_scan(n: int) -> Iterator[tuple[int, ...]]:
-    """The package's placements, found by scanning every odd mask.
+    """The package's placements before the down-twin prune, scanning every odd mask.
 
-    The generator ``enumeration._generate_down_masks`` had before it
+    The down-masks ``enumeration._placements`` yielded before it
     listed the down-sets of the placed elements: for element k it tries
     each of the 2**(k-1) odd masks below bit k, keeps those that pass
     the size and tie-break prunes, and checks from scratch that the mask
@@ -571,9 +591,9 @@ def placements_by_mask_scan(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def placements_by_meet_scan(n: int) -> Iterator[tuple[int, ...]]:
-    """The package's placements, testing every listed down-set's meets.
+    """The package's placements before the down-twin prune, testing every meet.
 
-    The generator ``enumeration._generate_down_masks`` had before it
+    The down-masks ``enumeration._placements`` yielded before it
     dropped a down-set from its list on the first failed meet: the list
     holds every down-set of the placed elements, and each candidate
     that passes the size and tie-break prunes is checked against every
@@ -608,12 +628,13 @@ def placements_by_meet_scan(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def twins_in_order_by_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> bool:
-    """The down-twin prune read from the transposed up-masks.
+    """The down-twin prune, scanning a finished placement for its twins.
 
-    ``enumeration._twins_in_order`` before it read the up-sets from the
-    down-masks: adjacent down-twins j and j + 1 must have keys
-    (|up-set|, down-set sizes of the up-set's members, in index order)
-    in order, with each up-set taken from ``up``.
+    ``enumeration._placements`` records each twin pair as it places the
+    elements; here every adjacent pair j, j + 1 is tested for equal
+    strict down-masks, and twins must have keys (|up-set|, down-set
+    sizes of the up-set's members, in index order) in order, with each
+    whole up-set, the twin included, listed from ``up``.
     """
     sizes = [mask.bit_count() for mask in down]
     for j in range(1, n - 2):
@@ -628,12 +649,13 @@ def twins_in_order_by_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -
 def canonical_forms_unfiltered(n: int) -> tuple[bytes, ...]:
     """Sorted canonical forms of size n, canonicalizing every placement.
 
-    ``enumeration._canonical_forms`` before its down-twin prune: each
-    placement of ``_generate_down_masks`` is transposed to up-masks and
-    put through ``_canonical_from_up_masks``, with no placement skipped.
+    ``enumeration._canonical_forms`` without its down-twin prune: each
+    placement of ``placements_by_meet_scan`` is transposed to up-masks
+    and put through ``_canonical_from_up_masks``, with no placement
+    skipped.
     """
     forms = {
-        _canonical_from_up_masks(n, up_masks(n, down), down) for down in _generate_down_masks(n)
+        _canonical_from_up_masks(n, up_masks(n, down), down) for down in placements_by_meet_scan(n)
     }
     return tuple(sorted(forms))
 

@@ -8,7 +8,7 @@ caller (the timed exhaustive acceptance check) still pays full price.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import finlat as fl
 
@@ -98,3 +98,40 @@ def product_shapes() -> tuple[tuple[str, ...], ...]:
             if size <= 40 and count <= 32:
                 shapes.append(shape)
     return tuple(shapes)
+
+
+def _from_order(elements, leq) -> fl.FiniteLattice:
+    return fl.from_leq_matrix([[leq(x, y) for y in elements] for x in elements])
+
+
+@lru_cache(maxsize=None)
+def partition_lattice_4() -> fl.FiniteLattice:
+    """Π₄: the 15 partitions of {0, 1, 2, 3} under refinement, finest first.
+
+    A partition is its restricted growth string: element i's block label,
+    at most one more than every label before it.
+    """
+    labelings = [
+        p for p in product(range(4), repeat=4) if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(4))
+    ]
+    labelings.sort(key=lambda p: -len(set(p)))
+    return _from_order(
+        labelings,
+        lambda p, q: all(q[i] == q[j] for i in range(4) for j in range(4) if p[i] == p[j]),
+    )
+
+
+@lru_cache(maxsize=None)
+def subspace_lattice_gf2_3() -> fl.FiniteLattice:
+    """The 16 subspaces of GF(2)³ under inclusion, smallest first.
+
+    A subspace is a mask over the 8 vectors 0..7 that holds 0 and is
+    closed under xor.
+    """
+    subspaces = [
+        mask
+        for mask in range(1, 1 << 8, 2)
+        if all(mask >> (a ^ b) & 1 for a in range(8) for b in range(8) if mask >> a & mask >> b & 1)
+    ]
+    subspaces.sort(key=int.bit_count)
+    return _from_order(subspaces, lambda s, t: s & ~t == 0)

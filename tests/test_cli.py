@@ -210,6 +210,16 @@ def test_enumerate_out_rebuilds_each_class_once(tmp_path, capsys, monkeypatch):
     assert not missing.exists()
 
 
+def test_enumerate_count_rebuilds_no_class(capsys, monkeypatch):
+    # the count is the number of canonical forms: no class is rebuilt or validated
+    rebuilt = support.count_calls(monkeypatch, "lattice_from_canonical", enumeration, fl.core)
+    assert cli.run(["enumerate", "--size", "7"]) == 0
+    assert capsys.readouterr().out == "count: 53\nsize: 7\n"
+    assert cli.run(["enumerate", "--size", "0"]) == 2
+    assert capsys.readouterr().err == "error: size 0 outside 1..10\n"
+    assert rebuilt == []
+
+
 def test_census_text_table(capsys):
     assert cli.run(["census", "--max-size", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

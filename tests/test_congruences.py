@@ -426,6 +426,27 @@ def test_complemented_implies_balanced_up_to_size_8():
             assert report.is_balanced
 
 
+def _unbalanced_found_among_covering_pairs(lattice: fl.FiniteLattice) -> None:
+    table = fl.principal_table(lattice)
+    some = any(
+        not fl.is_balanced_congruence(lattice, cong, table)
+        for cong in fl.all_congruences(lattice, table)
+    )
+    assert oracles.unbalanced_by_covering_pairs(lattice, table) == some
+
+
+def test_unbalanced_congruence_is_found_among_covering_pairs_up_to_size_8():
+    for lattice in support.lattices_up_to(8):
+        _unbalanced_found_among_covering_pairs(lattice)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [9, 10])
+def test_unbalanced_congruence_is_found_among_covering_pairs_at_size(n):
+    for lattice in support.lattices_of(n):
+        _unbalanced_found_among_covering_pairs(lattice)
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_principal_congruence_minimality_randomized(data):

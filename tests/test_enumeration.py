@@ -3,6 +3,7 @@ on-disk corpus writer."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -15,18 +16,27 @@ import oracles
 import support
 from finlat import enumeration
 from finlat.core import _canonical_from_up_masks
-from finlat.enumeration import _canonical_forms, _generate_down_masks
+from finlat.enumeration import _canonical_forms, _placements
 
-# Placements per size with the size and tie-break prunes; pinned so that a
-# weaker prune shows.  The size prune alone gives 25, 141, 1,007 and 8,892
-# at sizes 6 to 9.
-PLACEMENTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 24, 7: 122, 8: 758, 9: 5581}
-# Placements left for the canonical form by the down-twin prune, of 758,
-# 5,581 and 47,533; pinned likewise.
-SURVIVORS = {8: 230, 9: 1137, 10: 6402}
+# Placements left for the canonical form per size by the size, tie-break,
+# meet and down-twin prunes; pinned so that a weaker prune shows.  Without
+# the down-twin prune there are 758, 5,581 and 47,533 at sizes 8 to 10.
+SURVIVORS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 54, 8: 230, 9: 1137, 10: 6402}
 # SHA-256 of every form of _canonical_forms(n), n = 1..10, concatenated in
 # emission order; unchanged by every prune since the size prune alone.
 FORMS_SHA256 = "796adab5479054d34b705692a950633f927e4071e3afc041d70e21cc25755303"
+
+
+@functools.lru_cache(maxsize=None)
+def _twin_filtered_meet_scan(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_twin_filtered(n, oracles.placements_by_meet_scan(n)))
+
+
+def _twin_filtered(n, placements):
+    """The placements whose adjacent down-twins the up-mask scan finds in order."""
+    for down in placements:
+        if oracles.twins_in_order_by_up_masks(n, oracles.up_masks(n, down), down):
+            yield down
 
 
 def test_counts_match_known_sequence():
@@ -36,29 +46,28 @@ def test_counts_match_known_sequence():
 
 
 def test_placement_counts_are_pinned():
-    for n, expected in PLACEMENTS.items():
-        assert sum(1 for _ in _generate_down_masks(n)) == expected, f"size {n}"
+    for n, expected in SURVIVORS.items():
+        assert sum(1 for _ in _placements(n)) == expected, f"size {n}"
 
 
 def test_placements_match_mask_scan():
     for n in range(1, 10):
-        listed = sorted(_generate_down_masks(n))
-        assert listed == sorted(oracles.placements_by_mask_scan(n)), f"size {n}"
+        listed = sorted(down for down, _ in _placements(n))
+        assert listed == sorted(_twin_filtered(n, oracles.placements_by_mask_scan(n))), f"size {n}"
 
 
 def test_placements_match_meet_scan_through_size_10():
     for n in range(1, 11):
-        listed = sorted(_generate_down_masks(n))
-        assert listed == sorted(oracles.placements_by_meet_scan(n)), f"size {n}"
-    assert len(listed) == 47533
+        listed = sorted(down for down, _ in _placements(n))
+        assert listed == sorted(_twin_filtered_meet_scan(n)), f"size {n}"
+    assert len(listed) == 6402
 
 
-def test_twin_prune_on_down_masks_matches_up_masks():
-    for n in range(1, 10):
-        for down in _generate_down_masks(n):
-            up = oracles.up_masks(n, down)
-            expected = oracles.twins_in_order_by_up_masks(n, up, down)
-            assert enumeration._twins_in_order(n, down) == expected, down
+def test_carried_up_masks_are_the_transpose():
+    # a bit left set or cleared on backtracking would show in a later leaf
+    for n in range(1, 11):
+        for down, up in _placements(n):
+            assert up == oracles.up_masks(n, down), down
 
 
 def test_forms_match_size_pruned_placements_and_permutation_search():
@@ -81,7 +90,7 @@ def test_twin_prune_survivors_are_pinned_placements(monkeypatch):
         calls.clear()
         _canonical_forms(n)
         assert len(calls) == expected, f"size {n}"
-        assert {down for _, _, down in calls} <= set(_generate_down_masks(n)), f"size {n}"
+        assert sorted(down for _, _, down in calls) == sorted(_twin_filtered_meet_scan(n)), f"size {n}"
 
 
 def test_forms_hash_is_pinned_through_size_10():
@@ -116,11 +125,10 @@ def test_enumeration_under_optimize_flag():
 def test_canonical_from_up_masks_matches_permutation_search():
     for n in range(1, 9):
         wider = set(oracles.placements_by_size(n))
-        for down in _generate_down_masks(n):
+        for down, up in _placements(n):
             assert down in wider
-            up = oracles.up_masks(n, down)
             assert _canonical_from_up_masks(n, up, down) == oracles.canonical_by_permutations(
-                n, up, down
+                n, oracles.up_masks(n, down), down
             )
 
 

@@ -281,6 +281,25 @@ def _pinned(n: int) -> tuple:
     return Counter(OFF_SCOPE_VECTORS.get(n, {})), BALANCED_NOT_COMPLEMENTED.get(n, 0), 0
 
 
+@pytest.mark.parametrize(
+    "build, size",
+    [(support.partition_lattice_4, 15), (support.subspace_lattice_gf2_3, 16)],
+    ids=["pi4", "gf2_3"],
+)
+def test_simple_complemented_lattices_beyond_size_10(build, size):
+    # Π₄ and the subspaces of GF(2)³ are simple, complemented and not
+    # distributive; both lie outside the theorem's scope and are balanced
+    lattice = build()
+    assert lattice.size == size
+    assert len(fl.all_congruences(lattice)) == 2
+    assert fl.is_complemented(lattice)
+    assert not fl.is_distributive(lattice)
+    assert fl.is_d_lattice(lattice) is fl.is_d_lattice_definition(lattice) is False
+    verdict = fl.verify_theorem(lattice)
+    assert verdict.passed
+    assert (verdict.scope, verdict.balanced, verdict.complemented) == ("not-a-d-lattice", True, True)
+
+
 def test_off_scope_vector_counts_are_pinned_up_to_size_8():
     for n in range(1, 9):
         scoped = ((report.is_d_lattice, report.seven) for _, report in support.classified(n))
