@@ -7,19 +7,24 @@ equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
 Only principal and generated congruences need the compatibility
-closure.  Con(L) is distributive, so each congruence is the join of the
-join-irreducible congruences below it, and these are the principal
-congruences con(a, b) of the covering pairs a ≺ b.  Con(L) is built as
-the down-sets of that set, one join per congruence; a join in Con(L) is
-the join in the partition lattice Eq(L), a union-find merge of two
-labelings.  Called on its own, ``all_congruences`` runs one closure per
-covering pair.  Balance looks up the principal congruences its two
-classes generate.  A congruence class is a convex sublattice, so
-con(a, b) = con(a∧b, a∨b): ``principal_table`` runs the closure once per
-comparable pair a < b and reads every other pair at its meet and join.
-The per-lattice record of facts behind ``verify_theorem`` builds it once
-and passes it to Con(L) and balance, which then read every principal
-congruence from it.  No closure decides the d-lattice scope.
+closure.  Con(L) and joins hold a congruence as the bit mask of the
+covering pairs a ≺ b it relates: a class is an interval whose members
+are linked by covering pairs inside it, so the mask fixes the
+congruence.  Con(L) is distributive, and its join-irreducibles are the
+con(a, b) of the covering pairs, each join-prime, so a join of
+congruences is the OR of their masks.  ``all_congruences`` closes the
+masks of J(Con L) under OR and labels each result once; called on its
+own, it runs one closure per covering pair.  Balance looks up the
+principal congruences its two classes generate.  A congruence class is
+a convex sublattice, so con(a, b) = con(a∧b, a∨b): ``principal_table``
+runs the closure once per comparable pair a < b and reads every other
+pair at its meet and join.  The per-lattice record of facts behind
+``verify_theorem`` builds it once and passes it to Con(L) and balance,
+which then read every principal congruence from it; without it each
+lookup is one closure.  The two lookups stay side by side until the
+benchmark reads peak memory from one pass: a lazy lookup is faster,
+and the benchmark keeps every pass, so more passes read as more
+memory.  No closure decides the d-lattice scope.
 """
 
 from __future__ import annotations
@@ -267,45 +272,48 @@ def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
     return left.lattice
 
 
-def _block_pairs(labels: Sequence[int]) -> list[tuple[int, int]]:
-    """(first element of its block, e) for every other element e."""
-    return [(head, e) for e, head in enumerate(map(labels.index, labels)) if head != e]
+def _covering_pairs(lattice: FiniteLattice) -> list[tuple[int, int]]:
+    """Every covering pair a ≺ b, ordered by the size of ↓b."""
+    n, down, up = lattice.size, lattice.down_masks, lattice.up_masks
+    pairs = [
+        (a, b) for a in range(n) for b in range(n) if a != b and (up[a] & down[b]).bit_count() == 2
+    ]
+    pairs.sort(key=lambda pair: down[pair[1]].bit_count())
+    return pairs
 
 
-def _join_labels(labels: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
-    """Normalized labels of the join of a partition with the pairs' partition.
+def _mask(covers: Sequence[tuple[int, int]], labels: Sequence[int]) -> int:
+    """Bit i set iff the labelling relates the covering pair ``covers[i]``."""
+    return sum(1 << i for i, (a, b) in enumerate(covers) if labels[a] == labels[b])
 
-    A union-find merge over the blocks of ``labels`` that links the
-    larger root under the smaller, so one ascending pass resolves every
-    root; ``labels`` comes back unchanged when no pair joins two blocks.
-    The join of two congruences in Eq(L) is again a congruence, so no
-    compatibility closure follows.
+
+def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
+    """Normalized labels of the congruence relating the covering pairs in ``mask``.
+
+    A congruence class is an interval [u, v], and every member above u
+    covers another member.  ``covers`` runs up by the size of ↓b, so a's
+    label is final before any pair a ≺ b is read, and each related b
+    takes it: the least element u of the class.
     """
-    parent = list(range(len(labels)))
-    for x, y in pairs:
-        a, b = labels[x], labels[y]
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    if parent == list(range(len(labels))):
-        return labels
-    for a in range(len(parent)):
-        parent[a] = parent[parent[a]]
-    return _normalize([parent[a] for a in labels])
+    least = list(range(size))
+    for i, (a, b) in enumerate(covers):
+        if mask >> i & 1:
+            least[b] = least[a]
+    return _normalize(least)
 
 
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
-    """Least congruence containing both: their join as partitions.
+    """Least congruence containing both: the covering pairs either relates.
 
-    Con(L) is a sublattice of the partition lattice Eq(L), so the
-    partition join of two congruences is already compatible.
+    Each con(a, b) of a covering pair a ≺ b is join-irreducible in the
+    distributive lattice Con(L), hence join-prime: it lies below a join
+    iff it lies below one side.  So the join relates exactly the covering
+    pairs of the two, and no compatibility closure runs.
     """
     lattice = _require_same_lattice(left, right)
-    labels = _join_labels(left.partition.block_of, _block_pairs(right.partition.block_of))
-    return Congruence(lattice, Partition(lattice.size, labels))
+    covers = _covering_pairs(lattice)
+    mask = _mask(covers, left.partition.block_of) | _mask(covers, right.partition.block_of)
+    return Congruence(lattice, Partition(lattice.size, _labels(lattice.size, covers, mask)))
 
 
 def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
@@ -315,62 +323,32 @@ def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     return Congruence(lattice, Partition.from_labels(pairs))
 
 
-def _join_irreducibles(
-    lattice: FiniteLattice, principal: Principal
-) -> dict[tuple[int, ...], tuple[int, int]]:
-    """J(Con L): each distinct con(a, b) over the covering pairs a ≺ b, with its first pair.
-
-    The congruence of a prime interval is join-irreducible, and every
-    congruence is the join of those of the covering pairs it relates.
-    """
-    n, down, up = lattice.size, lattice.down_masks, lattice.up_masks
-    witness: dict[tuple[int, ...], tuple[int, int]] = {}
-    for a in range(n):
-        for b in range(n):
-            if a != b and (up[a] & down[b]).bit_count() == 2:
-                witness.setdefault(principal(a, b), (a, b))
-    return witness
-
-
 def all_congruences(
     lattice: FiniteLattice, principal: Optional[Principal] = None
 ) -> list[Congruence]:
-    """Con(L): the down-sets of its join-irreducibles, one join per congruence.
+    """Con(L): the unions of the covering-pair masks of J(Con L).
 
-    Con(L) is distributive, so its congruences and the down-sets of
-    J(Con L) (``_join_irreducibles``) correspond one to one, each
-    congruence the join of the irreducibles below it.  The down-sets
-    are listed along a linear extension of refinement (finer first):
-    each one is its parent plus one irreducible that comes after the
-    parent's members and whose smaller irreducibles the parent holds,
-    so each costs one partition join (``_join_labels``; Con(L) is a
-    sublattice of Eq(L)).  ``principal`` is the lookup of
+    A congruence is held as the mask of the covering pairs a ≺ b it
+    relates.  J(Con L) is the set of con(a, b) over those pairs, and
+    each is join-prime in the distributive lattice Con(L), so a join of
+    congruences is the OR of their masks, and Con(L) is the OR-closure
+    of the masks of J(Con L) with the empty mask (the identity).  Each
+    mask is labelled once (``_labels``).  ``principal`` is the lookup of
     ``principal_table``; without it each covering pair is one closure,
     and no other pair is computed.  The result is sorted by normalized
     representation.
     """
     if principal is None:
         principal = _principal_by_closure(lattice)
-    witness = _join_irreducibles(lattice, principal)
-    irreducible = sorted(witness, key=lambda labels: (-max(labels), labels))
-    pairs = [witness[j] for j in irreducible]
-    # j refines k iff k relates j's covering pair; a strictly finer j sorts earlier
-    below = [
-        sum(1 << i for i, (a, b) in enumerate(pairs[:k]) if labels[a] == labels[b])
-        for k, labels in enumerate(irreducible)
+    covers = _covering_pairs(lattice)
+    found = {0}
+    for irreducible in {_mask(covers, principal(a, b)) for a, b in covers}:
+        found |= {mask | irreducible for mask in found}
+    n = lattice.size
+    return [
+        Congruence(lattice, Partition(n, labels))
+        for labels in sorted(_labels(n, covers, mask) for mask in found)
     ]
-    generators = [_block_pairs(labels) for labels in irreducible]
-    identity = tuple(range(lattice.size))
-    found = [identity]
-    stack = [(identity, 0, 0)]  # labels, down-set as a bit mask, first index to add
-    while stack:
-        labels, downset, start = stack.pop()
-        for k in range(start, len(irreducible)):
-            if not below[k] & ~downset:
-                joined = _join_labels(labels, generators[k])
-                found.append(joined)
-                stack.append((joined, downset | 1 << k, k + 1))
-    return [Congruence(lattice, Partition(lattice.size, labels)) for labels in sorted(found)]
 
 
 def is_balanced_congruence(

@@ -10,14 +10,15 @@ each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
 forms the package keeps.  The last group holds the replaced algorithms:
 Con(L) and the join of congruences by a compatibility closure per join
-(the package joins partitions), Con(L) as the identity closed under
-partition joins with every principal congruence and balance by closing
-each bound class again (the package reads both from one table of
-principal congruences, Con(L) as the down-sets of its
-join-irreducibles), that table with one closure for every pair of
-elements (the package closes the comparable pairs only and reads any
-other pair at its meet and join), two other derivations of those
-join-irreducibles,
+(the package ORs covering-pair masks), Con(L) as the identity closed
+under partition joins, union-find merges of two labelings, with every
+principal congruence and balance by closing each bound class again (the
+package reads both from one table of principal congruences, Con(L) as
+the OR-closure of the covering-pair masks of its join-irreducibles),
+the covering pairs by a scan for lower covers, that table with one
+closure for every pair of elements (the package closes the comparable
+pairs only and reads any other pair at its meet and join), two other
+derivations of those join-irreducibles,
 the placement generator with the down-set size prune only, the
 placement generator that scans every odd mask for the next strict
 down-set, the placement generator that tests every listed down-set's
@@ -76,7 +77,7 @@ from finlat import (
     quotient,
     standard_lattice,
 )
-from finlat.congruences import Principal, _closure, _join_labels
+from finlat.congruences import Principal, _closure, _normalize
 from finlat.core import _canonical_from_up_masks
 
 Table = Sequence[Sequence[int]]
@@ -429,6 +430,31 @@ def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]
                 seen.add(joined)
                 frontier.append(joined)
     return sorted(seen)
+
+
+def _join_labels(labels: tuple[int, ...], pairs: Sequence[tuple[int, int]]) -> tuple[int, ...]:
+    """Normalized labels of the join of a partition with the pairs' partition.
+
+    A union-find merge over the blocks of ``labels`` that links the
+    larger root under the smaller, so one ascending pass resolves every
+    root; ``labels`` comes back unchanged when no pair joins two blocks.
+    The join of two congruences in Eq(L) is again a congruence, so no
+    compatibility closure follows.
+    """
+    parent = list(range(len(labels)))
+    for x, y in pairs:
+        a, b = labels[x], labels[y]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    if parent == list(range(len(labels))):
+        return labels
+    for a in range(len(parent)):
+        parent[a] = parent[parent[a]]
+    return _normalize([parent[a] for a in labels])
 
 
 def congruences_by_frontier_joins(lattice: FiniteLattice) -> list[tuple[int, ...]]:
@@ -886,6 +912,11 @@ def _lower_covers(lattice: FiniteLattice) -> list[list[int]]:
         ]
         for y in range(n)
     ]
+
+
+def covering_pairs_by_scan(lattice: FiniteLattice) -> list[tuple[int, int]]:
+    """Every covering pair a ≺ b, from the lower covers found by scanning."""
+    return [(a, b) for b, lower in enumerate(_lower_covers(lattice)) for a in lower]
 
 
 def _dependencies(lattice: FiniteLattice, lower: list[list[int]]) -> dict[int, set[int]]:

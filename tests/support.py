@@ -8,7 +8,9 @@ caller (the timed exhaustive acceptance check) still pays full price.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
+
+from hypothesis import strategies as st
 
 import finlat as fl
 
@@ -105,33 +107,59 @@ def _from_order(elements, leq) -> fl.FiniteLattice:
 
 
 @lru_cache(maxsize=None)
-def partition_lattice_4() -> fl.FiniteLattice:
-    """Π₄: the 15 partitions of {0, 1, 2, 3} under refinement, finest first.
+def partition_lattice(k: int) -> fl.FiniteLattice:
+    """Π_k: the partitions of {0, ..., k-1} under refinement, finest first.
 
     A partition is its restricted growth string: element i's block label,
     at most one more than every label before it.
     """
     labelings = [
-        p for p in product(range(4), repeat=4) if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(4))
+        p for p in product(range(k), repeat=k) if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(k))
     ]
     labelings.sort(key=lambda p: -len(set(p)))
     return _from_order(
         labelings,
-        lambda p, q: all(q[i] == q[j] for i in range(4) for j in range(4) if p[i] == p[j]),
+        lambda p, q: all(q[i] == q[j] for i in range(k) for j in range(i) if p[i] == p[j]),
     )
 
 
-@lru_cache(maxsize=None)
-def subspace_lattice_gf2_3() -> fl.FiniteLattice:
-    """The 16 subspaces of GF(2)³ under inclusion, smallest first.
+def _span(vectors: tuple[int, ...]) -> int:
+    """The subspace of GF(2)^d that the vectors span, as a mask over the vectors."""
+    span = 1  # the zero vector
+    for v in vectors:
+        span |= sum(1 << (w ^ v) for w in range(span.bit_length()) if span >> w & 1)
+    return span
 
-    A subspace is a mask over the 8 vectors 0..7 that holds 0 and is
-    closed under xor.
+
+@lru_cache(maxsize=None)
+def subspace_lattice_gf2(d: int) -> fl.FiniteLattice:
+    """The subspaces of GF(2)^d under inclusion, smallest first.
+
+    A subspace is a mask over the 2^d vectors: the span of at most d of them.
     """
-    subspaces = [
-        mask
-        for mask in range(1, 1 << 8, 2)
-        if all(mask >> (a ^ b) & 1 for a in range(8) for b in range(8) if mask >> a & mask >> b & 1)
-    ]
-    subspaces.sort(key=int.bit_count)
+    vectors = range(1, 1 << d)
+    spans = {_span(chosen) for r in range(d + 1) for chosen in combinations(vectors, r)}
+    subspaces = sorted(spans, key=lambda s: (s.bit_count(), s))
     return _from_order(subspaces, lambda s, t: s & ~t == 0)
+
+
+@st.composite
+def closed_set_lattices(draw, max_points: int = 6, max_size: int = 40) -> fl.FiniteLattice:
+    """The closed sets of an intersection-closed family, under inclusion.
+
+    The family starts as the full set {0, ..., k-1}.  Each drawn subset s
+    adds {s ∩ t : t in the family}, which keeps the family closed under
+    intersection, unless that would take it past ``max_size`` members.
+    The members are then put in a drawn order, so element order need not
+    be a linear extension.  Each closed set is the join of the least
+    closed sets holding its points, so at most k elements are
+    join-irreducible, and Day's relation stays small.
+    """
+    k = draw(st.integers(3, max_points))
+    family = {(1 << k) - 1}
+    for subset in draw(st.lists(st.integers(0, (1 << k) - 1), min_size=3, max_size=16)):
+        grown = family | {subset & t for t in family}
+        if len(grown) <= max_size:
+            family = grown
+    members = draw(st.permutations(sorted(family)))
+    return fl.from_leq_matrix([[s & ~t == 0 for t in members] for s in members])

@@ -327,8 +327,8 @@ def test_join_congruences_matches_closure_join_up_to_size_6():
     ids=["chain6", "n5xchain2"],
 )
 def test_all_congruences_runs_one_closure_per_covering_pair(monkeypatch, lattice, covers):
-    # joins are partition joins: the only closures are those of the
-    # covering pairs, and no table of all pairs is built
+    # joins are ORs of covering-pair masks: the only closures are those of
+    # the covering pairs, and no table of all pairs is built
     calls = support.count_calls(monkeypatch, "_closure", congruences)
     fl.all_congruences(lattice)
     assert len(calls) == covers
@@ -340,16 +340,39 @@ def test_all_congruences_match_frontier_joins_up_to_size_8():
 
 
 def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
-    got = set(congruences._join_irreducibles(lattice, fl.principal_table(lattice)))
+    covers = congruences._covering_pairs(lattice)
+    assert sorted(covers) == sorted(oracles.covering_pairs_by_scan(lattice))
+    sizes = [lattice.down_masks[b].bit_count() for _, b in covers]
+    assert sizes == sorted(sizes)
+    table = fl.principal_table(lattice)
+    got = {table(a, b) for a, b in covers}
     assert got == oracles.irreducibles_from_join_irreducible_elements(lattice)
     assert got == oracles.irreducibles_by_join_test(lattice)
 
 
 def test_join_irreducibles_agree_three_ways_up_to_size_8():
-    # covering pairs, con(j_*, j) over join-irreducible elements, and the
-    # principal congruences that are no join of those below them
+    # con(a, b) over the covering pairs a ≺ b, listed up by the size of
+    # ↓b; con(j_*, j) over join-irreducible elements; and the principal
+    # congruences that are no join of those below them
     for lattice in support.lattices_up_to(8):
         _irreducibles_agree(lattice)
+
+
+def _masks_round_trip(lattice: fl.FiniteLattice) -> None:
+    covers = congruences._covering_pairs(lattice)
+    congs = fl.all_congruences(lattice)
+    masks = set()
+    for cong in congs:
+        mask = congruences._mask(covers, cong.partition.block_of)
+        assert congruences._labels(lattice.size, covers, mask) == cong.partition.block_of
+        masks.add(mask)
+    assert len(masks) == len(congs)
+
+
+def test_covering_pair_masks_round_trip_up_to_size_8():
+    # labels -> mask of the covering pairs related -> labels is the identity
+    for lattice in support.lattices_up_to(8):
+        _masks_round_trip(lattice)
 
 
 def _balance_agrees(lattice: fl.FiniteLattice) -> None:
@@ -374,6 +397,7 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     table = fl.principal_table(relabeled)
     assert fl.all_congruences(relabeled) == fl.all_congruences(relabeled, table)
     _irreducibles_agree(relabeled)
+    _masks_round_trip(relabeled)
     _balance_agrees(relabeled)
 
 
@@ -386,11 +410,27 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     ],
     ids=["chain6", "n5xchain2", "m3xm3"],
 )
-def test_all_congruences_runs_one_join_per_congruence(monkeypatch, lattice):
-    # each down-set of J(Con L) but the empty one is one join from its parent
-    calls = support.count_calls(monkeypatch, "_join_labels", congruences)
+def test_all_congruences_runs_one_labelling_per_congruence(monkeypatch, lattice):
+    # joins are ORs of covering-pair masks; each mask found is labelled once
+    calls = support.count_calls(monkeypatch, "_labels", congruences)
     count = len(fl.all_congruences(lattice))
-    assert len(calls) == count - 1
+    assert len(calls) == count
+
+
+@settings(max_examples=50, deadline=None)
+@given(lattice=support.closed_set_lattices(), data=st.data())
+def test_con_matches_oracles_on_closed_set_lattices(lattice, data):
+    congs = fl.all_congruences(lattice)
+    keys = [cong.partition.block_of for cong in congs]
+    assert keys == oracles.congruences_by_frontier_joins(lattice)
+    assert keys == oracles.congruences_by_dependency_relation(lattice)
+    for _ in range(3):
+        left, right = data.draw(st.sampled_from(congs)), data.draw(st.sampled_from(congs))
+        got = fl.join_congruences(left, right).partition.block_of
+        expected = oracles.join_by_closure(
+            lattice, left.partition.block_of, right.partition.block_of
+        )
+        assert got == expected
 
 
 def test_balanced_congruence_examples():

@@ -282,14 +282,19 @@ def _pinned(n: int) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "build, size",
-    [(support.partition_lattice_4, 15), (support.subspace_lattice_gf2_3, 16)],
-    ids=["pi4", "gf2_3"],
+    "build, k, size",
+    [
+        (support.partition_lattice, 4, 15),
+        (support.subspace_lattice_gf2, 3, 16),
+        (support.partition_lattice, 5, 52),
+        (support.subspace_lattice_gf2, 4, 67),
+    ],
+    ids=["pi4", "gf2_3", "pi5", "gf2_4"],
 )
-def test_simple_complemented_lattices_beyond_size_10(build, size):
-    # Π₄ and the subspaces of GF(2)³ are simple, complemented and not
-    # distributive; both lie outside the theorem's scope and are balanced
-    lattice = build()
+def test_simple_complemented_lattices_beyond_size_10(build, k, size):
+    # Π_k and the subspaces of GF(2)^d are simple, complemented and not
+    # distributive; all four lie outside the theorem's scope and are balanced
+    lattice = build(k)
     assert lattice.size == size
     assert len(fl.all_congruences(lattice)) == 2
     assert fl.is_complemented(lattice)
@@ -298,6 +303,17 @@ def test_simple_complemented_lattices_beyond_size_10(build, size):
     verdict = fl.verify_theorem(lattice)
     assert verdict.passed
     assert (verdict.scope, verdict.balanced, verdict.complemented) == ("not-a-d-lattice", True, True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice=support.closed_set_lattices())
+def test_theorem_and_scope_on_closed_set_lattices(lattice):
+    # lattices of up to 40 closed sets, beyond the exhaustive range
+    assert fl.is_d_lattice(lattice) == fl.is_d_lattice_definition(lattice)
+    verdict = fl.verify_theorem(lattice)
+    assert verdict.passed
+    if verdict.complemented:
+        assert verdict.balanced
 
 
 def test_off_scope_vector_counts_are_pinned_up_to_size_8():
