@@ -168,6 +168,15 @@ def _cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
+# the subcommands that read one LATT file: (name, help, handler)
+_FILE_COMMANDS = (
+    ("check", "classify one lattice from a LATT file", _cmd_check),
+    ("congruences", "list the congruence lattice", _cmd_congruences),
+    ("ideals", "list ideals and filters with prime/maximal flags", _cmd_ideals),
+    ("theorem", "verify the seven-way equivalence on one lattice", _cmd_theorem),
+)
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process and reused by ``run``."""
@@ -180,25 +189,11 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("check", help="classify one lattice from a LATT file")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(fn=_cmd_check)
-
-    p = sub.add_parser("congruences", help="list the congruence lattice")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(fn=_cmd_congruences)
-
-    p = sub.add_parser("ideals", help="list ideals and filters with prime/maximal flags")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(fn=_cmd_ideals)
-
-    p = sub.add_parser("theorem", help="verify the seven-way equivalence on one lattice")
-    p.add_argument("file")
-    add_format(p)
-    p.set_defaults(fn=_cmd_theorem)
+    for name, text, handler in _FILE_COMMANDS:
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file")
+        add_format(p)
+        p.set_defaults(fn=handler)
 
     p = sub.add_parser("enumerate", help="count (and optionally write) all lattices of one size")
     p.add_argument("--size", type=int, required=True)
@@ -230,10 +225,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {source}:{exc.line}: {exc}", file=sys.stderr)
         return 2
-    except LatticeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,24 +7,28 @@ equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
 Only principal and generated congruences need the compatibility
-closure.  Con(L) and joins hold a congruence as the bit mask of the
-covering pairs a ≺ b it relates: a class is an interval whose members
-are linked by covering pairs inside it, so the mask fixes the
-congruence.  Con(L) is distributive, and its join-irreducibles are the
-con(a, b) of the covering pairs, each join-prime, so a join of
-congruences is the OR of their masks.  ``all_congruences`` closes the
-masks of J(Con L) under OR and labels each result once; called on its
-own, it runs one closure per covering pair.  Balance looks up the
-principal congruences its two classes generate.  A congruence class is
-a convex sublattice, so con(a, b) = con(a∧b, a∨b): ``principal_table``
-runs the closure once per comparable pair a < b and reads every other
-pair at its meet and join.  The per-lattice record of facts behind
-``verify_theorem`` builds it once and passes it to Con(L) and balance,
-which then read every principal congruence from it; without it each
-lookup is one closure.  The two lookups stay side by side until the
-benchmark reads peak memory from one pass: a lazy lookup is faster,
-and the benchmark keeps every pass, so more passes read as more
-memory.  No closure decides the d-lattice scope.
+closure, which normalizes its labels once and returns the tuple; the
+principal lookups hand that tuple on, and only the public constructors
+wrap it in a :class:`Partition`.  Con(L) and joins hold a congruence
+as the bit mask of the covering pairs a ≺ b it relates: a class is an
+interval whose members are linked by covering pairs inside it, so the
+mask fixes the congruence.  Con(L) is distributive, and its
+join-irreducibles are the con(a, b) of the covering pairs, each
+join-prime, so a join of congruences is the OR of their masks.
+``all_congruences`` closes the masks of J(Con L) under OR and labels
+each result once; called on its own, it runs one closure per covering
+pair.  A congruence class is a convex sublattice, so the 1-class is an
+interval [m, 1] and the 0-class an interval [0, z], and balance is the
+one equality con(0, z) = con(m, 1) of the principal congruences the
+two classes generate.  For the same reason con(a, b) = con(a∧b, a∨b):
+``principal_table`` runs the closure once per comparable pair a < b
+and reads every other pair at its meet and join.  The per-lattice
+record of facts behind ``verify_theorem`` builds it once and passes it
+to Con(L) and balance, which then read every principal congruence from
+it; without it each lookup is one closure.  The two lookups stay side
+by side until the benchmark reads peak memory from one pass: a lazy
+lookup is faster, and the benchmark keeps every pass, so more passes
+read as more memory.  No closure decides the d-lattice scope.
 """
 
 from __future__ import annotations
@@ -171,14 +175,16 @@ def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     return _blocks_compatible(lattice, partition.block_of)
 
 
-def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Partition:
-    """Least congruence containing the given pairs.
+def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Normalized labels of the least congruence containing the given pairs.
 
     Union-find plus a FIFO worklist: whenever two classes merge through
     the pair (x, y), the forced pairs (x∧z, y∧z) and (x∨z, y∨z) are
     queued for every z in ascending order.  Chains of merges compose
     transitively inside the union-find, so enqueueing products for the
-    merged pair alone reaches the full fixpoint.
+    merged pair alone reaches the full fixpoint.  The labels are
+    normalized here, once; callers that need a :class:`Partition` wrap
+    them, and lookups compare and store the tuple itself.
     """
     n = lattice.size
     parent = list(range(n))
@@ -205,7 +211,7 @@ def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> Partit
                 queue.append((mx[z], my[z]))
             if find(jx[z]) != find(jy[z]):
                 queue.append((jx[z], jy[z]))
-    return Partition.from_labels([find(i) for i in range(n)])
+    return _normalize([find(i) for i in range(n)])
 
 
 def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
@@ -213,7 +219,7 @@ def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
     n = lattice.size
     if not (0 <= a < n and 0 <= b < n):
         raise SizeMismatch(f"elements ({a}, {b}) outside [0, {n})")
-    return Congruence(lattice, _closure(lattice, [(a, b)]))
+    return Congruence(lattice, Partition(n, _closure(lattice, [(a, b)])))
 
 
 def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Congruence:
@@ -230,7 +236,7 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
         raise SizeMismatch(f"elements {members} not all inside [0, {n})")
     mask = sum(1 << e for e in members)
     pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
-    return Congruence(lattice, _closure(lattice, [pair]))
+    return Congruence(lattice, Partition(n, _closure(lattice, [pair])))
 
 
 Principal = Callable[[int, int], tuple[int, ...]]
@@ -256,14 +262,14 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     for a in range(n):
         for b in compress(range(n), leq[a]):
             if b != a:
-                labels = _closure(lattice, [(a, b)]).block_of
+                labels = _closure(lattice, [(a, b)])
                 rows[a][b] = stored.setdefault(labels, labels)
     return lambda a, b: rows[meet[a][b]][join[a][b]]
 
 
 def _principal_by_closure(lattice: FiniteLattice) -> Principal:
     """The lookup without a table: one closure per call."""
-    return lambda a, b: _closure(lattice, [(a, b)]).block_of
+    return lambda a, b: _closure(lattice, [(a, b)])
 
 
 def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
@@ -354,15 +360,18 @@ def all_congruences(
 def is_balanced_congruence(
     lattice: FiniteLattice, cong: Congruence, principal: Optional[Principal] = None
 ) -> bool:
-    """The two class equalities defining balance for one congruence.
+    """Balance of one congruence: con(bottom, z) = con(m, top).
 
-    The 0-class must equal the 0-class of the congruence generated by
-    collapsing the 1-class, and dually.  A congruence class is a convex
-    sublattice, so the 1-class is an interval [m, top] and generates
-    con(m, top); dually the 0-class [bottom, z] generates con(bottom, z).
-    m and z are folds over the two class masks.  con(m, top) lies below
-    the congruence, so its class of bottom is an interval inside
-    [bottom, z], and equals it iff it holds z; dually for top and m.
+    Balance asks that the 0-class equal the 0-class of the congruence
+    generated by collapsing the 1-class, and dually.  A congruence class
+    is a convex sublattice, so the 1-class is an interval [m, top] and
+    generates con(m, top); dually the 0-class [bottom, z] generates
+    con(bottom, z).  m and z are folds over the two class masks.
+    con(m, top) lies below the congruence, so its class of bottom is an
+    interval inside [bottom, z], and equals it iff it holds z, that is
+    iff con(bottom, z) ≤ con(m, top); dually the second equality says
+    con(m, top) ≤ con(bottom, z).  Both hold iff the two congruences are
+    equal, which is one comparison of their normalized labels.
     ``principal`` is the lookup of ``principal_table``; without it each
     of the two is one closure.
     """
@@ -375,5 +384,4 @@ def is_balanced_congruence(
     zero, one = labels[bottom], labels[top]
     least = _fold(lattice.meet, sum(1 << e for e, label in enumerate(labels) if label == one))
     greatest = _fold(lattice.join, sum(1 << e for e, label in enumerate(labels) if label == zero))
-    up, down = principal(least, top), principal(bottom, greatest)
-    return up[bottom] == up[greatest] and down[top] == down[least]
+    return principal(least, top) == principal(bottom, greatest)

@@ -338,8 +338,7 @@ def product(first: FiniteLattice, second: FiniteLattice) -> FiniteLattice:
 
 def dual(lattice: FiniteLattice) -> FiniteLattice:
     """The order-dual: transpose the order, swapping meet with join."""
-    n = lattice.size
-    return from_leq_matrix([[lattice.leq[j][i] for j in range(n)] for i in range(n)])
+    return from_leq_matrix(tuple(zip(*lattice.leq)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,10 +444,16 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     orders that differ only by swapping twins (see :func:`_class_orders`)
     give the same matrix, so each is tried once.  A labeling is compared
     as a tuple of permuted row tuples, which orders like the byte string
-    because every row has length n; only the least one is encoded.  When
-    every class has one member there is one labeling, and it is encoded
-    directly.  ``down`` holds the matching down-set rows, which the
-    class refinement reads.
+    because every row has length n; only the least one is encoded.  One
+    search covers every input: a class with one member has one order, so
+    when every class has one member the product of the class orders is
+    the one labeling.  ``down`` holds the matching down-set rows, which
+    the class refinement reads.
+
+    The search is factorial in the size of a class whose members have
+    no twins: the classes of ``boolean(k)`` are its ranks, so
+    ``boolean(4)`` tries 4!·6!·4! labelings and ``boolean(5)`` about
+    10^17, and does not return.
     """
     if n == 1:
         return b"1:1"
@@ -457,17 +462,12 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     groups: dict[int, list[int]] = {}
     for e in range(n):
         groups.setdefault(color[e], []).append(e)
-    classes = [groups[c] for c in range(len(groups))]
-    if len(classes) == n:
-        pick = itemgetter(*(members[0] for members in classes))
-        best = tuple(map(pick, pick(rows)))
-    else:
-        choices = [
-            [tuple(members)] if len(members) == 1 else _class_orders(members, up, down)
-            for members in classes
-        ]
-        orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
-        best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
+    choices = [
+        [tuple(members)] if len(members) == 1 else _class_orders(members, up, down)
+        for members in map(groups.__getitem__, range(len(groups)))
+    ]
+    orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
+    best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
     return f"{n}:".encode() + b"".join(map(bytes, best))
 
 
@@ -485,7 +485,9 @@ def canonical_form(lattice: FiniteLattice) -> bytes:
     """Canonical byte string: equal for two lattices iff they are isomorphic.
 
     The encoding renumbers elements so bottom is 0 and top is n-1 and is
-    byte-identical across relabelings of the input.
+    byte-identical across relabelings of the input.  The search behind
+    it is factorial on wide colour classes with no twins (see
+    :func:`_canonical_from_up_masks`): ``boolean(5)`` does not return.
     """
     return _canonical_from_up_masks(lattice.size, lattice.up_masks, lattice.down_masks)
 
@@ -510,6 +512,11 @@ def lattice_from_canonical(form: bytes) -> FiniteLattice:
 
 
 def is_isomorphic(first: FiniteLattice, second: FiniteLattice) -> bool:
+    """Whether the two lattices have equal canonical forms.
+
+    As slow as :func:`canonical_form` on wide colour classes with no
+    twins: on ``boolean(5)`` it does not return.
+    """
     if first.size != second.size:
         return False
     return canonical_form(first) == canonical_form(second)
@@ -539,6 +546,21 @@ def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:
     return True
 
 
+def _order_image(lattice: FiniteLattice, image: Sequence[int], k: int) -> FiniteLattice:
+    """The image of the order under a map of the elements onto 0..k-1.
+
+    f(x) <= f(y) whenever x <= y, and nothing else: a relabeling when
+    the map is a permutation, and the block order of a quotient when it
+    labels the blocks of a congruence.  The result is validated.
+    """
+    rows = [[False] * k for _ in range(k)]
+    for x, row in enumerate(lattice.leq):
+        target = rows[image[x]]
+        for y in itertools.compress(range(lattice.size), row):
+            target[image[y]] = True
+    return from_leq_matrix(rows)
+
+
 def quotient(
     lattice: FiniteLattice, congruence: "Congruence"
 ) -> tuple[FiniteLattice, LatticeHomomorphism]:
@@ -552,14 +574,7 @@ def quotient(
     block_of = congruence.partition.block_of
     if not _blocks_compatible(lattice, block_of):
         raise NotACongruence("partition is not meet/join compatible")
-    n = lattice.size
-    k = max(block_of) + 1
-    rows = [[False] * k for _ in range(k)]
-    for x in range(n):
-        for y in range(n):
-            if lattice.leq[x][y]:
-                rows[block_of[x]][block_of[y]] = True
-    image = from_leq_matrix(rows)
+    image = _order_image(lattice, block_of, max(block_of) + 1)
     return image, LatticeHomomorphism(lattice, image, tuple(block_of))
 
 
@@ -634,12 +649,6 @@ def format_latt(lattice: FiniteLattice) -> str:
 
 def relabel(lattice: FiniteLattice, permutation: Sequence[int]) -> FiniteLattice:
     """The isomorphic copy where element x is renamed permutation[x]."""
-    n = lattice.size
-    if sorted(permutation) != list(range(n)):
+    if sorted(permutation) != list(range(lattice.size)):
         raise ValueError("not a permutation of the element set")
-    rows = [[False] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if lattice.leq[x][y]:
-                rows[permutation[x]][permutation[y]] = True
-    return from_leq_matrix(rows)
+    return _order_image(lattice, permutation, lattice.size)

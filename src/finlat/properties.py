@@ -229,7 +229,7 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     )
     for c in range(n):
         for bound, opposite, table in sides:
-            theta = _closure(lattice, [(bound, c)]).block_of
+            theta = _closure(lattice, [(bound, c)])
             if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
                 return False
     return True

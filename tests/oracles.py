@@ -37,10 +37,14 @@ by scanning pairs of members, generated ideals and filters by closing
 until nothing changes, the maximal filter of the non-complemented
 witness grown greedily, the generated congruence closed from one pair
 per member, and distributivity by a scan of every triple.
-A final group computes Con(L) and principal congruences from Day's
+A further group computes Con(L) and principal congruences from Day's
 dependency relation D on the join-irreducible elements, with no
 closure at all, the method meant to replace the package's table of
 principal congruences.
+The quotient L/θ from the block order [x] <= [y] iff x∨y θ y is the
+reference for the package's image of the order under the block labels,
+and ``check_report`` re-checks every witness of a ``classify`` report
+against the definitions alone.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from finlat import (
     Congruence,
@@ -61,21 +65,25 @@ from finlat import (
     NotBounded,
     OwnerMismatch,
     Partition,
+    PropertyReport,
     all_congruences,
     annihilator_filter,
     annihilator_ideal,
     canonical_form,
+    dual,
     enumerate_filters,
     enumerate_ideals,
     from_leq_matrix,
     generated_congruence,
     is_balanced_congruence,
     is_filter,
+    is_homomorphism,
     is_ideal,
     is_maximal_filter,
     is_maximal_ideal,
     quotient,
     standard_lattice,
+    three_chain_quotient_from_nested_primes,
 )
 from finlat.congruences import Principal, _closure, _normalize
 from finlat.core import _canonical_from_up_masks
@@ -342,6 +350,20 @@ def maps_onto_three_chain(
     return False
 
 
+def quotient_by_block_joins(lattice: FiniteLattice, block_of: Sequence[int]) -> FiniteLattice:
+    """L/θ from the block order [x] <= [y] iff x∨y θ y, read at each block's least member.
+
+    ``block_of`` holds the normalized labels of a congruence θ.  The
+    package builds the same order as the image of the order of L.
+    """
+    heads: dict[int, int] = {}
+    for e, label in enumerate(block_of):
+        heads.setdefault(label, e)
+    reps = [heads[label] for label in range(len(heads))]
+    join = lattice.join
+    return from_leq_matrix([[block_of[join[x][y]] == block_of[y] for y in reps] for x in reps])
+
+
 def complemented_by_annihilators(lattice: FiniteLattice) -> bool:
     """Every element's annihilator filter and annihilator ideal intersect."""
     return all(
@@ -403,7 +425,7 @@ def join_by_closure(
     lattice: FiniteLattice, left: Sequence[int], right: Sequence[int]
 ) -> tuple[int, ...]:
     """Least congruence containing two partitions, by compatibility closure."""
-    return _closure(lattice, _block_pairs(left) + _block_pairs(right)).block_of
+    return _closure(lattice, _block_pairs(left) + _block_pairs(right))
 
 
 def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]:
@@ -418,7 +440,7 @@ def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]
     frontier: list[tuple[int, ...]] = []
     for a in range(n):
         for b in range(a + 1, n):
-            p = _closure(lattice, [(a, b)]).block_of
+            p = _closure(lattice, [(a, b)])
             if p not in seen:
                 seen.add(p)
                 frontier.append(p)
@@ -464,7 +486,7 @@ def congruences_by_frontier_joins(lattice: FiniteLattice) -> list[tuple[int, ...
     principal congruence: |Con L| times |generators| joins.
     """
     n = lattice.size
-    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
+    principal = {_closure(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     generators = [_block_pairs(labels) for labels in principal]
     seen = {tuple(range(n))}
     frontier = list(seen)
@@ -503,7 +525,7 @@ def principal_table_by_all_pairs(lattice: FiniteLattice) -> Callable[[int, int],
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            labels = _closure(lattice, [(a, b)]).block_of
+            labels = _closure(lattice, [(a, b)])
             rows[a][b] = rows[b][a] = stored.setdefault(labels, labels)
     return lambda a, b: rows[a][b]
 
@@ -521,14 +543,14 @@ def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[t
             and not any(c not in (a, j) and leq[a][c] and leq[c][j] for c in range(n))
         ]
         if len(lower) == 1:
-            out.add(_closure(lattice, [(lower[0], j)]).block_of)
+            out.add(_closure(lattice, [(lower[0], j)]))
     return out
 
 
 def irreducibles_by_join_test(lattice: FiniteLattice) -> set[tuple[int, ...]]:
     """The principal congruences that are not the join of those strictly below them."""
     n = lattice.size
-    principal = {_closure(lattice, [(a, b)]).block_of for a in range(n) for b in range(a + 1, n)}
+    principal = {_closure(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     out = set()
     for theta in principal:
         below = [p for p in principal if p != theta and refines(p, theta)]
@@ -854,7 +876,7 @@ def generated_congruence_by_pairs(
 ) -> tuple[int, ...]:
     """The least congruence collapsing the members: one closure of (first, e) per other e."""
     first, *rest = sorted(set(members))
-    return _closure(lattice, [(first, e) for e in rest]).block_of
+    return _closure(lattice, [(first, e) for e in rest])
 
 
 def distributive_by_triples(lattice: FiniteLattice) -> bool:
@@ -1008,3 +1030,88 @@ def principal_by_dependency_relation(lattice: FiniteLattice, a: int, b: int) -> 
     depends = _dependencies(lattice, lower)
     seed = {p for p in depends if leq[p][top] and not leq[p][bottom]}
     return _theta(lattice, lower, _dependency_closure(depends, seed))
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:  # an explicit raise, so the check survives python -O
+        raise AssertionError(message)
+
+
+def _least_set(masks: Iterable[int]) -> int | None:
+    """The least mask in the (cardinality, bitmask) order of ``ElementSet``."""
+    return min(masks, key=lambda mask: (mask.bit_count(), mask), default=None)
+
+
+def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
+    """Re-check every witness of ``classify(lattice)`` against the definitions alone.
+
+    Each witness must be present exactly when its flag says so, and each
+    but the congruence must be the least one in the report's order,
+    which would take Con(L) to check.  Ideals and filters come from
+    the subset scans ``brute_ideals`` and ``brute_maximal_ideals``
+    (filters as the ideals of the dual), primality from a pair scan and
+    complements from a scan; Con(L) is not read:
+
+    - the nested prime ideals map onto chain(3) through
+      ``three_chain_quotient_from_nested_primes``, and ``is_homomorphism``
+      checks that map again;
+    - the complementless element has no complement, and every element of
+      a smaller index has one;
+    - the unbalanced congruence passes the full compatibility scan and
+      fails balance when its two bound classes are closed again;
+    - the non-prime maximal ideal (filter) is the least maximal ideal
+      (filter) that fails the prime scan, and the lattice is a d-lattice
+      iff neither exists.
+
+    Raises ``AssertionError`` at the first witness that fails.
+    """
+    n, meet, join = lattice.size, lattice.meet, lattice.join
+    seven, witnesses = report.seven, report.witnesses
+
+    primes = [
+        m for m in brute_ideals(lattice) if prime_by_pairs(lattice, ElementSet(n, m), meet)
+    ]
+    primes.sort(key=lambda mask: (mask.bit_count(), mask))
+    nested = next(
+        ((small, big) for small in primes for big in primes if small != big and small & ~big == 0),
+        None,
+    )
+    found = witnesses.nested_prime_ideals
+    _require(seven.c3 == (nested is not None), "c3 differs from the prime ideal scan")
+    _require(seven.c3 == (found is not None), "c3 and the nested-prime witness disagree")
+    if found is not None:
+        _require(nested == (found[0].mask, found[1].mask), "nested primes are not the least")
+        hom = three_chain_quotient_from_nested_primes(lattice, *found)
+        _require(is_homomorphism(hom) and set(hom.map) == {0, 1, 2}, "no map onto chain(3)")
+
+    complementless = next(
+        (
+            a
+            for a in range(n)
+            if not any(meet[a][b] == lattice.bottom and join[a][b] == lattice.top for b in range(n))
+        ),
+        None,
+    )
+    _require(seven.c7 == (complementless is not None), "c7 differs from the complement scan")
+    _require(witnesses.noncomplemented_element == complementless, "wrong complementless element")
+
+    cong = witnesses.unbalanced_congruence
+    _require(seven.c6 == (cong is not None), "c6 and the unbalanced witness disagree")
+    if cong is not None:
+        _require(compatible(lattice, cong.partition.block_of), "witness is not a congruence")
+        _require(not balanced_by_generated_closure(lattice, cong), "witness is balanced")
+
+    nonprime = []
+    for side, other, witness in (
+        (lattice, meet, witnesses.nonprime_maximal_ideal),
+        (dual(lattice), join, witnesses.nonprime_maximal_filter),
+    ):
+        least = _least_set(
+            m for m in brute_maximal_ideals(side) if not prime_by_pairs(lattice, ElementSet(n, m), other)
+        )
+        _require(
+            least == (None if witness is None else witness.mask),
+            "wrong non-prime maximal ideal or filter",
+        )
+        nonprime.append(least)
+    _require(report.is_d_lattice == (nonprime == [None, None]), "d-lattice flag is wrong")

@@ -13,6 +13,7 @@ from itertools import combinations, combinations_with_replacement, product
 from hypothesis import strategies as st
 
 import finlat as fl
+import oracles
 
 EXPECTED_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
 
@@ -143,23 +144,71 @@ def subspace_lattice_gf2(d: int) -> fl.FiniteLattice:
     return _from_order(subspaces, lambda s, t: s & ~t == 0)
 
 
+def glued_sum(lower: fl.FiniteLattice, upper: fl.FiniteLattice) -> fl.FiniteLattice:
+    """L ⊕ M: M placed above L, with the top of L identified with the bottom of M."""
+    elements = [(0, x) for x in lower.elements()]
+    elements += [(1, y) for y in upper.elements() if y != upper.bottom]
+    parts = (lower, upper)
+    return _from_order(
+        elements, lambda p, q: p[0] < q[0] or p[0] == q[0] and parts[p[0]].leq[p[1]][q[1]]
+    )
+
+
+def interval(lattice: fl.FiniteLattice, a: int, b: int) -> fl.FiniteLattice:
+    """The interval [a, b] of the lattice, under its order."""
+    leq = lattice.leq
+    members = [x for x in lattice.elements() if leq[a][x] and leq[x][b]]
+    return _from_order(members, lambda x, y: leq[x][y])
+
+
+def quotients(lattice: fl.FiniteLattice) -> list[tuple[fl.Congruence, fl.FiniteLattice]]:
+    """(θ, L/θ) for every congruence θ, L/θ built from its block order.
+
+    The order is ``oracles.quotient_by_block_joins``: [x] <= [y] iff x∨y θ y.
+    """
+    return [
+        (theta, oracles.quotient_by_block_joins(lattice, theta.partition.block_of))
+        for theta in fl.all_congruences(lattice)
+    ]
+
+
 @st.composite
 def closed_set_lattices(draw, max_points: int = 6, max_size: int = 40) -> fl.FiniteLattice:
-    """The closed sets of an intersection-closed family, under inclusion.
+    """Lattices of closed sets of an intersection-closed family, and their
+    products, duals and quotients.
 
     The family starts as the full set {0, ..., k-1}.  Each drawn subset s
     adds {s ∩ t : t in the family}, which keeps the family closed under
-    intersection, unless that would take it past ``max_size`` members.
-    The members are then put in a drawn order, so element order need not
-    be a linear extension.  Each closed set is the join of the least
-    closed sets holding its points, so at most k elements are
-    join-irreducible, and Day's relation stays small.
+    intersection, unless that would take it past ``max_size`` members;
+    subsets are added until the family reaches a drawn target of at
+    least ``max_size // 2`` members or they run out.  Each closed set is
+    the join of the least closed sets holding its points, so at most k
+    elements are join-irreducible, and Day's relation stays small.
+
+    A drawn last step keeps the closed sets under inclusion, or takes
+    the dual, the product with a catalog lattice that keeps within
+    ``max_size`` elements, or the quotient by a drawn congruence.  The
+    elements are then put in a drawn order, so element order need not
+    be a linear extension.
     """
-    k = draw(st.integers(3, max_points))
+    k = draw(st.integers(5, max_points))
+    target = draw(st.integers(max_size // 2, max_size))
     family = {(1 << k) - 1}
-    for subset in draw(st.lists(st.integers(0, (1 << k) - 1), min_size=3, max_size=16)):
+    for subset in draw(st.lists(st.integers(0, (1 << k) - 1), min_size=12, max_size=40)):
         grown = family | {subset & t for t in family}
         if len(grown) <= max_size:
             family = grown
-    members = draw(st.permutations(sorted(family)))
-    return fl.from_leq_matrix([[s & ~t == 0 for t in members] for s in members])
+        if len(family) >= target:
+            break
+    members = sorted(family)
+    lattice = _from_order(members, lambda s, t: s & ~t == 0)
+    step = draw(st.sampled_from(("closed sets", "dual", "product", "quotient")))
+    if step == "dual":
+        lattice = fl.dual(lattice)
+    elif step == "product":
+        factors = [f for f in catalog().values() if 1 < f.size <= max_size // lattice.size]
+        if factors:
+            lattice = fl.product(lattice, draw(st.sampled_from(factors)))
+    elif step == "quotient":
+        lattice, _ = fl.quotient(lattice, draw(st.sampled_from(fl.all_congruences(lattice))))
+    return fl.relabel(lattice, draw(st.permutations(range(lattice.size))))

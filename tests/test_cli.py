@@ -252,6 +252,18 @@ def _run_captured(argv, capsys):
     return captured.out, captured.err, code
 
 
+HELP = json.loads((Path(__file__).parent / "cli_help.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", sorted(HELP))
+def test_help_output_is_pinned(argv, capsys, monkeypatch):
+    # the goldens hold argparse's output at 80 columns under Python 3.11;
+    # Python 3.10 names the options section "optional arguments"
+    monkeypatch.setenv("COLUMNS", "80")
+    out, err, code = _run_captured(argv.split(), capsys)
+    assert (out.replace("\noptional arguments:\n", "\noptions:\n"), err, code) == (HELP[argv], "", 0)
+
+
 def test_repeated_runs_in_one_process_give_the_same_results(latt_file, tmp_path, capsys):
     n5, m3 = latt_file("n5"), latt_file("m3")
     bad = tmp_path / "bad.latt"

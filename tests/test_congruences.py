@@ -417,13 +417,18 @@ def test_all_congruences_runs_one_labelling_per_congruence(monkeypatch, lattice)
     assert len(calls) == count
 
 
+@pytest.mark.slow
 @settings(max_examples=50, deadline=None)
 @given(lattice=support.closed_set_lattices(), data=st.data())
 def test_con_matches_oracles_on_closed_set_lattices(lattice, data):
+    # the draws include products, duals and quotients, mostly of 20-40
+    # elements; the frontier-join oracle's closure for every pair of
+    # elements takes this test past 10 s
     congs = fl.all_congruences(lattice)
     keys = [cong.partition.block_of for cong in congs]
     assert keys == oracles.congruences_by_frontier_joins(lattice)
     assert keys == oracles.congruences_by_dependency_relation(lattice)
+    _unbalanced_found_among_covering_pairs(lattice)
     for _ in range(3):
         left, right = data.draw(st.sampled_from(congs)), data.draw(st.sampled_from(congs))
         got = fl.join_congruences(left, right).partition.block_of

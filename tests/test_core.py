@@ -519,6 +519,19 @@ def test_quotient_of_three_chain():
     assert projection.map == (0, 0, 1)
 
 
+def test_quotient_matches_block_order():
+    # the image of the order under the block labels equals the block order
+    # [x] <= [y] iff x∨y θ y, for every congruence
+    lattices = support.lattices_up_to(7)
+    lattices += [support.catalog_product(names) for names in (("n5", "m3"), ("chain3", "m3"))]
+    for lattice in lattices:
+        for theta, expected in support.quotients(lattice):
+            image, projection = fl.quotient(lattice, theta)
+            assert image.leq == expected.leq
+            assert projection.map == theta.partition.block_of
+            assert fl.is_homomorphism(projection) and fl.is_surjective(projection)
+
+
 def test_quotient_rejects_foreign_and_invalid_partitions():
     n5 = fl.standard_lattice("n5")
     other = fl.from_leq_matrix(n5.leq)

@@ -305,6 +305,131 @@ def test_simple_complemented_lattices_beyond_size_10(build, k, size):
     assert (verdict.scope, verdict.balanced, verdict.complemented) == ("not-a-d-lattice", True, True)
 
 
+def _theorem_facts(lattice: fl.FiniteLattice) -> tuple[bool, bool, bool]:
+    """(in scope, balanced, complemented), once the verdict passes and the
+    two d-lattice characterizations agree; the witnesses are re-checked on
+    lattices small enough for the subset scans."""
+    assert fl.is_d_lattice(lattice) == fl.is_d_lattice_definition(lattice)
+    verdict = fl.verify_theorem(lattice)
+    assert verdict.passed
+    if lattice.size <= 10:
+        oracles.check_report(lattice, fl.classify(lattice))
+    return verdict.scope == "d-lattice", verdict.balanced, verdict.complemented
+
+
+GLUED_SUMS = {
+    ("chain2", "chain2"): True,
+    ("boolean2", "boolean2"): True,
+    ("chain3", "boolean2"): True,
+    ("n5", "n5"): True,
+    ("boolean3", "n5"): True,
+    ("m3", "m3"): False,
+    ("n5", "m3"): False,
+    ("m3", "n5"): False,
+    ("boolean2", "m3"): False,
+    ("pi4", "m3"): False,
+}
+
+
+@pytest.mark.parametrize("names, in_scope", GLUED_SUMS.items(), ids=map("+".join, GLUED_SUMS))
+def test_glued_sums(names, in_scope):
+    # L ⊕ M has Con(L) × Con(M) for its congruences; the glue point has no
+    # complement, and collapsing L leaves the 1-class {top}, which generates
+    # nothing: never balanced or complemented, in scope or not
+    named = {**support.catalog(), "pi4": support.partition_lattice(4)}
+    lower, upper = (named[name] for name in names)
+    lattice = support.glued_sum(lower, upper)
+    assert lattice.size == lower.size + upper.size - 1
+    counts = [len(fl.all_congruences(part)) for part in (lattice, lower, upper)]
+    assert counts[0] == counts[1] * counts[2]
+    assert _theorem_facts(lattice) == (in_scope, False, False)
+
+
+# (in scope, balanced, complemented) -> number of intervals [a, b], a <= b
+INTERVALS = {
+    ("chain3", "n5"): {(True, False, False): 23, (True, True, True): 55},
+    ("n5", "m3"): {
+        (False, False, False): 2,
+        (False, True, True): 11,
+        (True, False, False): 22,
+        (True, True, True): 121,
+    },
+    ("boolean2", "m3"): {(False, True, True): 9, (True, True, True): 99},
+    ("m3", "m3"): {(False, True, True): 23, (True, True, True): 121},
+}
+
+
+@pytest.mark.parametrize("names, expected", INTERVALS.items(), ids=map("x".join, INTERVALS))
+def test_intervals_of_products(names, expected):
+    # [a, b] of L1 × L2 is [a1, b1] × [a2, b2], so its size and its number
+    # of congruences are the products of theirs
+    first, second = (support.catalog()[name] for name in names)
+    lattice = fl.product(first, second)
+    facts = Counter()
+    for a in lattice.elements():
+        for b in lattice.elements():
+            if lattice.leq[a][b]:
+                part = support.interval(lattice, a, b)
+                (a1, a2), (b1, b2) = divmod(a, second.size), divmod(b, second.size)
+                factors = support.interval(first, a1, b1), support.interval(second, a2, b2)
+                assert part.size == factors[0].size * factors[1].size
+                counts = [len(fl.all_congruences(x)) for x in (part, *factors)]
+                assert counts[0] == counts[1] * counts[2]
+                facts[_theorem_facts(part)] += 1
+    assert facts == expected
+
+
+def test_intervals_of_pi4():
+    # an interval of a partition lattice is a product of partition lattices:
+    # [0, c] is Π3 = m3 for the 4 coatoms c of type 3+1 and Π2 × Π2 = boolean2
+    # for the 3 of type 2+2, and [a, 1] is Π3 for each of the 6 atoms a
+    pi4 = support.partition_lattice(4)
+    down, up = pi4.down_masks, pi4.up_masks
+    coatoms = [c for c in pi4.elements() if up[c].bit_count() == 2]
+    atoms = [a for a in pi4.elements() if down[a].bit_count() == 2]
+    shapes = Counter(
+        fl.canonical_form(support.interval(pi4, pi4.bottom, c)) for c in coatoms
+    ) + Counter(fl.canonical_form(support.interval(pi4, a, pi4.top)) for a in atoms)
+    m3, boolean2 = (fl.canonical_form(support.catalog()[name]) for name in ("m3", "boolean2"))
+    assert shapes == {m3: 10, boolean2: 3}
+    facts = Counter(
+        _theorem_facts(support.interval(pi4, a, b))
+        for a in pi4.elements()
+        for b in pi4.elements()
+        if pi4.leq[a][b]
+    )
+    assert facts == {(False, True, True): 11, (True, True, True): 49}
+
+
+# (in scope, balanced, complemented) -> number of quotients L/θ, one per θ
+QUOTIENTS = {
+    ("chain2", "n5"): {(True, True, True): 10},
+    ("chain3", "m3"): {
+        (False, False, False): 1,
+        (False, True, True): 3,
+        (True, False, False): 1,
+        (True, True, True): 3,
+    },
+    ("n5", "m3"): {(False, True, True): 5, (True, True, True): 5},
+    ("boolean2", "n5"): {(True, True, True): 20},
+    ("m3", "m3"): {(False, True, True): 3, (True, True, True): 1},
+    ("chain2", "chain2", "m3"): {(False, True, True): 4, (True, True, True): 4},
+}
+
+
+@pytest.mark.parametrize("names, expected", QUOTIENTS.items(), ids=map("x".join, QUOTIENTS))
+def test_quotients_of_products(names, expected):
+    # Con(L/θ) is the interval [θ, ∇] of Con(L)
+    lattice = support.catalog_product(names)
+    congs = [c.partition for c in fl.all_congruences(lattice)]
+    facts = Counter()
+    for theta, image in support.quotients(lattice):
+        above = sum(theta.partition.refines(other) for other in congs)
+        assert len(fl.all_congruences(image)) == above
+        facts[_theorem_facts(image)] += 1
+    assert facts == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(lattice=support.closed_set_lattices())
 def test_theorem_and_scope_on_closed_set_lattices(lattice):
@@ -464,20 +589,11 @@ def test_classify_m3_witnesses():
     assert str(w.nonprime_maximal_filter) == "{1,4}"
 
 
-def test_witness_fields_track_report_booleans_up_to_size_6():
-    for _lattice, report in support.classified_up_to(6):
-        w = report.witnesses
-        assert (w.nested_prime_ideals is not None) == report.seven.c3
-        assert (w.noncomplemented_element is not None) == report.seven.c7
-        assert (w.unbalanced_congruence is not None) == report.seven.c6
-        if report.is_d_lattice:
-            assert w.nonprime_maximal_ideal is None
-            assert w.nonprime_maximal_filter is None
-        else:
-            assert (
-                w.nonprime_maximal_ideal is not None
-                or w.nonprime_maximal_filter is not None
-            )
+def test_report_witnesses_hold_by_definition_up_to_size_8():
+    # each witness is present exactly when its flag is set, and holds by
+    # the definitions alone
+    for lattice, report in support.classified_up_to(8):
+        oracles.check_report(lattice, report)
 
 
 def test_report_to_dict_is_json_serializable():
