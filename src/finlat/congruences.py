@@ -6,34 +6,36 @@ Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
-Only principal and generated congruences need the compatibility
-closure, which normalizes its labels once and returns the tuple; the
-principal lookups hand that tuple on, and only the public constructors
-wrap it in a :class:`Partition`.  Con(L) and joins hold a congruence
-as the bit mask of the covering pairs a ≺ b it relates: a class is an
-interval whose members are linked by covering pairs inside it, so the
-mask fixes the congruence.  Con(L) is distributive, and its
-join-irreducibles are the con(a, b) of the covering pairs, each
-join-prime, so a join of congruences is the OR of their masks.
-``all_congruences`` closes the masks of J(Con L) under OR and labels
-each result once; called on its own, it runs one closure per covering
-pair.  A congruence class is a convex sublattice, so the 1-class is an
-interval [m, 1] and the 0-class an interval [0, z], and balance is the
-one equality con(0, z) = con(m, 1) of the principal congruences the
-two classes generate.  For the same reason con(a, b) = con(a∧b, a∨b):
-``principal_table`` runs the closure once per comparable pair a < b
-and reads every other pair at its meet and join.  The per-lattice
-record of facts behind ``verify_theorem`` builds it once and passes it
-to Con(L) and balance, which then read every principal congruence from
-it; without it each lookup is one closure.  The two lookups stay side
-by side until the benchmark reads peak memory from one pass: a lazy
-lookup is faster, and the benchmark keeps every pass, so more passes
-read as more memory.  No closure decides the d-lattice scope.
+The compatibility closure (``core._closure``) is the one congruence
+primitive: it builds principal and generated congruences, and
+``is_congruence`` (like ``core.quotient``) asks whether closing a
+partition's blocks adds nothing.  It normalizes its labels once and
+returns the tuple; the principal lookups hand that tuple on, and only
+the public constructors wrap it in a :class:`Partition`.  Con(L) and
+joins hold a congruence as the bit mask of the covering pairs a ≺ b it
+relates: a class is an interval whose members are linked by covering
+pairs inside it, so the mask fixes the congruence.  Con(L) is
+distributive, and its join-irreducibles are the con(a, b) of the
+covering pairs, each join-prime, so a join of congruences is the OR of
+their masks.  ``all_congruences`` closes the masks of J(Con L) under OR
+and labels each result once; called on its own, it runs one closure per
+covering pair.  A congruence class is a convex sublattice, so the
+1-class is an interval [m, 1] and the 0-class an interval [0, z], and
+balance is the one equality con(0, z) = con(m, 1) of the principal
+congruences the two classes generate.  For the same reason con(a, b) =
+con(a∧b, a∨b): ``principal_table`` runs the closure once per comparable
+pair a < b and reads every other pair at its meet and join.  The
+per-lattice record of facts behind ``verify_theorem`` builds it once
+and passes it to Con(L) and balance, which then read every principal
+congruence from it; without it each lookup is one closure.  The two
+lookups stay side by side until the benchmark reads peak memory from
+one pass: a lazy lookup is faster, and the benchmark keeps every pass,
+so more passes read as more memory.  No closure decides the d-lattice
+scope.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -44,19 +46,10 @@ from .core import (
     OwnerMismatch,
     SizeMismatch,
     _blocks_compatible,
+    _closure,
     _fold,
+    _normalize,
 )
-
-
-def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
-    """Relabel blocks in first-occurrence order (element 0 gets label 0)."""
-    seen: dict[Hashable, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -95,7 +88,9 @@ class Partition:
     def __post_init__(self) -> None:
         if len(self.block_of) != self.size:
             raise SizeMismatch("block_of length differs from size")
-        if self.block_of != _normalize(self.block_of):
+        # normalized iff the labels first occur in the order 0, 1, 2, ...
+        first_seen = tuple(dict.fromkeys(self.block_of))
+        if first_seen != tuple(range(len(first_seen))):
             raise ValueError("block labels are not normalized")
 
     @property
@@ -169,49 +164,14 @@ class Congruence:
 
 
 def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
-    """Full x, y, z compatibility scan of a partition."""
+    """Whether the partition is compatible with meet and join.
+
+    Decided by the closure: the partition is a congruence iff the least
+    congruence holding its blocks has no larger block.
+    """
     if partition.size != lattice.size:
         raise SizeMismatch("partition sized for a different lattice")
     return _blocks_compatible(lattice, partition.block_of)
-
-
-def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Normalized labels of the least congruence containing the given pairs.
-
-    Union-find plus a FIFO worklist: whenever two classes merge through
-    the pair (x, y), the forced pairs (x∧z, y∧z) and (x∨z, y∨z) are
-    queued for every z in ascending order.  Chains of merges compose
-    transitively inside the union-find, so enqueueing products for the
-    merged pair alone reaches the full fixpoint.  The labels are
-    normalized here, once; callers that need a :class:`Partition` wrap
-    them, and lookups compare and store the tuple itself.
-    """
-    n = lattice.size
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    meet, join = lattice.meet, lattice.join
-    queue: deque[tuple[int, int]] = deque(pairs)
-    while queue:
-        x, y = queue.popleft()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
-        for z in range(n):
-            if find(mx[z]) != find(my[z]):
-                queue.append((mx[z], my[z]))
-            if find(jx[z]) != find(jy[z]):
-                queue.append((jx[z], jy[z]))
-    return _normalize([find(i) for i in range(n)])
 
 
 def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:

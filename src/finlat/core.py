@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import itemgetter, or_
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .congruences import Congruence
@@ -503,11 +504,15 @@ def _row(encoded: bytes) -> tuple[bool, ...]:
 
 
 def lattice_from_canonical(form: bytes) -> FiniteLattice:
-    """Rebuild the (validated) lattice encoded by a canonical form."""
+    """Rebuild the (validated) lattice encoded by a canonical form.
+
+    The form is ``n:`` in plain decimal digits followed by n*n bytes,
+    each ``0`` or ``1``; anything else raises :class:`ValueError`.
+    """
     head, _, body = form.partition(b":")
+    if not head.isdigit() or len(body) != int(head) ** 2 or body.translate(None, b"01"):
+        raise ValueError("canonical form is not 'n:' followed by n*n bytes 0 or 1")
     n = int(head)
-    if len(body) != n * n:
-        raise ValueError("canonical form has wrong length")
     return from_leq_matrix([_row(body[i * n : (i + 1) * n]) for i in range(n)])
 
 
@@ -523,27 +528,76 @@ def is_isomorphic(first: FiniteLattice, second: FiniteLattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Quotients
+# Congruence closure and quotients
 # ---------------------------------------------------------------------------
 
 
-def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:
-    """Meet/join compatibility of a block labeling, by full scan."""
+def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
+    """Relabel blocks in first-occurrence order (element 0 gets label 0)."""
+    seen: dict[Hashable, int] = {}
+    out = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out.append(seen[lab])
+    return tuple(out)
+
+
+def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """Normalized labels of the least congruence containing the given pairs.
+
+    Union-find plus a FIFO worklist: whenever two classes merge through
+    the pair (x, y), the forced pairs (x∧z, y∧z) and (x∨z, y∨z) are
+    queued for every z in ascending order.  Chains of merges compose
+    transitively inside the union-find, so enqueueing products for the
+    merged pair alone reaches the full fixpoint.  The labels are
+    normalized here, once; callers that need a :class:`Partition` wrap
+    them, and lookups compare and store the tuple itself.  It is the
+    package's one congruence primitive: principal and generated
+    congruences, the principal lookups and the compatibility test of
+    :func:`_blocks_compatible` all run it.
+    """
     n = lattice.size
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     meet, join = lattice.meet, lattice.join
-    for x in range(n):
-        bx = block_of[x]
-        mx, jx = meet[x], join[x]
-        for y in range(x + 1, n):
-            if block_of[y] != bx:
-                continue
-            my, jy = meet[y], join[y]
-            for z in range(n):
-                if block_of[mx[z]] != block_of[my[z]]:
-                    return False
-                if block_of[jx[z]] != block_of[jy[z]]:
-                    return False
-    return True
+    queue: deque[tuple[int, int]] = deque(pairs)
+    while queue:
+        x, y = queue.popleft()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        if ry < rx:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
+        for z in range(n):
+            if find(mx[z]) != find(my[z]):
+                queue.append((mx[z], my[z]))
+            if find(jx[z]) != find(jy[z]):
+                queue.append((jx[z], jy[z]))
+    return _normalize([find(i) for i in range(n)])
+
+
+def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:
+    """Meet/join compatibility of a normalized block labeling, by the closure.
+
+    The least congruence holding every pair of a partition's blocks
+    contains the partition, and equals it iff the partition is a
+    congruence (Grätzer, *Lattice Theory: Foundation*, 2011).  So the
+    pairs (first member of the block, member) are closed once, and the
+    labeling is compatible iff closing adds nothing.  O(n²) table reads
+    on a congruence, with no early exit on a partition that is not one.
+    """
+    first: dict[int, int] = {}
+    pairs = [(first.setdefault(label, x), x) for x, label in enumerate(block_of)]
+    return _closure(lattice, pairs) == tuple(block_of)
 
 
 def _order_image(lattice: FiniteLattice, image: Sequence[int], k: int) -> FiniteLattice:
@@ -567,7 +621,9 @@ def quotient(
     """The quotient lattice of blocks plus the projection homomorphism.
 
     Block X <= block Y iff some x in X and y in Y satisfy x <= y, which
-    for congruence blocks is a valid bounded-lattice order.
+    for congruence blocks is a valid bounded-lattice order.  A partition
+    that closes to a coarser one (:func:`_blocks_compatible`) raises
+    :class:`NotACongruence`.
     """
     if congruence.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")

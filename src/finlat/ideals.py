@@ -261,9 +261,9 @@ def annihilator_ideal(lattice: FiniteLattice, a: int) -> ElementSet:
 def prime_ideal_congruence(lattice: FiniteLattice, ideal: ElementSet) -> Congruence:
     """The two-block congruence with classes I and L∖I, for prime I.
 
-    Compatibility is re-verified before returning; primality is exactly
-    what makes the complement meet-closed and hence the partition
-    compatible.
+    Compatibility is re-verified by the closure before returning (see
+    :func:`is_congruence`); primality is exactly what makes the
+    complement meet-closed and hence the partition compatible.
     """
     if not is_prime_ideal(lattice, ideal):
         raise NotPrime(f"{ideal} is not a prime ideal")

@@ -40,7 +40,6 @@ from typing import Any, Optional, Sequence
 from .congruences import (
     Congruence,
     Principal,
-    _closure,
     all_congruences,
     is_balanced_congruence,
     principal_table,
@@ -50,6 +49,7 @@ from .core import (
     LatticeError,
     LatticeHomomorphism,
     SizeMismatch,
+    _closure,
     _fold,
     is_homomorphism,
     is_surjective,

@@ -44,7 +44,10 @@ principal congruences.
 The quotient L/θ from the block order [x] <= [y] iff x∨y θ y is the
 reference for the package's image of the order under the block labels,
 and ``check_report`` re-checks every witness of a ``classify`` report
-against the definitions alone.
+against the definitions alone, reading ideals and filters from the
+down-set and up-set of each element checked by pair scans, which the
+subset scans ``brute_ideals`` and ``brute_maximal_ideals`` ground on
+small lattices.
 """
 
 from __future__ import annotations
@@ -70,7 +73,6 @@ from finlat import (
     annihilator_filter,
     annihilator_ideal,
     canonical_form,
-    dual,
     enumerate_filters,
     enumerate_ideals,
     from_leq_matrix,
@@ -292,11 +294,43 @@ def brute_ideals(lattice: FiniteLattice) -> set[int]:
     return out
 
 
+def _maximal_proper(masks: set[int], size: int) -> set[int]:
+    """The masks other than the full set lying under no other such mask."""
+    proper = masks - {(1 << size) - 1}
+    return {m for m in proper if not any(m != o and m & ~o == 0 for o in proper)}
+
+
 def brute_maximal_ideals(lattice: FiniteLattice) -> set[int]:
     """Bitmasks of proper ideals with no strictly larger proper ideal."""
-    full = (1 << lattice.size) - 1
-    proper = brute_ideals(lattice) - {full}
-    return {m for m in proper if not any(m != o and m & ~o == 0 for o in proper)}
+    return _maximal_proper(brute_ideals(lattice), lattice.size)
+
+
+def ideals_by_principal_scan(lattice: FiniteLattice, upward: bool = False) -> set[int]:
+    """Bitmasks of all ideals (filters when ``upward``), in O(n^3).
+
+    In a finite lattice every ideal is the down-set of its join, so the
+    candidates are the down-sets ↓a (up-sets ↑a), read off ``leq``.  Each
+    is kept when it passes the definition by pair scans: closed downward
+    (upward), and closed under join (meet).  ``brute_ideals`` is the
+    reference on small lattices.
+    """
+    n, leq = lattice.size, lattice.leq
+    # inside(a, x): x lies in ↓a (in ↑a when upward)
+    inside = (lambda a, x: leq[a][x]) if upward else (lambda a, x: leq[x][a])
+    table = lattice.meet if upward else lattice.join
+    out = set()
+    for a in range(n):
+        members = [x for x in range(n) if inside(a, x)]
+        mask = sum(1 << x for x in members)
+        closed = all(mask >> y & 1 for x in members for y in range(n) if inside(x, y))
+        if closed and all(mask >> table[x][y] & 1 for x in members for y in members):
+            out.add(mask)
+    return out
+
+
+def maximal_ideals_by_principal_scan(lattice: FiniteLattice, upward: bool = False) -> set[int]:
+    """The proper sets of ``ideals_by_principal_scan`` under no other proper one."""
+    return _maximal_proper(ideals_by_principal_scan(lattice, upward), lattice.size)
 
 
 def naive_enumerate(n: int) -> list[FiniteLattice]:
@@ -1048,9 +1082,10 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     Each witness must be present exactly when its flag says so, and each
     but the congruence must be the least one in the report's order,
     which would take Con(L) to check.  Ideals and filters come from
-    the subset scans ``brute_ideals`` and ``brute_maximal_ideals``
-    (filters as the ideals of the dual), primality from a pair scan and
-    complements from a scan; Con(L) is not read:
+    ``ideals_by_principal_scan`` and ``maximal_ideals_by_principal_scan``
+    (each down-set and up-set checked by pair scans, maximality by
+    comparing them), primality from a pair scan and complements from a
+    scan, all polynomial in the size; Con(L) is not read:
 
     - the nested prime ideals map onto chain(3) through
       ``three_chain_quotient_from_nested_primes``, and ``is_homomorphism``
@@ -1069,7 +1104,9 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     seven, witnesses = report.seven, report.witnesses
 
     primes = [
-        m for m in brute_ideals(lattice) if prime_by_pairs(lattice, ElementSet(n, m), meet)
+        m
+        for m in ideals_by_principal_scan(lattice)
+        if prime_by_pairs(lattice, ElementSet(n, m), meet)
     ]
     primes.sort(key=lambda mask: (mask.bit_count(), mask))
     nested = next(
@@ -1102,12 +1139,14 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
         _require(not balanced_by_generated_closure(lattice, cong), "witness is balanced")
 
     nonprime = []
-    for side, other, witness in (
-        (lattice, meet, witnesses.nonprime_maximal_ideal),
-        (dual(lattice), join, witnesses.nonprime_maximal_filter),
+    for upward, other, witness in (
+        (False, meet, witnesses.nonprime_maximal_ideal),
+        (True, join, witnesses.nonprime_maximal_filter),
     ):
         least = _least_set(
-            m for m in brute_maximal_ideals(side) if not prime_by_pairs(lattice, ElementSet(n, m), other)
+            m
+            for m in maximal_ideals_by_principal_scan(lattice, upward)
+            if not prime_by_pairs(lattice, ElementSet(n, m), other)
         )
         _require(
             least == (None if witness is None else witness.mask),

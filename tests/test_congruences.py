@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,19 @@ def test_partition_normalization():
     assert fl.Partition.all_in_one(3).block_of == (0, 0, 0)
     with pytest.raises(ValueError):
         fl.Partition(2, (1, 0))
+
+
+def test_partition_check_rejects_exactly_the_unnormalized_labels():
+    # the first-occurrence check raises on the same label tuples as
+    # comparing with the normalized tuple
+    for n in range(5):
+        for labels in product((-1, 0, 1, 2, 3, "a"), repeat=n):
+            try:
+                fl.Partition(n, labels)
+            except ValueError:
+                assert labels != congruences._normalize(labels)
+            else:
+                assert labels == congruences._normalize(labels)
 
 
 def test_partition_from_blocks_and_str():
@@ -51,6 +66,19 @@ def test_is_congruence_examples():
     assert not fl.is_congruence(n5, fl.Partition.from_blocks(5, [[0, 1], [2], [3], [4]]))
     with pytest.raises(fl.SizeMismatch):
         fl.is_congruence(n5, fl.Partition.identity(4))
+
+
+def test_is_congruence_matches_compatibility_scan_up_to_size_7():
+    # the closure decides compatibility as the x, y, z scan does, on every
+    # partition of every lattice of size <= 7
+    pairs = 0
+    for lattice in support.lattices_up_to(7):
+        n = lattice.size
+        for labels in oracles.all_partitions(n):
+            expected = oracles.compatible(lattice, labels)
+            assert fl.is_congruence(lattice, fl.Partition(n, labels)) == expected, labels
+            pairs += 1
+    assert pairs == 49_824
 
 
 def test_congruence_equality_is_lattice_identity_scoped():

@@ -21,6 +21,7 @@ import finlat as fl
 import oracles
 import support
 from finlat import core
+from finlat.enumeration import _canonical_forms
 
 
 def test_two_chain_from_matrix():
@@ -487,6 +488,20 @@ def test_twin_atoms_are_not_permuted():
     assert fl.is_isomorphic(fl.lattice_from_canonical(form), lattice)
 
 
+@pytest.mark.parametrize("form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":"])
+def test_lattice_from_canonical_rejects_malformed_forms(form):
+    # a size head that is not plain decimal digits, or a body byte other
+    # than 0 or 1
+    with pytest.raises(ValueError):
+        fl.lattice_from_canonical(form)
+
+
+def test_canonical_forms_round_trip_up_to_size_8():
+    for n in range(1, 9):
+        for form in _canonical_forms(n):
+            assert fl.canonical_form(fl.lattice_from_canonical(form)) == form
+
+
 def test_canonical_form_agrees_with_brute_isomorphism_at_size_5():
     reps = support.lattices_of(5)
     for i, first in enumerate(reps):
@@ -541,6 +556,19 @@ def test_quotient_rejects_foreign_and_invalid_partitions():
     merged_bottom_atom = fl.Congruence(n5, fl.Partition.from_blocks(5, [[0, 1], [2], [3], [4]]))
     with pytest.raises(fl.NotACongruence):
         fl.quotient(n5, merged_bottom_atom)
+
+
+def test_quotient_raises_exactly_on_incompatible_partitions_up_to_size_5():
+    for lattice in support.lattices_up_to(5):
+        n = lattice.size
+        for labels in oracles.all_partitions(n):
+            theta = fl.Congruence(lattice, fl.Partition(n, labels))
+            if oracles.compatible(lattice, labels):
+                image, _ = fl.quotient(lattice, theta)
+                assert image.size == max(labels) + 1
+            else:
+                with pytest.raises(fl.NotACongruence):
+                    fl.quotient(lattice, theta)
 
 
 def test_homomorphism_checks():

@@ -102,6 +102,16 @@ def test_maximal_ideal_examples():
         fl.is_maximal_ideal(m3, fl.ElementSet.from_iterable(5, [4]))
 
 
+def test_principal_scan_matches_subset_scan_up_to_size_8():
+    # the polynomial scan behind oracles.check_report against the subset
+    # scans; filters are the ideals of the dual
+    for lattice in support.lattices_up_to(8):
+        for upward, side in ((False, lattice), (True, fl.dual(lattice))):
+            assert oracles.ideals_by_principal_scan(lattice, upward) == oracles.brute_ideals(side)
+            maximal = oracles.maximal_ideals_by_principal_scan(lattice, upward)
+            assert maximal == oracles.brute_maximal_ideals(side)
+
+
 def test_maximality_matches_brute_scan_up_to_size_6():
     for lattice in support.lattices_up_to(6):
         maximal_ideals = oracles.brute_maximal_ideals(lattice)

@@ -306,14 +306,12 @@ def test_simple_complemented_lattices_beyond_size_10(build, k, size):
 
 
 def _theorem_facts(lattice: fl.FiniteLattice) -> tuple[bool, bool, bool]:
-    """(in scope, balanced, complemented), once the verdict passes and the
-    two d-lattice characterizations agree; the witnesses are re-checked on
-    lattices small enough for the subset scans."""
+    """(in scope, balanced, complemented), once the verdict passes, the two
+    d-lattice characterizations agree and the witnesses hold by definition."""
     assert fl.is_d_lattice(lattice) == fl.is_d_lattice_definition(lattice)
     verdict = fl.verify_theorem(lattice)
     assert verdict.passed
-    if lattice.size <= 10:
-        oracles.check_report(lattice, fl.classify(lattice))
+    oracles.check_report(lattice, fl.classify(lattice))
     return verdict.scope == "d-lattice", verdict.balanced, verdict.complemented
 
 
@@ -594,6 +592,19 @@ def test_report_witnesses_hold_by_definition_up_to_size_8():
     # the definitions alone
     for lattice, report in support.classified_up_to(8):
         oracles.check_report(lattice, report)
+
+
+@pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
+def test_report_witnesses_hold_by_definition_at_sizes_9_and_10(n):
+    # 1,078 and 5,994 lattices; the ideal scans are polynomial
+    for lattice in support.lattices_of(n):
+        oracles.check_report(lattice, fl.classify(lattice))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lattice=support.closed_set_lattices())
+def test_report_witnesses_hold_by_definition_on_closed_set_lattices(lattice):
+    oracles.check_report(lattice, fl.classify(lattice))
 
 
 def test_report_to_dict_is_json_serializable():
