@@ -54,7 +54,12 @@ from .core import (
 
 @dataclass(frozen=True, order=True)
 class Partition:
-    """A partition of {0..size-1} in normalized block-label form."""
+    """A partition of {0..size-1} in normalized block-label form.
+
+    ``block_of[x]`` is the label of x's block: an ``int`` (not a bool),
+    with labels first occurring in the order 0, 1, 2, ...; any other
+    labels raise :class:`ValueError`.
+    """
 
     size: int
     block_of: tuple[int, ...]
@@ -88,6 +93,8 @@ class Partition:
     def __post_init__(self) -> None:
         if len(self.block_of) != self.size:
             raise SizeMismatch("block_of length differs from size")
+        if set(map(type, self.block_of)) - {int}:  # bool is a type of its own here
+            raise ValueError("block labels are not all integers")
         # normalized iff the labels first occur in the order 0, 1, 2, ...
         first_seen = tuple(dict.fromkeys(self.block_of))
         if first_seen != tuple(range(len(first_seen))):

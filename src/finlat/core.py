@@ -1,14 +1,18 @@
 """Finite bounded lattices as explicit order and operation tables.
 
 Elements of a lattice of size n are the dense integers 0..n-1.  The
-partial order is an explicit boolean matrix; binary meet and join tables
-are computed once at construction time, so every algorithm layered on
-top is a table lookup.  Bottom and top are discovered by validation, not
-fixed by index: input files may label elements freely, while
-:func:`canonical_form` renumbers so that bottom is 0 and top is n-1.
+partial order is an explicit boolean matrix, validated at construction;
+binary meet and join tables are derived on their first read and kept, so
+every algorithm layered on top is a table lookup, and a lattice whose
+tables are never read (every class that enumeration rebuilds and only
+counts or writes out) never pays for them.  Bottom and top are
+discovered by validation, not fixed by index: input files may label
+elements freely, while :func:`canonical_form` renumbers so that bottom
+is 0 and top is n-1.
 
-All values are immutable after construction and safe to share across
-threads.
+All values are immutable and safe to share across threads; two threads
+that read a lattice's tables first at the same time may both derive
+them, and both get equal tables.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class LatticeError(Exception):
     parameter, a non-permutation given to ``relabel``, a malformed
     ``lattice_from_canonical`` form, an empty or non-square
     ``FiniteLattice`` matrix, and ``Partition`` blocks that overlap or
-    miss an element or labels that are not normalized.
+    miss an element or labels that are not integers or not normalized.
     """
 
 
@@ -81,20 +85,26 @@ class ParseError(LatticeError):
 
 @dataclass(frozen=True)
 class FiniteLattice:
-    """A bounded lattice on elements 0..size-1 with precomputed tables.
+    """A bounded lattice on elements 0..size-1 with its operation tables.
 
     Constructed from the order matrix alone: ``FiniteLattice(leq)``
     derives every other field from it and raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails, so
-    no instance holds tables that disagree with its order.
+    no instance holds tables that disagree with its order.  The lattice
+    stage tests only that every pair has a meet, one set-containment
+    test per element over the down-masks; ``meet`` and ``join`` are
+    built together by :func:`_meet_join_tables` on the first read of
+    either, and a failed test runs that function at once, so the error
+    names the same first failing pair as a full scan.
 
     ``leq[i][j]`` is True iff i <= j.  ``down_masks[i]`` has bit j set
     iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; they exist
     only to make subset arithmetic cheap.  The rows of ``meet`` and
     ``join`` are immutable tuples shared with equal rows of other
     lattices, so holding many small lattices costs little more than
-    their distinct rows.
+    their distinct rows.  Equality and hashing read every field, the
+    tables included.
     """
 
     size: int = field(init=False)
@@ -140,17 +150,28 @@ class FiniteLattice:
         tops = [i for i in range(n) if down[i] == full]
         if len(bottoms) != 1 or len(tops) != 1:
             raise NotBounded("order has no unique bottom or top element")
-        meet, join = _meet_join_tables(down, up)
+        # every pair has a meet iff each down[x] & down[y] is some element's
+        # down-set; a bounded finite meet-semilattice is a lattice, so joins exist
+        masks = set(down)
+        for x in range(n - 1):
+            if not masks.issuperset(map(down[x].__and__, down[x + 1 :])):
+                _meet_join_tables(down, up)  # raises at the first failing pair
         self.__dict__.update(
             size=n,
             leq=leq,
-            meet=meet,
-            join=join,
             bottom=bottoms[0],
             top=tops[0],
             down_masks=down,
             up_masks=up,
         )
+
+    def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
+        # called only for attributes not in __dict__: the tables before their first read
+        if name not in ("meet", "join"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        meet, join = _meet_join_tables(self.down_masks, self.up_masks)
+        self.__dict__.update(meet=meet, join=join)
+        return self.__dict__[name]
 
     def elements(self) -> range:
         return range(self.size)
@@ -543,19 +564,29 @@ def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+def _closure(
+    lattice: FiniteLattice, pairs: Iterable[tuple[int, int]], within: Sequence[int] | None = None
+) -> tuple[int, ...] | None:
     """Normalized labels of the least congruence containing the given pairs.
 
     Union-find plus a FIFO worklist: whenever two classes merge through
     the pair (x, y), the forced pairs (x∧z, y∧z) and (x∨z, y∨z) are
     queued for every z in ascending order.  Chains of merges compose
     transitively inside the union-find, so enqueueing products for the
-    merged pair alone reaches the full fixpoint.  The labels are
-    normalized here, once; callers that need a :class:`Partition` wrap
-    them, and lookups compare and store the tuple itself.  It is the
-    package's one congruence primitive: principal and generated
-    congruences, the principal lookups and the compatibility test of
-    :func:`_blocks_compatible` all run it.
+    merged pair alone reaches the full fixpoint.  The given pairs enter
+    the worklist one at a time, each once the previous one's forced
+    pairs are all closed; the fixpoint does not depend on the order.
+    The labels are normalized here, once; callers that need a
+    :class:`Partition` wrap them, and lookups compare and store the
+    tuple itself.  It is the package's one congruence primitive:
+    principal and generated congruences, the principal lookups and the
+    compatibility test of :func:`_blocks_compatible` all run it.
+
+    Given block labels ``within``, it returns None at the first merge of
+    two elements with different labels, so the congruence is not inside
+    that partition; without them it always returns the labels.  Since
+    each given pair is closed before the next enters, a pair that forces
+    such a merge is found without closing the pairs after it.
     """
     n = lattice.size
     parent = list(range(n))
@@ -567,21 +598,25 @@ def _closure(lattice: FiniteLattice, pairs: Iterable[tuple[int, int]]) -> tuple[
         return x
 
     meet, join = lattice.meet, lattice.join
-    queue: deque[tuple[int, int]] = deque(pairs)
-    while queue:
-        x, y = queue.popleft()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
-        for z in range(n):
-            if find(mx[z]) != find(my[z]):
-                queue.append((mx[z], my[z]))
-            if find(jx[z]) != find(jy[z]):
-                queue.append((jx[z], jy[z]))
+    queue: deque[tuple[int, int]] = deque()
+    for pair in pairs:
+        queue.append(pair)
+        while queue:
+            x, y = queue.popleft()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            if within is not None and within[x] != within[y]:
+                return None
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
+            for z in range(n):
+                if find(mx[z]) != find(my[z]):
+                    queue.append((mx[z], my[z]))
+                if find(jx[z]) != find(jy[z]):
+                    queue.append((jx[z], jy[z]))
     return _normalize([find(i) for i in range(n)])
 
 
@@ -591,13 +626,14 @@ def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:
     The least congruence holding every pair of a partition's blocks
     contains the partition, and equals it iff the partition is a
     congruence (Grätzer, *Lattice Theory: Foundation*, 2011).  So the
-    pairs (first member of the block, member) are closed once, and the
-    labeling is compatible iff closing adds nothing.  O(n²) table reads
-    on a congruence, with no early exit on a partition that is not one.
+    pairs (first member of the block, member) are closed, and the
+    labeling is compatible iff closing never merges two blocks: the
+    closure stops at the first such merge.  O(n²) table reads on a
+    congruence.
     """
     first: dict[int, int] = {}
     pairs = [(first.setdefault(label, x), x) for x, label in enumerate(block_of)]
-    return _closure(lattice, pairs) == tuple(block_of)
+    return _closure(lattice, pairs, block_of) is not None
 
 
 def _order_image(lattice: FiniteLattice, image: Sequence[int], k: int) -> FiniteLattice:

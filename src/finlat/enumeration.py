@@ -33,12 +33,20 @@ block sorted by (strict mask, key) instead of strict mask alone: the
 key is an isomorphism invariant, so relabelling later blocks changes no
 key already sorted.  The key needs the up-sets, so they are carried
 through the recursion: placing an element sets its bit in the up-set of
-each element below it, and taking it back clears the bit.  A twin pair
-is recorded as it is placed, since k is a twin of k - 1 exactly when
-their strict masks are equal.  Only survivors leave the recursion, with
-their up-sets, ready for the canonical form: 7,848 over sizes 1 to 10,
-6,402 of the 47,533 placements at size 10 (93,981 with the size prune
-alone), to find 5,994 classes.
+each element below it, and taking it back clears the bit.  The last
+free element is the exception: a leaf reads its bit in the up-sets of
+the members of its strict down-set without setting it, and sets it only
+on a survivor, whose up-sets are then copied out; at size 10, 41,131 of
+the 47,533 leaves are rejected without touching the up-sets.  A twin
+pair is recorded as it is placed, since k is a twin of k - 1 exactly
+when their strict masks are equal.  Only survivors leave the recursion,
+with their up-sets, ready for the canonical form: 7,848 over sizes 1 to
+10, 6,402 of the 47,533 placements at size 10 (93,981 with the size
+prune alone), to find 5,994 classes.
+
+The classes are rebuilt from their canonical forms through the
+validating constructor, which leaves the meet and join tables to their
+first read: counting or writing out the classes derives none.
 
 Survivors are deduplicated by canonical form, which is also the
 emission order.  Nothing is cached: each call enumerates afresh, and a
@@ -141,10 +149,13 @@ def _place(
 
     Placing k sets bit k in the up-mask of every element below it and
     clears it again before the next candidate, so ``up`` is the
-    transpose of ``down`` over the placed elements and, at a leaf, of
-    the whole placement.  k is a down-twin of k - 1 exactly when its
-    strict mask equals the previous one; ``twins`` lists the lower
-    twin j of each such adjacent pair (j, j + 1) placed so far.
+    transpose of ``down`` over the placed elements.  At the leaf
+    (k = n-2) the twin order is checked first, with bit k read from the
+    candidate's strict mask, and only a survivor sets the bits, so
+    ``up`` is the transpose of the whole placement when it is copied
+    out.  k is a down-twin of k - 1 exactly when its strict mask equals
+    the previous one; ``twins`` lists the lower twin j of each such
+    adjacent pair (j, j + 1) placed so far.
 
     A module-level function, not a closure: a recursive closure refers
     to itself through its cell and is left for the cycle collector.
@@ -158,13 +169,14 @@ def _place(
         if size < least or size == least and strict < previous:
             continue
         down[k] = strict | bit
+        placed = twins + (k - 1,) if strict == previous else twins
+        if k == last and not _twins_in_order(down, up, placed, strict):
+            continue
         below = _bits(strict)
         for i in below:
             up[i] |= bit
-        placed = twins + (k - 1,) if strict == previous else twins
         if k == last:
-            if _twins_in_order(down, up, placed):
-                yield tuple(down), tuple(up)
+            yield tuple(down), tuple(up)
         else:
             kept = [d for d in downsets if (m := d & strict) & ~down[m.bit_length() - 1] == 0]
             holding_k = [d | bit for d in downsets if d & strict == strict]
@@ -173,7 +185,9 @@ def _place(
             up[i] ^= bit
 
 
-def _twins_in_order(down: Sequence[int], up: Sequence[int], twins: Sequence[int]) -> bool:
+def _twins_in_order(
+    down: Sequence[int], up: Sequence[int], twins: Sequence[int], strict: int
+) -> bool:
     """Whether each listed pair of down-twins (j, j + 1) is in key order.
 
     The key of e is (|up-set of e|, the down-set sizes of its members
@@ -182,9 +196,15 @@ def _twins_in_order(down: Sequence[int], up: Sequence[int], twins: Sequence[int]
     incomparable and equally large, so each list of sizes leaves out
     the twin itself, the lowest member of its up-set; the lists are
     built only when both twins lie below equally many elements.
+
+    ``up`` lacks the bit of the last free element k = n-2, which sits
+    above ``strict``: bit k is counted in the up-set of each member of
+    ``strict`` without being set.
     """
+    k = len(down) - 2
     for j in twins:
-        first, second = up[j], up[j + 1]
+        first = up[j] | (strict >> j & 1) << k
+        second = up[j + 1] | (strict >> j + 1 & 1) << k
         if first.bit_count() != second.bit_count():
             if first.bit_count() > second.bit_count():
                 return False

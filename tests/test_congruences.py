@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import time
 from itertools import product
 
 import pytest
@@ -33,6 +35,14 @@ def test_partition_check_rejects_exactly_the_unnormalized_labels():
                 assert labels != congruences._normalize(labels)
             else:
                 assert labels == congruences._normalize(labels)
+
+
+def test_partition_rejects_labels_that_are_not_integers():
+    # equal to normalized integer labels, but not usable as block indices
+    for labels in [(0, 1.0), (0.0, 1), (0, True), (False, True), (0, "1")]:
+        with pytest.raises(ValueError):
+            fl.Partition(2, labels)
+    assert fl.Partition(2, (0, 1)).num_blocks == 2
 
 
 def test_partition_from_blocks_and_str():
@@ -79,6 +89,25 @@ def test_is_congruence_matches_compatibility_scan_up_to_size_7():
             assert fl.is_congruence(lattice, fl.Partition(n, labels)) == expected, labels
             pairs += 1
     assert pairs == 49_824
+
+
+def test_is_congruence_stops_at_the_first_merge_of_two_blocks():
+    # random partitions of a 144-element lattice are not congruences; closing
+    # every block pair before comparing took 0.37 s of CPU for these 19
+    chain = fl.standard_lattice("chain", 12)
+    square = fl.product(chain, chain)
+    rng = random.Random(19)
+    partitions = [
+        fl.Partition.from_labels([rng.randrange(6) for _ in range(square.size)])
+        for _ in range(19)
+    ]
+    assert square.meet and square.join  # derive the tables outside the timed part
+    start = time.process_time()
+    verdicts = [fl.is_congruence(square, partition) for partition in partitions]
+    elapsed = time.process_time() - start
+    assert verdicts == [oracles.compatible(square, p.block_of) for p in partitions]
+    assert verdicts == [False] * 19
+    assert elapsed < 0.1
 
 
 def test_congruence_equality_is_lattice_identity_scoped():

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import threading
 import time
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -319,6 +320,73 @@ def test_validate_reports_unbounded_order():
     )
     violations = oracles.axiom_violations(tables)
     assert [rule for rule, _ in violations] == ["bounded"]
+
+
+def test_missing_join_of_the_first_failing_pair_is_reported_exactly():
+    # (1, 2) meet at 0 but have two minimal upper bounds, 3 and 4; the pair
+    # (3, 4) has no meet, which is what the construction check sees first
+    bowtie = [
+        [1, 1, 1, 1, 1, 1],
+        [0, 1, 0, 1, 1, 1],
+        [0, 0, 1, 1, 1, 1],
+        [0, 0, 0, 1, 0, 1],
+        [0, 0, 0, 0, 1, 1],
+        [0, 0, 0, 0, 0, 1],
+    ]
+    with pytest.raises(fl.NotALattice) as raised:
+        fl.FiniteLattice(bowtie)
+    assert str(raised.value) == "elements (1, 2) have no join"
+
+
+def test_tables_are_derived_once_on_first_read(monkeypatch):
+    calls = []
+    derive = core._meet_join_tables
+
+    def counted(down, up):
+        calls.append(len(down))
+        return derive(down, up)
+
+    monkeypatch.setattr(core, "_meet_join_tables", counted)
+    lattices = [lattice for n in range(1, 10) for lattice in fl.enumerate_lattices(n)]
+    assert len(lattices) == 1_378
+    assert calls == []
+    for index, lattice in enumerate(lattices):
+        first = lattice.meet if index % 2 else lattice.join
+        assert len(first) == lattice.size
+    assert calls == [lattice.size for lattice in lattices]
+    for lattice in lattices:
+        assert lattice.meet[lattice.bottom][lattice.top] == lattice.bottom
+        assert lattice.join[lattice.bottom][lattice.top] == lattice.top
+    assert len(calls) == len(lattices)
+
+
+def test_tables_first_read_from_several_threads_agree():
+    # threads that read a fresh lattice's tables at once may each derive them;
+    # every reader still gets the tables of the order
+    orders = [lattice.leq for lattice in support.lattices_up_to(7)]
+    expected = [
+        (tables["meet"], tables["join"])
+        for tables in map(oracles.lattice_tables_by_scan, orders)
+    ]
+    fresh = [fl.FiniteLattice(leq) for leq in orders]
+    seen = [[] for _ in range(4)]
+
+    def read(out):
+        for lattice in fresh:
+            out.append((lattice.meet, lattice.join))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(out,)) for out in seen]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == [expected] * 4
 
 
 def test_tables_cannot_be_supplied_or_replaced():
