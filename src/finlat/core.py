@@ -94,21 +94,28 @@ class FiniteLattice:
     no instance holds tables that disagree with its order.  Each stage
     is one pass over the whole order: squareness, the bool-tuple test
     that keeps rows as they are, reflexivity with antisymmetry (each
-    ``up[i] & down[i]`` is bit i alone), transitivity (the up-sets
-    above each element join to its own), the bounds by counting full
-    masks, and the lattice stage, which tests only that every pair has
-    a meet, one set-containment test over all pairs of down-masks.  Only
-    a failed pass rescans element by element, so the error names the
-    same first failure, with the same type and message, as a full scan.
-    ``meet`` and ``join`` are built together by
-    :func:`_meet_join_tables` on the first read of either; a failed
-    lattice test runs that function at once, and it names the first
-    failing pair.
+    ``up[i] & down[i]`` is bit i alone), then the meet test, one
+    set-containment test that every ``down[i] & down[j]`` is some
+    ``down[m]``.  On a reflexive antisymmetric relation that test proves
+    transitivity: for j <= i, the set ``down[i] & down[j]`` is some
+    ``down[m]``; it holds j, so j <= m, and lies inside ``down[j]``, so
+    m <= j; thus m = j and ``down[j]`` lies inside ``down[i]``.  So
+    when it passes only the bounds are left, counted as full masks.
+    When it fails, the transitivity pass (the up-sets above each element
+    join to its own) runs, then the bounds, then
+    :func:`_meet_join_tables`, which names the first pair with no meet
+    or join: an order fails at the first of the stages reflexivity and
+    antisymmetry, transitivity, bounds, meets and joins.  Only a failed
+    pass rescans element by element, so the error names the same first
+    failure, with the same type and message, as a full scan.  ``meet``
+    and ``join`` are built together by :func:`_meet_join_tables` on the
+    first read of either.
 
     ``leq[i][j]`` is True iff i <= j.  ``down_masks[i]`` has bit j set
     iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; they exist
     only to make subset arithmetic cheap.  The rows of ``meet`` and
-    ``join`` are immutable tuples shared with equal rows of other
+    ``join`` are immutable tuples; on lattices of at most
+    ``_SHARED_LENGTH`` elements they are shared with equal rows of other
     lattices, so holding many small lattices costs little more than
     their distinct rows.  Equality and hashing read every field, the
     tables included.
@@ -152,21 +159,25 @@ class FiniteLattice:
                 if both:
                     j = i + (both & -both).bit_length()
                     raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
-        # transitive iff the up-sets of the elements above each i (i among
-        # them, by reflexivity) join to up[i]
-        above = map(itertools.compress, itertools.repeat(up), leq)
-        if tuple(map(reduce, itertools.repeat(or_), above)) != up:
-            for i in range(n):
-                for j in itertools.compress(range(n), leq[i]):
-                    if up[j] & ~up[i]:
-                        k = (up[j] & ~up[i]).bit_length() - 1
-                        raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
+        # every pair has a meet iff each down[x] & down[y] is some element's
+        # down-set; a bounded finite meet-semilattice is a lattice, so joins
+        # exist.  Passed, it also proves transitivity (see the docstring), so
+        # only a failed test runs the transitivity pass
+        has_meets = set(down).issuperset(itertools.starmap(and_, itertools.combinations(down, 2)))
+        if not has_meets:
+            # transitive iff the up-sets of the elements above each i (i
+            # among them, by reflexivity) join to up[i]
+            above = map(itertools.compress, itertools.repeat(up), leq)
+            if tuple(map(reduce, itertools.repeat(or_), above)) != up:
+                for i in range(n):
+                    for j in itertools.compress(range(n), leq[i]):
+                        if up[j] & ~up[i]:
+                            k = (up[j] & ~up[i]).bit_length() - 1
+                            raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
         full = (1 << n) - 1
         if up.count(full) != 1 or down.count(full) != 1:
             raise NotBounded("order has no unique bottom or top element")
-        # every pair has a meet iff each down[x] & down[y] is some element's
-        # down-set; a bounded finite meet-semilattice is a lattice, so joins exist
-        if not set(down).issuperset(itertools.starmap(and_, itertools.combinations(down, 2))):
+        if not has_meets:
             _meet_join_tables(down, up)  # raises at the first failing pair
         self.__dict__.update(
             size=n,
@@ -239,8 +250,10 @@ def _meet_join_tables(
     met in a full row-major scan, since the diagonal never fails and the
     tables are symmetric.
 
-    Every row is an immutable tuple that equal rows of other lattices
-    share, through the bounded cache ``_shared``.
+    Every row is an immutable tuple.  Rows of at most ``_SHARED_LENGTH``
+    elements are shared with equal rows of other lattices, through the
+    bounded cache ``_shared``; longer ones are kept only by their
+    lattice.
     """
     n = len(down)
     meet_of = {mask: e for e, mask in enumerate(down)}.get
@@ -264,7 +277,13 @@ def _meet_join_tables(
                     raise NotALattice(f"elements ({x}, {y}) have no join")
             meet_row[y] = meet[y][x] = m
             join_row[y] = join[y][x] = j
-    return tuple(map(_shared, map(tuple, meet))), tuple(map(_shared, map(tuple, join)))
+    meet_rows, join_rows = map(tuple, meet), map(tuple, join)
+    if n <= _SHARED_LENGTH:
+        meet_rows, join_rows = map(_shared, meet_rows), map(_shared, join_rows)
+    return tuple(meet_rows), tuple(join_rows)
+
+
+_SHARED_LENGTH = 64
 
 
 @lru_cache(maxsize=1 << 12)
@@ -273,7 +292,11 @@ def _shared(row: tuple[int, ...]) -> tuple[int, ...]:
 
     Equal rows of different lattices become one tuple object: the
     143,836 rows of the 7,372 classes of size at most 10 hold 10,645
-    distinct values.  An evicted row only stops being shared.
+    distinct values.  An evicted row only stops being shared.  Only rows
+    of at most ``_SHARED_LENGTH`` elements are passed in: the cache
+    would otherwise keep up to 4,096 rows of any length alive after
+    their lattice is gone (1,599 rows and about 33 MiB for ``chain(800)``),
+    and rows that long are rarely equal across lattices.
     """
     return row
 
@@ -395,7 +418,7 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
+def _refine_colors(n: int, up: Sequence[int], down: Sequence[int], groups: int) -> list[int]:
     """Iteratively refined element classes, invariant under isomorphism.
 
     The initial class of an element is the rank of its down-set size, so
@@ -410,14 +433,11 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int]) -> list[int]:
     Twins, elements with the same strict down-set and strict up-set,
     always share a class, and a class made of one twin group cannot
     split.  So the rounds stop as soon as there are as many classes as
-    twin groups, without the round that would find no split; with no
-    twins, that is a discrete colouring.  Twins are exactly the elements
-    comparable with the same others, ``down[e] ^ up[e]``: two such
-    elements are incomparable, so nothing lies below one and above the
-    other.  The strict neighbour lists are read off the masks once per
-    call, not per round.
+    twin groups (``groups``, counted by the caller), without the round
+    that would find no split; with no twins, that is a discrete
+    colouring.  The strict neighbour lists are read off the masks once
+    per call, not per round.
     """
-    groups = len(set(map(xor, down, up)))
     own = [1 << i for i in range(n)]
     below = list(map(_bits, map(xor, down, own)))
     above = list(map(_bits, map(xor, up, own)))
@@ -469,7 +489,12 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     canonicity because the classes are themselves isomorphism-invariant.
     Twins share their strict down-set and strict up-set, so exchanging
     two of them is an automorphism and leaves the relabelled matrix
-    unchanged: the twins are grouped once per call, and each
+    unchanged.  They are exactly the elements comparable with the same
+    others, so their key is the one mask ``down[e] ^ up[e]`` (two such
+    elements are incomparable, so nothing lies below one and above the
+    other); the keys are derived once per call, their count is the
+    refinement's stopping point, and they group the twins for the
+    search, in which each
     arrangement of a class's twin groups (a multiset permutation) is
     tried once, with a group's twins filling its positions in one fixed
     order.  A labeling is compared as a tuple of permuted row tuples,
@@ -486,11 +511,12 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     """
     if n == 1:
         return b"1:1"
-    color = _refine_colors(n, up, down)
-    rows = [_row_text(n, mask) for mask in up]
     keys = list(map(xor, down, up))
+    groups = len(set(keys))
+    color = _refine_colors(n, up, down, groups)
+    rows = [_row_text(n, mask) for mask in up]
     classes = max(color) + 1
-    if len(set(keys)) == classes:
+    if groups == classes:
         pick = itemgetter(*sorted(range(n), key=color.__getitem__))
         best = tuple(map(pick, pick(rows)))
     else:

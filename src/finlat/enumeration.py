@@ -33,16 +33,19 @@ block sorted by (strict mask, key) instead of strict mask alone: the
 key is an isomorphism invariant, so relabelling later blocks changes no
 key already sorted.  The key needs the up-sets, so they are carried
 through the recursion: placing an element sets its bit in the up-set of
-each element below it, and taking it back clears the bit.  The last
-free element is the exception: a leaf reads its bit in the up-sets of
-the members of its strict down-set without setting it, and sets it only
-on a survivor, whose up-sets are then copied out; at size 10, 41,131 of
-the 47,533 leaves are rejected without touching the up-sets.  A twin
-pair is recorded as it is placed, since k is a twin of k - 1 exactly
-when their strict masks are equal.  Only survivors leave the recursion,
-with their up-sets, ready for the canonical form: 7,848 over sizes 1 to
-10, 6,402 of the 47,533 placements at size 10 (93,981 with the size
-prune alone), to find 5,994 classes.
+each element below it, and taking it back clears the bit.  A twin pair
+is recorded as it is placed, since k is a twin of k - 1 exactly when
+their strict masks are equal.  The last free element is the exception:
+its candidates are judged before its bit is set anywhere.  A recorded
+pair's verdict depends on the candidate only through two of its bits,
+and on its size when the twins' up-sets tie, so each leaf parent turns
+its pairs into three masks of out-of-order pairs, and a candidate costs
+three mask tests; only the tied pairs run the list comparison (1,544 of
+the 47,533 leaves at size 10).  A survivor sets its bit and copies the
+up-sets out.  Only survivors leave the recursion, with their up-sets,
+ready for the canonical form: 7,848 over sizes 1 to 10, 6,402 of the
+47,533 placements at size 10 (93,981 with the size prune alone), to find
+5,994 classes.
 
 The classes are rebuilt from their canonical forms through the
 validating constructor, which leaves the meet and join tables to their
@@ -149,38 +152,85 @@ def _place(
 
     Placing k sets bit k in the up-mask of every element below it and
     clears it again before the next candidate, so ``up`` is the
-    transpose of ``down`` over the placed elements.  At the leaf
-    (k = n-2) the twin order is checked first, with bit k read from the
-    candidate's strict mask, and only a survivor sets the bits, so
-    ``up`` is the transpose of the whole placement when it is copied
-    out.  k is a down-twin of k - 1 exactly when its strict mask equals
-    the previous one; ``twins`` lists the lower twin j of each such
-    adjacent pair (j, j + 1) placed so far.
+    transpose of ``down`` over the placed elements.  k is a down-twin of
+    k - 1 exactly when its strict mask equals the previous one;
+    ``twins`` lists the lower twin j of each such adjacent pair
+    (j, j + 1) placed so far.  The last free element, k = n-2, is placed
+    by ``_leaves``.
 
     A module-level function, not a closure: a recursive closure refers
     to itself through its cell and is left for the cycle collector.
     """
     previous = down[k - 1] & ~(1 << (k - 1))
     least = previous.bit_count()
-    last = len(down) - 2
+    candidates = [
+        s for s in downsets if (size := s.bit_count()) > least or size == least and s >= previous
+    ]
+    if k == len(down) - 2:
+        yield from _leaves(down, up, candidates, twins)
+        return
     bit = 1 << k
-    for strict in downsets:
-        size = strict.bit_count()
-        if size < least or size == least and strict < previous:
+    for strict in candidates:
+        down[k] = strict | bit
+        below = _bits(strict)
+        for i in below:
+            up[i] |= bit
+        kept = [d for d in downsets if (m := d & strict) & ~down[m.bit_length() - 1] == 0]
+        holding_k = [d | bit for d in downsets if d & strict == strict]
+        placed = twins + (k - 1,) if strict == previous else twins
+        yield from _place(down, up, k + 1, kept + holding_k, placed)
+        for i in below:
+            up[i] ^= bit
+
+
+def _leaves(
+    down: list[int], up: list[int], candidates: list[int], twins: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Place the last free element k = n-2 above each candidate strict mask.
+
+    The twin order is checked before bit k is set anywhere, so only a
+    survivor touches ``up``: it sets the bits, is copied out and clears
+    them.  The verdict of a recorded pair (j, j + 1) depends on a
+    candidate ``strict`` only through its bits j and j + 1, and, when
+    the two up-sets tie in size once k is added, on ``|strict|``.  So
+    the verdicts are computed once per call, as masks over j:
+
+    - ``same``: out of order when ``strict`` holds both twins or
+      neither, since k then joins both up-sets or neither, at the same
+      place in index order (``_twins_in_order`` with ``strict`` 0);
+    - ``low``: out of order when ``strict`` holds j only, so that the
+      up-set of j outgrows that of j + 1;
+    - ``high``: likewise when ``strict`` holds j + 1 only.
+
+    A candidate costs three mask tests; the pairs whose up-sets tie in
+    size once k joins one of them (``low_tie``, ``high_tie``) still run
+    ``_twins_in_order`` with the candidate.  The pair (k - 1, k) that a
+    candidate equal to the previous strict mask would record needs no
+    check: both up-sets are {twin, top}.
+    """
+    k = len(down) - 2
+    bit = 1 << k
+    same = low = high = low_tie = high_tie = 0
+    for j in twins:
+        gap = up[j].bit_count() - up[j + 1].bit_count()
+        same |= (gap > 0 or gap == 0 and not _twins_in_order(down, up, (j,), 0)) << j
+        low |= (gap >= 0) << j
+        low_tie |= (gap == -1) << j
+        high |= (gap > 1) << j
+        high_tie |= (gap == 1) << j
+    for strict in candidates:
+        shifted = strict >> 1
+        only_low, only_high = strict & ~shifted, shifted & ~strict
+        if same & ~(strict ^ shifted) or low & only_low or high & only_high:
             continue
         down[k] = strict | bit
-        placed = twins + (k - 1,) if strict == previous else twins
-        if k == last and not _twins_in_order(down, up, placed, strict):
+        tied = low_tie & only_low | high_tie & only_high
+        if tied and not _twins_in_order(down, up, _bits(tied), strict):
             continue
         below = _bits(strict)
         for i in below:
             up[i] |= bit
-        if k == last:
-            yield tuple(down), tuple(up)
-        else:
-            kept = [d for d in downsets if (m := d & strict) & ~down[m.bit_length() - 1] == 0]
-            holding_k = [d | bit for d in downsets if d & strict == strict]
-            yield from _place(down, up, k + 1, kept + holding_k, placed)
+        yield tuple(down), tuple(up)
         for i in below:
             up[i] ^= bit
 

@@ -765,6 +765,11 @@ def _refine_colors_by_scan(n: int, up: Sequence[int], down: Sequence[int]) -> li
         color = new
 
 
+def twin_group_count(n: int, up: Sequence[int], down: Sequence[int]) -> int:
+    """How many groups of twins (equal strict down-set and strict up-set) the order has."""
+    return len({(down[e] & ~(1 << e), up[e] & ~(1 << e)) for e in range(n)})
+
+
 def _color_classes(n: int, up: Sequence[int], down: Sequence[int]) -> list[list[int]]:
     color = _refine_colors_by_scan(n, up, down)
     return [[e for e in range(n) if color[e] == c] for c in sorted(set(color))]

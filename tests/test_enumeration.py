@@ -93,33 +93,49 @@ def test_twin_prune_survivors_are_pinned_placements(monkeypatch):
         assert sorted(down for _, _, down in calls) == sorted(_twin_filtered_meet_scan(n)), f"size {n}"
 
 
+def test_leaf_twin_order_is_read_off_masks(monkeypatch):
+    # the leaf verdicts are bit masks built once per leaf parent, so of the
+    # 54,027 leaf candidates of sizes 3 to 10 only those whose twins tie in
+    # up-set size once the last element joins one of them run the list
+    # comparison; the per-parent calls pass strict 0, and a candidate's
+    # strict down-set holds the bottom
+    calls = support.count_calls(monkeypatch, "_twins_in_order", enumeration)
+    for n in range(3, 11):
+        assert sum(1 for _ in _placements(n)) == SURVIVORS[n]
+    leaf_calls = [strict for _down, _up, _twins, strict in calls if strict]
+    assert len(leaf_calls) == 1820
+    assert len(calls) - len(leaf_calls) == 5134
+
+
 def test_forms_hash_is_pinned_through_size_10():
     forms = b"".join(form for n in range(1, 11) for form in _canonical_forms(n))
     assert hashlib.sha256(forms).hexdigest() == FORMS_SHA256
 
 
-_FORMS_UP_TO_8 = """
+_FORMS_AND_SURVIVORS = """
 import hashlib, json, sys
-from finlat.enumeration import _canonical_forms
+from finlat.enumeration import _canonical_forms, _placements
 forms = [_canonical_forms(n) for n in range(1, 9)]
 digest = hashlib.sha256(b"".join(b"".join(f) for f in forms)).hexdigest()
-print(json.dumps([sys.flags.optimize, [len(f) for f in forms], digest]))
+survivors = {n: sum(1 for _ in _placements(n)) for n in range(1, 11)}
+print(json.dumps([sys.flags.optimize, [len(f) for f in forms], digest, survivors]))
 """
 
 
 def test_enumeration_under_optimize_flag():
     # no prune may rely on an assert statement, which -O strips
     done = subprocess.run(
-        [sys.executable, "-O", "-c", _FORMS_UP_TO_8],
+        [sys.executable, "-O", "-c", _FORMS_AND_SURVIVORS],
         capture_output=True,
         text=True,
         check=True,
     )
-    optimize, counts, digest = json.loads(done.stdout)
+    optimize, counts, digest, survivors = json.loads(done.stdout)
     forms = b"".join(form for n in range(1, 9) for form in _canonical_forms(n))
     assert optimize == 1
     assert counts == list(support.EXPECTED_COUNTS.values())
     assert digest == hashlib.sha256(forms).hexdigest()
+    assert {int(n): count for n, count in survivors.items()} == SURVIVORS
 
 
 def test_canonical_from_up_masks_matches_permutation_search():
