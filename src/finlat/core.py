@@ -91,16 +91,21 @@ class FiniteLattice:
     derives every other field from it and raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails, so
-    no instance holds tables that disagree with its order.  Each stage
-    is one pass over the whole order: squareness, the bool-tuple test
-    that keeps rows as they are, reflexivity with antisymmetry (each
-    ``up[i] & down[i]`` is bit i alone), then the meet test, one
-    set-containment test that every ``down[i] & down[j]`` is some
-    ``down[m]``.  On a reflexive antisymmetric relation that test proves
-    transitivity: for j <= i, the set ``down[i] & down[j]`` is some
-    ``down[m]``; it holds j, so j <= m, and lies inside ``down[j]``, so
-    m <= j; thus m = j and ``down[j]`` lies inside ``down[i]``.  So
-    when it passes only the bounds are left, counted as full masks.
+    no instance holds tables that disagree with its order.  Construction
+    has two parts.  An adapter turns the input into bool rows and masks:
+    ``__post_init__`` does it for any matrix (squareness, the bool-tuple
+    test that keeps rows as they are, the masks read off the rows), and
+    :func:`lattice_from_canonical` slices all three views from one
+    checked form.  The one checker, ``_check_order``, then runs the
+    stages on them, each one pass over the whole order: reflexivity
+    with antisymmetry (each ``up[i] & down[i]`` is bit i alone), then
+    the meet test, one set-containment test that every
+    ``down[i] & down[j]`` is some ``down[m]``.  On a reflexive
+    antisymmetric relation that test proves transitivity: for j <= i,
+    the set ``down[i] & down[j]`` is some ``down[m]``; it holds j, so
+    j <= m, and lies inside ``down[j]``, so m <= j; thus m = j and
+    ``down[j]`` lies inside ``down[i]``.  So when it passes only the
+    bounds are left, counted as full masks.
     When it fails, the transitivity pass (the up-sets above each element
     join to its own) runs, then the bounds, then
     :func:`_meet_join_tables`, which names the first pair with no meet
@@ -134,9 +139,9 @@ class FiniteLattice:
         matrix = self.leq
         n = len(matrix)
         if n < 1 or any(map(n.__ne__, map(len, matrix))):
-            raise ValueError("order matrix must be square with n >= 1")
-        # rows that are already tuples of bools are kept, so lattices rebuilt
-        # from cached rows share them
+            raise ValueError(_NOT_SQUARE)
+        # rows that are already tuples of bools are kept, so lattices built
+        # from shared rows share them
         cells = itertools.chain.from_iterable(matrix)
         if set(map(type, matrix)) == {tuple} and set(map(type, cells)) == {bool}:
             leq = tuple(matrix)
@@ -149,44 +154,7 @@ class FiniteLattice:
         bits = [1 << j for j in range(n)]
         up = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), leq)))
         down = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), zip(*leq))))
-        # each stage is one pass over the whole order; only a failed pass
-        # rescans element by element, to name the first failure
-        if list(map(and_, up, down)) != bits:
-            for i in range(n):
-                if not up[i] >> i & 1:
-                    raise NotAPartialOrder(f"reflexivity fails at {i}")
-                both = (up[i] & down[i]) >> (i + 1)
-                if both:
-                    j = i + (both & -both).bit_length()
-                    raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
-        # every pair has a meet iff each down[x] & down[y] is some element's
-        # down-set; a bounded finite meet-semilattice is a lattice, so joins
-        # exist.  Passed, it also proves transitivity (see the docstring), so
-        # only a failed test runs the transitivity pass
-        has_meets = set(down).issuperset(itertools.starmap(and_, itertools.combinations(down, 2)))
-        if not has_meets:
-            # transitive iff the up-sets of the elements above each i (i
-            # among them, by reflexivity) join to up[i]
-            above = map(itertools.compress, itertools.repeat(up), leq)
-            if tuple(map(reduce, itertools.repeat(or_), above)) != up:
-                for i in range(n):
-                    for j in itertools.compress(range(n), leq[i]):
-                        if up[j] & ~up[i]:
-                            k = (up[j] & ~up[i]).bit_length() - 1
-                            raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
-        full = (1 << n) - 1
-        if up.count(full) != 1 or down.count(full) != 1:
-            raise NotBounded("order has no unique bottom or top element")
-        if not has_meets:
-            _meet_join_tables(down, up)  # raises at the first failing pair
-        self.__dict__.update(
-            size=n,
-            leq=leq,
-            bottom=up.index(full),
-            top=down.index(full),
-            down_masks=down,
-            up_masks=up,
-        )
+        _check_order(self, leq, up, down)
 
     def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
         # called only for attributes not in __dict__: the tables before their first read
@@ -201,6 +169,67 @@ class FiniteLattice:
 
     def __repr__(self) -> str:
         return f"FiniteLattice(size={self.size}, bottom={self.bottom}, top={self.top})"
+
+
+_NOT_SQUARE = "order matrix must be square with n >= 1"
+
+
+def _check_order(
+    lattice: FiniteLattice,
+    leq: tuple[tuple[bool, ...], ...],
+    up: tuple[int, ...],
+    down: tuple[int, ...],
+) -> None:
+    """Validate an order given as bool rows and masks, and fill ``lattice``'s fields.
+
+    ``leq`` is a nonempty square tuple of bool tuples, ``up[i]`` has bit
+    j set iff ``leq[i][j]`` and ``down[i]`` iff ``leq[j][i]``: the
+    caller derives all three from one source, so they agree.  Raises
+    :class:`NotAPartialOrder`, :class:`NotBounded` or
+    :class:`NotALattice` at the first failing stage, as described on
+    :class:`FiniteLattice`, and fills the fields only when every stage
+    passes.
+    """
+    n = len(leq)
+    bits = [1 << j for j in range(n)]
+    # each stage is one pass over the whole order; only a failed pass
+    # rescans element by element, to name the first failure
+    if list(map(and_, up, down)) != bits:
+        for i in range(n):
+            if not up[i] >> i & 1:
+                raise NotAPartialOrder(f"reflexivity fails at {i}")
+            both = (up[i] & down[i]) >> (i + 1)
+            if both:
+                j = i + (both & -both).bit_length()
+                raise NotAPartialOrder(f"antisymmetry fails at ({i}, {j})")
+    # every pair has a meet iff each down[x] & down[y] is some element's
+    # down-set; a bounded finite meet-semilattice is a lattice, so joins
+    # exist.  Passed, it also proves transitivity (see FiniteLattice), so
+    # only a failed test runs the transitivity pass
+    has_meets = set(down).issuperset(itertools.starmap(and_, itertools.combinations(down, 2)))
+    if not has_meets:
+        # transitive iff the up-sets of the elements above each i (i
+        # among them, by reflexivity) join to up[i]
+        above = map(itertools.compress, itertools.repeat(up), leq)
+        if tuple(map(reduce, itertools.repeat(or_), above)) != up:
+            for i in range(n):
+                for j in itertools.compress(range(n), leq[i]):
+                    if up[j] & ~up[i]:
+                        k = (up[j] & ~up[i]).bit_length() - 1
+                        raise NotAPartialOrder(f"transitivity fails at ({i}, {j}, {k})")
+    full = (1 << n) - 1
+    if up.count(full) != 1 or down.count(full) != 1:
+        raise NotBounded("order has no unique bottom or top element")
+    if not has_meets:
+        _meet_join_tables(down, up)  # raises at the first failing pair
+    lattice.__dict__.update(
+        size=n,
+        leq=leq,
+        bottom=up.index(full),
+        top=down.index(full),
+        down_masks=down,
+        up_masks=up,
+    )
 
 
 @dataclass(frozen=True)
@@ -408,7 +437,11 @@ def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, lowest first.
 
     Cached: enumeration up to size 10 asks about at most 2**10 distinct
-    masks, about 256,000 times in all.
+    masks, about 256,000 times in all.  Only masks of orders of at most
+    ``_SHARED_LENGTH`` elements are passed in; longer ones go to the
+    uncached ``_bits.__wrapped__``, because the cache would keep up to
+    4,096 of their index tuples alive after their lattice is gone (about
+    48 MB for ``chain(1200)``).
     """
     out = []
     while mask:
@@ -439,8 +472,9 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int], groups: int) 
     per call, not per round.
     """
     own = [1 << i for i in range(n)]
-    below = list(map(_bits, map(xor, down, own)))
-    above = list(map(_bits, map(xor, up, own)))
+    bits = _bits if n <= _SHARED_LENGTH else _bits.__wrapped__
+    below = list(map(bits, map(xor, down, own)))
+    above = list(map(bits, map(xor, up, own)))
     sizes = list(map(int.bit_count, down))
     rank = {v: r for r, v in enumerate(sorted(set(sizes)))}
     color = list(map(rank.__getitem__, sizes))
@@ -514,7 +548,8 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     keys = list(map(xor, down, up))
     groups = len(set(keys))
     color = _refine_colors(n, up, down, groups)
-    rows = [_row_text(n, mask) for mask in up]
+    text = _row_text if n <= _SHARED_LENGTH else _row_text.__wrapped__
+    rows = [text(n, mask) for mask in up]
     classes = max(color) + 1
     if groups == classes:
         pick = itemgetter(*sorted(range(n), key=color.__getitem__))
@@ -537,7 +572,9 @@ def _row_text(n: int, mask: int) -> bytes:
     """One up-set mask as its order-matrix row, column 0 first.
 
     Cached: the 7,848 placements canonicalized at sizes up to 10 have
-    76,599 rows, of which 308 are distinct.
+    76,599 rows, of which 308 are distinct.  Only rows of at most
+    ``_SHARED_LENGTH`` elements are passed in; longer ones are read by
+    the uncached ``_row_text.__wrapped__``, as for ``_bits``.
     """
     return format(mask, f"0{n}b")[::-1].encode()
 
@@ -557,23 +594,52 @@ def canonical_form(lattice: FiniteLattice) -> bytes:
 def _row(encoded: bytes) -> tuple[bool, ...]:
     """One order-matrix row of a canonical form, read from its bytes.
 
-    Cached: the 7,372 classes of size at most 10 have 71,918 rows, of
-    which 335 are distinct.
+    Cached, so equal rows of different rebuilt lattices are one tuple:
+    the 7,372 classes of size at most 10 have 71,918 rows, of which 335
+    are distinct.  Only rows of at most ``_SHARED_LENGTH`` elements are
+    passed in; longer ones are read by the uncached ``_row.__wrapped__``,
+    as for ``_bits``.
     """
     return tuple(map((0x31).__eq__, encoded))
+
+
+@lru_cache(maxsize=1 << 12)
+def _mask(encoded: bytes) -> int:
+    """The mask of a row or column of a canonical form: bit j is byte j.
+
+    Cached like ``_row``, under the same length bound: the rows and
+    columns of the 7,372 classes of size at most 10 hold 729 distinct
+    strings.
+    """
+    return int(encoded[::-1], 2)
 
 
 def lattice_from_canonical(form: bytes) -> FiniteLattice:
     """Rebuild the (validated) lattice encoded by a canonical form.
 
     The form is ``n:`` in plain decimal digits followed by n*n bytes,
-    each ``0`` or ``1``; anything else raises :class:`ValueError`.
+    each ``0`` or ``1``; anything else raises :class:`ValueError`.  Every
+    view of the order is sliced from that one checked body: the ``leq``
+    rows and up-set masks from its n row strings, the down-set masks
+    from its n column strings (``body[j::n]``), so they cannot disagree.
+    They then go through the order checker that ``FiniteLattice(leq)``
+    runs, which raises the same errors, and the result equals
+    ``FiniteLattice`` of the same rows, field by field; the per-cell
+    type scan and the mask derivation that arbitrary input needs are
+    skipped.
     """
     head, _, body = form.partition(b":")
     if not head.isdigit() or len(body) != int(head) ** 2 or body.translate(None, b"01"):
         raise ValueError("canonical form is not 'n:' followed by n*n bytes 0 or 1")
     n = int(head)
-    return from_leq_matrix([_row(body[i * n : (i + 1) * n]) for i in range(n)])
+    if n < 1:
+        raise ValueError(_NOT_SQUARE)
+    row, mask = (_row, _mask) if n <= _SHARED_LENGTH else (_row.__wrapped__, _mask.__wrapped__)
+    rows = [body[i : i + n] for i in range(0, n * n, n)]
+    columns = [body[j::n] for j in range(n)]
+    lattice = object.__new__(FiniteLattice)
+    _check_order(lattice, tuple(map(row, rows)), tuple(map(mask, rows)), tuple(map(mask, columns)))
+    return lattice
 
 
 def is_isomorphic(first: FiniteLattice, second: FiniteLattice) -> bool:

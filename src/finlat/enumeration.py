@@ -47,9 +47,11 @@ ready for the canonical form: 7,848 over sizes 1 to 10, 6,402 of the
 47,533 placements at size 10 (93,981 with the size prune alone), to find
 5,994 classes.
 
-The classes are rebuilt from their canonical forms through the
-validating constructor, which leaves the meet and join tables to their
-first read: counting or writing out the classes derives none.
+The classes are rebuilt from their canonical forms by
+``lattice_from_canonical``, which reads the rows and masks straight off
+each form's bytes and runs them through the constructor's order
+checker; the meet and join tables are left to their first read, so
+counting or writing out the classes derives none.
 
 Survivors are deduplicated by canonical form, which is also the
 emission order.  Nothing is cached: each call enumerates afresh, and a

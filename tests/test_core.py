@@ -104,6 +104,33 @@ def test_only_short_rows_enter_the_row_cache():
         _assert_construction_matches_scan(matrix)
 
 
+def test_only_short_forms_enter_the_canonical_form_caches():
+    # the caches of the canonical form and the rebuild keep what they are
+    # handed after its lattice is gone, so long rows never enter them
+    caches = (core._bits, core._row_text, core._row, core._mask)
+    for k, cached in ((core._SHARED_LENGTH, True), (core._SHARED_LENGTH + 1, False)):
+        lattice = fl.standard_lattice("chain", k)
+        before = [cache.cache_info() for cache in caches]
+        rebuilt = fl.lattice_from_canonical(fl.canonical_form(lattice))
+        after = [cache.cache_info() for cache in caches]
+        calls = [a.hits + a.misses - b.hits - b.misses for a, b in zip(after, before)]
+        assert all(calls) if cached else not any(calls), (k, calls)
+        assert rebuilt == lattice
+
+
+def test_rebuild_from_canonical_matches_constructor_on_every_class():
+    # the rebuild slices rows and columns out of the form; the constructor
+    # derives the masks from the rows, here decoded without the row cache
+    for n in range(1, 11):
+        for form in _canonical_forms(n):
+            rebuilt = fl.lattice_from_canonical(form)
+            body = form.partition(b":")[2]
+            lines = [body[i : i + n] for i in range(0, n * n, n)]
+            expected = _outcome(fl.FiniteLattice, [[c == ord("1") for c in line] for line in lines])
+            assert {name: getattr(rebuilt, name) for name in FIELDS} == expected, form
+            assert all(row is core._row(line) for row, line in zip(rebuilt.leq, lines))
+
+
 def test_from_leq_matrix_rejects_nonsquare():
     with pytest.raises(ValueError):
         fl.from_leq_matrix([[1, 1], [0, 1], [0, 0]])
@@ -293,15 +320,22 @@ def _reflexive_antisymmetric_relations(n):
         yield matrix
 
 
+def _form(matrix):
+    """The matrix as a canonical-form byte string, whatever order it holds."""
+    return f"{len(matrix)}:".encode() + bytes(0x30 + bool(v) for row in matrix for v in row)
+
+
 def test_construction_matches_bound_scan_exhaustively():
     # the meet test stands in for the transitivity pass whenever it holds,
     # so every intransitive relation here must still fail that pass, with
-    # the scan's type, message and first failure
+    # the scan's type, message and first failure; the rebuild from a form
+    # runs the same checker on masks sliced from the form's bytes
     outcomes = Counter()
     matrices = chain(*map(_relations, (1, 2, 3)), _reflexive_antisymmetric_relations(4))
     for matrix in matrices:
         outcome = _outcome(fl.FiniteLattice, matrix)
         assert outcome == _outcome(oracles.lattice_tables_by_scan, matrix), matrix
+        assert outcome == _outcome(lambda m: fl.lattice_from_canonical(_form(m)), matrix), matrix
         outcomes[len(matrix), "lattice" if type(outcome) is dict else outcome[0].__name__] += 1
     # 219 partial orders on 4 labelled elements, of which 36 are bounded
     # (24 chains and 12 copies of 2x2), each a lattice
@@ -683,10 +717,10 @@ def test_permutation_search_runs_only_where_a_class_holds_two_twin_groups(monkey
     assert runs_search(boolean.size, boolean.up_masks, boolean.down_masks)
 
 
-@pytest.mark.parametrize("form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":"])
+@pytest.mark.parametrize("form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":", b"0:"])
 def test_lattice_from_canonical_rejects_malformed_forms(form):
-    # a size head that is not plain decimal digits, or a body byte other
-    # than 0 or 1
+    # a size head that is not plain decimal digits, a body byte other
+    # than 0 or 1, or the empty order, which the constructor rejects too
     with pytest.raises(ValueError):
         fl.lattice_from_canonical(form)
 

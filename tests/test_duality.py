@@ -1,0 +1,45 @@
+"""Duality as a metamorphic oracle: a lattice and its dual, compared.
+
+The dual of L has the same elements with the order reversed, so it has
+the same congruences as partitions, its ideals are L's filters, and the
+conditions of the theorem that name ideals and filters trade places.
+"""
+
+from __future__ import annotations
+
+import finlat as fl
+import support
+from finlat.enumeration import _canonical_forms
+
+# self-dual isomorphism classes of each size n = 1..10
+SELF_DUAL = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 7, 7: 13, 8: 36, 9: 76, 10: 232}
+
+
+def _swapped(seven: fl.SevenConditions) -> tuple[bool, ...]:
+    """The conditions with c1 <-> c2 and c3 <-> c4: maximal and prime ideals
+    of the dual are the maximal and prime filters of the lattice."""
+    c1, c2, c3, c4, *rest = seven.as_tuple()
+    return (c2, c1, c4, c3, *rest)
+
+
+def test_dual_swaps_the_conditions_and_keeps_congruences_up_to_size_8():
+    lattices = support.lattices_up_to(8)
+    assert len(lattices) == 300
+    for lattice in lattices:
+        flipped = fl.dual(lattice)
+        assert fl.seven_conditions(flipped).as_tuple() == _swapped(fl.seven_conditions(lattice))
+        assert fl.is_d_lattice(flipped) == fl.is_d_lattice(lattice)
+        assert fl.is_d_lattice_definition(flipped) == fl.is_d_lattice_definition(lattice)
+        partitions = [c.partition for c in fl.all_congruences(lattice)]
+        assert [c.partition for c in fl.all_congruences(flipped)] == partitions
+
+
+def test_dual_of_every_class_is_a_class_and_self_dual_counts_up_to_size_10():
+    # rebuilds all 7,372 classes of size <= 10 from their forms
+    self_dual = {}
+    for n in range(1, 11):
+        forms = _canonical_forms(n)
+        duals = [fl.canonical_form(fl.dual(fl.lattice_from_canonical(form))) for form in forms]
+        assert set(duals) <= set(forms), n
+        self_dual[n] = sum(map(bytes.__eq__, forms, duals))
+    assert self_dual == SELF_DUAL
