@@ -1,11 +1,14 @@
 """Finite bounded lattices as explicit order and operation tables.
 
 Elements of a lattice of size n are the dense integers 0..n-1.  The
-partial order is an explicit boolean matrix, validated at construction;
-binary meet and join tables are derived on their first read and kept, so
-every algorithm layered on top is a table lookup, and a lattice whose
-tables are never read (every class that enumeration rebuilds and only
-counts or writes out) never pays for them.  Bottom and top are
+partial order is an explicit boolean matrix, validated at construction.
+Every order, whether given as a matrix, as LATT text or as a canonical
+form, is first written as its n*n bytes of ``0`` and ``1`` and checked
+from those bytes by one checker, so the three routes give the same
+lattice or the same error.  Binary meet and join tables are derived on
+their first read and kept, so every algorithm layered on top is a table
+lookup, and a lattice whose tables are never read (every class that
+enumeration rebuilds and only counts or writes out) never pays for them.  Bottom and top are
 discovered by validation, not fixed by index: input files may label
 elements freely, while :func:`canonical_form` renumbers so that bottom
 is 0 and top is n-1.
@@ -36,8 +39,9 @@ class LatticeError(Exception):
     congruence, a size, a search predicate or a LATT file raises a
     subclass, and the CLI maps each to exit code 2.  Malformed arguments
     raise :class:`ValueError` instead: a ``standard_lattice`` size
-    parameter, a non-permutation given to ``relabel``, a malformed
-    ``lattice_from_canonical`` form, an empty or non-square
+    parameter that is not an ``int`` >= 1 (a bool is not one), a
+    ``relabel`` argument that is not a permutation of ``int`` elements, a
+    malformed ``lattice_from_canonical`` form, an empty or non-square
     ``FiniteLattice`` matrix, and ``Partition`` blocks that overlap or
     miss an element or labels that are not integers or not normalized.
     """
@@ -91,13 +95,13 @@ class FiniteLattice:
     derives every other field from it and raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails, so
-    no instance holds tables that disagree with its order.  Construction
-    has two parts.  An adapter turns the input into bool rows and masks:
-    ``__post_init__`` does it for any matrix (squareness, the bool-tuple
-    test that keeps rows as they are, the masks read off the rows), and
-    :func:`lattice_from_canonical` slices all three views from one
-    checked form.  The one checker, ``_check_order``, then runs the
-    stages on them, each one pass over the whole order: reflexivity
+    no instance holds tables that disagree with its order.
+    ``__post_init__`` checks only that the matrix is square, then writes
+    it as n*n bytes of ``0`` and ``1``, one ``bool()`` per cell, and hands
+    them to ``_check_order``, the one checker that
+    :func:`lattice_from_canonical` and :func:`parse_latt` call too.  It
+    reads the ``leq`` rows and both masks off those bytes and runs the
+    stages, each one pass over the whole order: reflexivity
     with antisymmetry (each ``up[i] & down[i]`` is bit i alone), then
     the meet test, one set-containment test that every
     ``down[i] & down[j]`` is some ``down[m]``.  On a reflexive
@@ -116,9 +120,12 @@ class FiniteLattice:
     and ``join`` are built together by :func:`_meet_join_tables` on the
     first read of either.
 
-    ``leq[i][j]`` is True iff i <= j.  ``down_masks[i]`` has bit j set
-    iff j <= i, ``up_masks[i]`` has bit j set iff i <= j; they exist
-    only to make subset arithmetic cheap.  The rows of ``meet`` and
+    ``leq[i][j]`` is the bool True iff i <= j, that is, iff the given
+    cell is true.  ``down_masks[i]`` has bit j set iff j <= i,
+    ``up_masks[i]`` has bit j set iff i <= j; they exist only to make
+    subset arithmetic cheap.  On lattices of at most ``_SHARED_LENGTH`` elements the
+    ``leq`` rows are the cached ``_row`` tuples of their text, so equal
+    rows of different lattices are one object.  The rows of ``meet`` and
     ``join`` are immutable tuples; on lattices of at most
     ``_SHARED_LENGTH`` elements they are shared with equal rows of other
     lattices, so holding many small lattices costs little more than
@@ -140,21 +147,8 @@ class FiniteLattice:
         n = len(matrix)
         if n < 1 or any(map(n.__ne__, map(len, matrix))):
             raise ValueError(_NOT_SQUARE)
-        # rows that are already tuples of bools are kept, so lattices built
-        # from shared rows share them
-        cells = itertools.chain.from_iterable(matrix)
-        if set(map(type, matrix)) == {tuple} and set(map(type, cells)) == {bool}:
-            leq = tuple(matrix)
-        else:
-            leq = tuple(
-                row if type(row) is tuple and all(map(bool.__instancecheck__, row))
-                else tuple(map(bool, row))
-                for row in matrix
-            )
-        bits = [1 << j for j in range(n)]
-        up = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), leq)))
-        down = tuple(map(sum, map(itertools.compress, itertools.repeat(bits), zip(*leq))))
-        _check_order(self, leq, up, down)
+        cells = bytes(map(bool, itertools.chain.from_iterable(matrix)))
+        _check_order(self, n, cells.translate(_DIGITS))
 
     def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
         # called only for attributes not in __dict__: the tables before their first read
@@ -172,25 +166,30 @@ class FiniteLattice:
 
 
 _NOT_SQUARE = "order matrix must be square with n >= 1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # a cell's bool as its order-text byte
 
 
-def _check_order(
-    lattice: FiniteLattice,
-    leq: tuple[tuple[bool, ...], ...],
-    up: tuple[int, ...],
-    down: tuple[int, ...],
-) -> None:
-    """Validate an order given as bool rows and masks, and fill ``lattice``'s fields.
+def _check_order(lattice: FiniteLattice, n: int, body: bytes) -> None:
+    """Validate the order written as ``body``, and fill ``lattice``'s fields.
 
-    ``leq`` is a nonempty square tuple of bool tuples, ``up[i]`` has bit
-    j set iff ``leq[i][j]`` and ``down[i]`` iff ``leq[j][i]``: the
-    caller derives all three from one source, so they agree.  Raises
+    ``body`` is n*n bytes, each ``0`` or ``1``: row i is
+    ``body[i*n : (i+1)*n]``, and byte j of it is 1 iff i <= j.  It is the
+    one form every order is checked from.  The ``leq`` rows and up-set
+    masks are read from the n row strings, and the down-set masks from
+    the n column strings ``body[j::n]``, so the three views cannot
+    disagree.  For orders of at most ``_SHARED_LENGTH`` elements they
+    come from the bounded caches ``_row`` and ``_mask``, so equal rows
+    of different lattices are one tuple.  Raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` at the first failing stage, as described on
     :class:`FiniteLattice`, and fills the fields only when every stage
     passes.
     """
-    n = len(leq)
+    row, mask = (_row, _mask) if n <= _SHARED_LENGTH else (_row.__wrapped__, _mask.__wrapped__)
+    rows = [body[i : i + n] for i in range(0, n * n, n)]
+    leq = tuple(map(row, rows))
+    up = tuple(map(mask, rows))
+    down = tuple(mask(body[j::n]) for j in range(n))
     bits = [1 << j for j in range(n)]
     # each stage is one pass over the whole order; only a failed pass
     # rescans element by element, to name the first failure
@@ -394,8 +393,10 @@ def _build_standard(name: str, parameter: int | None) -> FiniteLattice:
 def standard_lattice(name: str, parameter: int | None = None) -> FiniteLattice:
     """A named catalog lattice: chain(k), boolean(k), n5 or m3.
 
-    Repeated calls with the same arguments return the same object, so
-    congruences computed against one call remain usable with another.
+    k is an ``int`` >= 1; any other size, a bool included, raises
+    :class:`ValueError`.  Repeated calls with the same arguments return
+    the same object, so congruences computed against one call remain
+    usable with another.
     """
     if name in ("n5", "m3"):
         if parameter is not None:
@@ -404,6 +405,8 @@ def standard_lattice(name: str, parameter: int | None = None) -> FiniteLattice:
     if name in ("chain", "boolean"):
         if parameter is None:
             raise ValueError(f"{name} needs a size parameter")
+        if type(parameter) is not int:  # bool is a type of its own here
+            raise ValueError(f"size parameter {parameter!r} is not an integer")
         if parameter < 1:
             raise ValueError("size parameter must be >= 1")
         return _build_standard(name, parameter)
@@ -592,9 +595,9 @@ def canonical_form(lattice: FiniteLattice) -> bytes:
 
 @lru_cache(maxsize=1 << 12)
 def _row(encoded: bytes) -> tuple[bool, ...]:
-    """One order-matrix row of a canonical form, read from its bytes.
+    """One order-matrix row, read from its ``0``/``1`` bytes.
 
-    Cached, so equal rows of different rebuilt lattices are one tuple:
+    Cached, so equal rows of different lattices are one tuple:
     the 7,372 classes of size at most 10 have 71,918 rows, of which 335
     are distinct.  Only rows of at most ``_SHARED_LENGTH`` elements are
     passed in; longer ones are read by the uncached ``_row.__wrapped__``,
@@ -605,7 +608,7 @@ def _row(encoded: bytes) -> tuple[bool, ...]:
 
 @lru_cache(maxsize=1 << 12)
 def _mask(encoded: bytes) -> int:
-    """The mask of a row or column of a canonical form: bit j is byte j.
+    """The mask of a row or column of an order's text: bit j is byte j.
 
     Cached like ``_row``, under the same length bound: the rows and
     columns of the 7,372 classes of size at most 10 hold 729 distinct
@@ -617,28 +620,21 @@ def _mask(encoded: bytes) -> int:
 def lattice_from_canonical(form: bytes) -> FiniteLattice:
     """Rebuild the (validated) lattice encoded by a canonical form.
 
-    The form is ``n:`` in plain decimal digits followed by n*n bytes,
-    each ``0`` or ``1``; anything else raises :class:`ValueError`.  Every
-    view of the order is sliced from that one checked body: the ``leq``
-    rows and up-set masks from its n row strings, the down-set masks
-    from its n column strings (``body[j::n]``), so they cannot disagree.
-    They then go through the order checker that ``FiniteLattice(leq)``
-    runs, which raises the same errors, and the result equals
-    ``FiniteLattice`` of the same rows, field by field; the per-cell
-    type scan and the mask derivation that arbitrary input needs are
-    skipped.
+    The form is ``n:`` in decimal digits with no leading zero, followed
+    by n*n bytes, each ``0`` or ``1``; anything else raises
+    :class:`ValueError`, and so does ``0:``, the empty order.  The body
+    is already the text the order checker reads, so it goes to
+    ``_check_order`` as it is: the result equals ``FiniteLattice`` of the
+    same rows, field by field, or raises the same error.
     """
     head, _, body = form.partition(b":")
-    if not head.isdigit() or len(body) != int(head) ** 2 or body.translate(None, b"01"):
+    n = int(head) if head.isdigit() else -1
+    if n < 0 or head != b"%d" % n or len(body) != n * n or body.translate(None, b"01"):
         raise ValueError("canonical form is not 'n:' followed by n*n bytes 0 or 1")
-    n = int(head)
     if n < 1:
         raise ValueError(_NOT_SQUARE)
-    row, mask = (_row, _mask) if n <= _SHARED_LENGTH else (_row.__wrapped__, _mask.__wrapped__)
-    rows = [body[i : i + n] for i in range(0, n * n, n)]
-    columns = [body[j::n] for j in range(n)]
     lattice = object.__new__(FiniteLattice)
-    _check_order(lattice, tuple(map(row, rows)), tuple(map(mask, rows)), tuple(map(mask, columns)))
+    _check_order(lattice, n, body)
     return lattice
 
 
@@ -787,9 +783,11 @@ def parse_latt(data: bytes | str) -> FiniteLattice:
 
     Any deviation (wrong header, bad size line, wrong row count or
     length, characters other than 0/1, missing trailing newline) raises
-    :class:`ParseError` with the offending line; an order matrix that
-    parses but fails lattice validation is also reported as a
-    :class:`ParseError` naming the violated rule.
+    :class:`ParseError` with the offending line.  The checked row lines,
+    joined, are the order's text, which goes to the order checker that
+    ``FiniteLattice`` runs; an order that fails there is reported as a
+    :class:`ParseError` on line 3 whose message is ``"<Type>: <message>"``
+    of the constructor's error.
     """
     if isinstance(data, bytes):
         try:
@@ -820,32 +818,37 @@ def parse_latt(data: bytes | str) -> FiniteLattice:
         raise ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 2}")
     if len(lines) > 2 + n:
         raise ParseError(2 + n + 1, "trailing content after matrix")
-    rows: list[list[bool]] = []
-    for i in range(n):
-        line = lines[2 + i]
+    rows = lines[2:]
+    for i, line in enumerate(rows, 3):
         if len(line) != n:
-            raise ParseError(3 + i, f"expected {n} characters, found {len(line)}")
-        bad = next((c for c in line if c not in "01"), None)
-        if bad is not None:
-            raise ParseError(3 + i, f"invalid character {bad!r}")
-        rows.append([c == "1" for c in line])
+            raise ParseError(i, f"expected {n} characters, found {len(line)}")
+        bad = line.lstrip("01")
+        if bad:
+            raise ParseError(i, f"invalid character {bad[0]!r}")
+    lattice = object.__new__(FiniteLattice)
     try:
-        return from_leq_matrix(rows)
+        _check_order(lattice, n, "".join(rows).encode())
     except LatticeError as exc:
         raise ParseError(3, f"{type(exc).__name__}: {exc}") from exc
+    return lattice
 
 
 def format_latt(lattice: FiniteLattice) -> str:
-    """Serialize to LATT v1; ``parse_latt`` round-trips it exactly."""
-    n = lattice.size
-    lines = ["LATT 1", f"n={n}"]
-    for i in range(n):
-        lines.append("".join("1" if lattice.leq[i][j] else "0" for j in range(n)))
-    return "\n".join(lines) + "\n"
+    """Serialize to LATT v1; ``parse_latt`` round-trips it exactly.
+
+    Each row is written as its bools' bytes translated to ``0``/``1``.
+    """
+    rows = (bytes(row).translate(_DIGITS).decode() for row in lattice.leq)
+    return "\n".join(["LATT 1", f"n={lattice.size}", *rows, ""])
 
 
 def relabel(lattice: FiniteLattice, permutation: Sequence[int]) -> FiniteLattice:
-    """The isomorphic copy where element x is renamed permutation[x]."""
-    if sorted(permutation) != list(range(lattice.size)):
+    """The isomorphic copy where element x is renamed permutation[x].
+
+    ``permutation`` holds the ``int`` elements 0..n-1 in some order;
+    anything else (a float or bool that equals one, say) raises
+    :class:`ValueError` before any entry is used.
+    """
+    if set(map(type, permutation)) - {int} or sorted(permutation) != list(range(lattice.size)):
         raise ValueError("not a permutation of the element set")
     return _order_image(lattice, permutation, lattice.size)

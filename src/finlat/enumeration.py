@@ -48,10 +48,10 @@ ready for the canonical form: 7,848 over sizes 1 to 10, 6,402 of the
 5,994 classes.
 
 The classes are rebuilt from their canonical forms by
-``lattice_from_canonical``, which reads the rows and masks straight off
-each form's bytes and runs them through the constructor's order
-checker; the meet and join tables are left to their first read, so
-counting or writing out the classes derives none.
+``lattice_from_canonical``, which hands each form's body, the order's
+0/1 text, to the order checker that every construction runs; the meet
+and join tables are left to their first read, so counting or writing
+out the classes derives none.
 
 Survivors are deduplicated by canonical form, which is also the
 emission order.  Nothing is cached: each call enumerates afresh, and a

@@ -25,12 +25,13 @@ down-set, the placement generator that tests every listed down-set's
 meets with all placed elements, the down-twin prune read from
 transposed up-masks, the canonical forms of every placement with no
 down-twin prune, the colour refinement and the canonical form by a
-search over every permutation of every colour class, and the
+search over every permutation of every colour class, the
 construction of the lattice tables by a scan for each pair's bound,
-which the package's tie-break prune, list of placed down-sets,
+and the LATT writer that joins one character per cell, which the
+package's tie-break prune, list of placed down-sets,
 dropping of a down-set at its first failed meet, down-twin prune read
-from the down-masks, settled-class refinement, twin-aware search and
-mask lookup replace.
+from the down-masks, settled-class refinement, twin-aware search, mask
+lookup and row bytes translated to text replace.
 The same group keeps the pair scans and fixpoints that one fold of
 join or meet over a set replaces: ideal and filter tests and primality
 by scanning pairs of members, generated ideals and filters by closing
@@ -43,9 +44,10 @@ closure at all, the method meant to replace the package's table of
 principal congruences.
 The quotient L/θ from the block order [x] <= [y] iff x∨y θ y is the
 reference for the package's image of the order under the block labels,
-and ``check_report`` re-checks every witness of a ``classify`` report
-against the definitions alone, reading ideals and filters from the
-down-set and up-set of each element checked by pair scans, which the
+and ``check_report`` re-checks every witness of a ``classify`` report,
+and conditions c1, c2 and c4, against the definitions alone, reading
+ideals and filters from the down-set and up-set of each element checked
+by pair scans, which the
 subset scans ``brute_ideals`` and ``brute_maximal_ideals`` ground on
 small lattices.
 """
@@ -868,6 +870,18 @@ def lattice_tables_by_scan(matrix: Sequence[Sequence[object]]) -> dict[str, obje
     }
 
 
+def format_latt_by_cells(lattice: FiniteLattice) -> str:
+    """LATT v1 text written one cell at a time, as ``format_latt`` used to.
+
+    The package writes each row as its bytes translated to ``0``/``1``.
+    """
+    n = lattice.size
+    lines = ["LATT 1", f"n={n}"]
+    for i in range(n):
+        lines.append("".join("1" if lattice.leq[i][j] else "0" for j in range(n)))
+    return "\n".join(lines) + "\n"
+
+
 def closed_by_pairs(
     lattice: FiniteLattice, subset: ElementSet, masks: Sequence[int], table: Table
 ) -> bool:
@@ -1086,7 +1100,12 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
 
     Each witness must be present exactly when its flag says so, and each
     but the congruence must be the least one in the report's order,
-    which would take Con(L) to check.  Ideals and filters come from
+    which would take Con(L) to check.  Conditions c1, c2 and c4, which
+    have no witness, are derived again by the same scans, so every
+    condition but c5 and c6 is certified without Con(L): c1 and c2 by
+    comparing each maximal filter's (ideal's) complement with the maximal
+    ideals (filters), c4 by a nested pair among the prime filters.
+    Ideals and filters come from
     ``ideals_by_principal_scan`` and ``maximal_ideals_by_principal_scan``
     (each down-set and up-set checked by pair scans, maximality by
     comparing them), primality from a pair scan and complements from a
@@ -1107,6 +1126,28 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     """
     n, meet, join = lattice.size, lattice.meet, lattice.join
     seven, witnesses = report.seven, report.witnesses
+
+    full = (1 << n) - 1
+    maximal_ideals, maximal_filters = (
+        maximal_ideals_by_principal_scan(lattice, upward) for upward in (False, True)
+    )
+    _require(
+        seven.c1 == any(full ^ f not in maximal_ideals for f in maximal_filters),
+        "c1 differs from the maximal set scan",
+    )
+    _require(
+        seven.c2 == any(full ^ i not in maximal_filters for i in maximal_ideals),
+        "c2 differs from the maximal set scan",
+    )
+    prime_filters = [
+        m
+        for m in ideals_by_principal_scan(lattice, upward=True)
+        if prime_by_pairs(lattice, ElementSet(n, m), join)
+    ]
+    _require(
+        seven.c4 == any(s != b and s & ~b == 0 for s in prime_filters for b in prime_filters),
+        "c4 differs from the prime filter scan",
+    )
 
     primes = [
         m

@@ -118,15 +118,16 @@ def test_only_short_forms_enter_the_canonical_form_caches():
         assert rebuilt == lattice
 
 
-def test_rebuild_from_canonical_matches_constructor_on_every_class():
-    # the rebuild slices rows and columns out of the form; the constructor
-    # derives the masks from the rows, here decoded without the row cache
+def test_rebuild_from_canonical_matches_bound_scan_on_every_class():
+    # the rebuild and the constructor share the order checker, so both are
+    # compared with the per-pair bound scan, on rows decoded without the cache
     for n in range(1, 11):
         for form in _canonical_forms(n):
             rebuilt = fl.lattice_from_canonical(form)
             body = form.partition(b":")[2]
             lines = [body[i : i + n] for i in range(0, n * n, n)]
-            expected = _outcome(fl.FiniteLattice, [[c == ord("1") for c in line] for line in lines])
+            matrix = [[c == ord("1") for c in line] for line in lines]
+            expected = oracles.lattice_tables_by_scan(matrix)
             assert {name: getattr(rebuilt, name) for name in FIELDS} == expected, form
             assert all(row is core._row(line) for row, line in zip(rebuilt.leq, lines))
 
@@ -325,17 +326,36 @@ def _form(matrix):
     return f"{len(matrix)}:".encode() + bytes(0x30 + bool(v) for row in matrix for v in row)
 
 
+def _latt(matrix):
+    """The matrix as LATT text, written cell by cell."""
+    rows = ("".join("1" if v else "0" for v in row) + "\n" for row in matrix)
+    return f"LATT 1\nn={len(matrix)}\n" + "".join(rows)
+
+
+def _parsed(matrix):
+    """``_outcome`` of parsing the matrix as LATT text, with a ParseError read
+    as the error it names: its message is ``"<Type>: <message>"``."""
+    outcome = _outcome(fl.parse_latt, _latt(matrix))
+    if type(outcome) is dict:
+        return outcome
+    kind, text = outcome
+    assert kind is fl.ParseError, outcome
+    name, _, message = text.partition(": ")
+    return getattr(fl, name), message
+
+
 def test_construction_matches_bound_scan_exhaustively():
     # the meet test stands in for the transitivity pass whenever it holds,
     # so every intransitive relation here must still fail that pass, with
-    # the scan's type, message and first failure; the rebuild from a form
-    # runs the same checker on masks sliced from the form's bytes
+    # the scan's type, message and first failure; a form and LATT text
+    # reach the same checker as the matrix
     outcomes = Counter()
     matrices = chain(*map(_relations, (1, 2, 3)), _reflexive_antisymmetric_relations(4))
     for matrix in matrices:
         outcome = _outcome(fl.FiniteLattice, matrix)
         assert outcome == _outcome(oracles.lattice_tables_by_scan, matrix), matrix
         assert outcome == _outcome(lambda m: fl.lattice_from_canonical(_form(m)), matrix), matrix
+        assert outcome == _parsed(matrix), matrix
         outcomes[len(matrix), "lattice" if type(outcome) is dict else outcome[0].__name__] += 1
     # 219 partial orders on 4 labelled elements, of which 36 are bounded
     # (24 chains and 12 copies of 2x2), each a lattice
@@ -347,24 +367,33 @@ def test_construction_matches_bound_scan_exhaustively():
     }
 
 
-def test_construction_keeps_bool_tuple_rows_and_normalizes_the_rest():
-    # the order 0 < 1 < 2 with its rows in several types: a row that is a
-    # tuple of bools is kept as it is, every other row becomes one
-    rows = [(True, True, True), (False, True, True), (False, False, True)]
-    cases = [
-        (tuple(rows), (True, True, True)),
-        (list(rows), (True, True, True)),
-        ([tuple(map(int, row)) for row in rows], (False, False, False)),
-        ([list(row) for row in rows], (False, False, False)),
-        ([rows[0], list(rows[1]), rows[2]], (True, False, True)),
-        ([rows[0], tuple(map(int, rows[1])), rows[2]], (True, False, True)),
-        ([(True, 1, True), rows[1], rows[2]], (False, True, True)),
-    ]
-    for matrix, kept in cases:
-        built = fl.FiniteLattice(matrix)
-        _assert_construction_matches_scan(matrix)
-        assert tuple(built.leq[i] is matrix[i] for i in range(3)) == kept
-        assert all(type(row) is tuple and set(map(type, row)) == {bool} for row in built.leq)
+def test_every_input_is_checked_from_its_order_text():
+    # bool tuples, int tuples, lists, mixes, LATT text and a form all give
+    # the same fields, and their rows are the cached rows of the order text
+    for lattice in (fl.standard_lattice("chain", 3), fl.standard_lattice("n5")):
+        rows = lattice.leq
+        inputs = [
+            rows,
+            list(rows),
+            [tuple(map(int, row)) for row in rows],
+            [list(row) for row in rows],
+            [rows[0], list(rows[1]), *rows[2:]],
+            [(True, 1, *rows[0][2:]), *rows[1:]],
+        ]
+        built = [fl.FiniteLattice(matrix) for matrix in inputs]
+        built += [fl.parse_latt(_latt(rows)), fl.lattice_from_canonical(_form(rows))]
+        expected = oracles.lattice_tables_by_scan(rows)
+        for other in built:
+            assert {name: getattr(other, name) for name in FIELDS} == expected
+            assert all(row is core._row(bytes(0x30 + v for v in row)) for row in other.leq)
+    # longer orders are checked without the caches, so their rows go with them
+    k = core._SHARED_LENGTH + 1
+    matrix = [[i <= j for j in range(k)] for i in range(k)]
+    before = [cache.cache_info() for cache in (core._row, core._mask)]
+    built = [fl.FiniteLattice(matrix), fl.parse_latt(_latt(matrix))]
+    built.append(fl.lattice_from_canonical(_form(matrix)))
+    assert [cache.cache_info() for cache in (core._row, core._mask)] == before
+    assert built[0] == built[1] == built[2] == fl.standard_lattice("chain", k)
 
 
 # Each operation on 400-element orders must finish in under a second; the
@@ -564,6 +593,12 @@ def test_standard_lattice_rejects_bad_names_and_parameters():
         fl.standard_lattice("chain", 0)
     with pytest.raises(ValueError):
         fl.standard_lattice("n5", 5)
+    # a size is an int, and a bool is not one
+    for parameter in (2.0, True, False, "3"):
+        with pytest.raises(ValueError):
+            fl.standard_lattice("chain", parameter)
+        with pytest.raises(ValueError):
+            fl.standard_lattice("boolean", parameter)
 
 
 def test_standard_lattice_is_cached_by_arguments():
@@ -717,10 +752,13 @@ def test_permutation_search_runs_only_where_a_class_holds_two_twin_groups(monkey
     assert runs_search(boolean.size, boolean.up_masks, boolean.down_masks)
 
 
-@pytest.mark.parametrize("form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":", b"0:"])
+@pytest.mark.parametrize(
+    "form", [b"2:1121", b" 2:1101", b"+2:1101", b"2 :1101", b":", b"0:", b"01:1", b"00:", b"-1:1"]
+)
 def test_lattice_from_canonical_rejects_malformed_forms(form):
-    # a size head that is not plain decimal digits, a body byte other
-    # than 0 or 1, or the empty order, which the constructor rejects too
+    # a size head that is not plain decimal digits or has a leading zero,
+    # a body byte other than 0 or 1, or the empty order, which the
+    # constructor rejects too
     with pytest.raises(ValueError):
         fl.lattice_from_canonical(form)
 
@@ -740,8 +778,10 @@ def test_canonical_form_agrees_with_brute_isomorphism_at_size_5():
 
 
 def test_relabel_requires_permutation():
-    with pytest.raises(ValueError):
-        fl.relabel(fl.standard_lattice("chain", 3), [0, 0, 2])
+    # entries that equal 0..n-1 but are not ints are rejected before any is used
+    for permutation in ([0, 0, 2], [0, 1.0, 2], [True, 0, 2], [0, 1, "2"]):
+        with pytest.raises(ValueError):
+            fl.relabel(fl.standard_lattice("chain", 3), permutation)
 
 
 def test_quotient_by_identity_and_all():
@@ -813,10 +853,15 @@ def test_homomorphism_checks():
 
 
 def test_latt_round_trip_is_byte_exact():
-    for lattice in support.catalog().values():
+    # the writer against the per-cell reference, and back through the parser,
+    # on the catalog, every class of size <= 9 and an order past the caches
+    lattices = [*support.catalog().values(), *support.lattices_up_to(9)]
+    lattices.append(fl.standard_lattice("chain", core._SHARED_LENGTH + 1))
+    for lattice in lattices:
         text = fl.format_latt(lattice)
+        assert text == oracles.format_latt_by_cells(lattice)
         again = fl.parse_latt(text)
-        assert again.leq == lattice.leq
+        assert again == lattice
         assert fl.format_latt(again) == text
 
 

@@ -3,6 +3,7 @@ witnesses, and the aggregate report."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from collections import Counter
 from typing import Iterable
@@ -592,6 +593,17 @@ def test_report_witnesses_hold_by_definition_up_to_size_8():
     # the definitions alone
     for lattice, report in support.classified_up_to(8):
         oracles.check_report(lattice, report)
+
+
+def test_check_report_rejects_a_flipped_condition_without_a_witness():
+    # c1, c2 and c4 carry no witness, so the checker derives them again; a
+    # report with any one of them flipped fails on every lattice
+    flipped = {"c1": "c1 differs", "c2": "c2 differs", "c4": "c4 differs"}
+    for lattice, report in support.classified_up_to(6):
+        for name, words in flipped.items():
+            seven = dataclasses.replace(report.seven, **{name: not getattr(report.seven, name)})
+            with pytest.raises(AssertionError, match=words):
+                oracles.check_report(lattice, dataclasses.replace(report, seven=seven))
 
 
 @pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
