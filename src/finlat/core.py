@@ -42,8 +42,9 @@ class LatticeError(Exception):
     parameter that is not an ``int`` >= 1 (a bool is not one), a
     ``relabel`` argument that is not a permutation of ``int`` elements, a
     malformed ``lattice_from_canonical`` form, an empty or non-square
-    ``FiniteLattice`` matrix, and ``Partition`` blocks that overlap or
-    miss an element or labels that are not integers or not normalized.
+    ``FiniteLattice`` matrix or one with a ``str`` or ``bytes`` cell, and
+    ``Partition`` blocks that overlap or miss an element or labels that
+    are not integers or not normalized.
     """
 
 
@@ -96,12 +97,13 @@ class FiniteLattice:
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` as soon as the corresponding stage fails, so
     no instance holds tables that disagree with its order.
-    ``__post_init__`` checks only that the matrix is square, then writes
-    it as n*n bytes of ``0`` and ``1``, one ``bool()`` per cell, and hands
-    them to ``_check_order``, the one checker that
-    :func:`lattice_from_canonical` and :func:`parse_latt` call too.  It
-    reads the ``leq`` rows and both masks off those bytes and runs the
-    stages, each one pass over the whole order: reflexivity
+    ``__post_init__`` checks only that the matrix is square and that no
+    cell is a ``str`` or ``bytes`` (``bool("0")`` is True, so text would be
+    misread), then writes it as n*n bytes of ``0`` and ``1``, one
+    ``bool()`` per cell, and hands them to ``_check_order``, the one
+    checker that :func:`lattice_from_canonical` and :func:`parse_latt`
+    call too.  It reads the ``leq`` rows and both masks off those bytes
+    and runs the stages, each one pass over the whole order: reflexivity
     with antisymmetry (each ``up[i] & down[i]`` is bit i alone), then
     the meet test, one set-containment test that every
     ``down[i] & down[j]`` is some ``down[m]``.  On a reflexive
@@ -147,6 +149,13 @@ class FiniteLattice:
         n = len(matrix)
         if n < 1 or any(map(n.__ne__, map(len, matrix))):
             raise ValueError(_NOT_SQUARE)
+        kinds = set(map(type, itertools.chain.from_iterable(matrix)))
+        if any(issubclass(kind, (str, bytes)) for kind in kinds):
+            # bool("0") is True, so a text cell would be read as a 1
+            for k, cell in enumerate(itertools.chain.from_iterable(matrix)):
+                if isinstance(cell, (str, bytes)):
+                    where, kind = (k // n, k % n), type(cell).__name__
+                    raise ValueError(f"order matrix cell {where} is {kind}, not bool or int")
         cells = bytes(map(bool, itertools.chain.from_iterable(matrix)))
         _check_order(self, n, cells.translate(_DIGITS))
 
@@ -311,7 +320,11 @@ def _meet_join_tables(
     return tuple(meet_rows), tuple(join_rows)
 
 
-_SHARED_LENGTH = 64
+# Enumerated classes have at most MAX_SIZE = 10 elements, and their rows
+# repeat across classes.  Rows of larger lattices seldom do: cached, the
+# rows of the 12- to 40-element products the single-lattice commands read
+# held about 0.8 MiB after each command was done with its lattice.
+_SHARED_LENGTH = 16
 
 
 @lru_cache(maxsize=1 << 12)
@@ -671,40 +684,50 @@ def _closure(
     """Normalized labels of the least congruence containing the given pairs.
 
     Union-find plus a FIFO worklist: whenever two classes merge through
-    the pair (x, y), the forced pairs (x∧z, y∧z) and (x∨z, y∨z) are
-    queued for every z in ascending order.  Chains of merges compose
-    transitively inside the union-find, so enqueueing products for the
-    merged pair alone reaches the full fixpoint.  The given pairs enter
-    the worklist one at a time, each once the previous one's forced
-    pairs are all closed; the fixpoint does not depend on the order.
-    The labels are normalized here, once; callers that need a
-    :class:`Partition` wrap them, and lookups compare and store the
-    tuple itself.  It is the package's one congruence primitive:
-    principal and generated congruences, the principal lookups and the
-    compatibility test of :func:`_blocks_compatible` all run it.
+    the pair (x, y), the forced pairs (x∧z, y∧z) for every z in
+    ascending order, then (x∨z, y∨z) likewise, are queued.  Chains of
+    merges compose transitively inside the union-find, so enqueueing
+    products for the merged pair alone reaches the full fixpoint.  The
+    two products of a pair are compared when it is pushed, and only a
+    pair of distinct elements is queued; their roots are compared when
+    it is popped.  A pair whose products already share a root when it is
+    pushed still shares it when it is popped, so it is skipped there, and
+    the merges are those a root test at push time would make.  The
+    union-find is inline: path halving at pop time, and the smaller root
+    kept, so every parent is at most its child and one ascending pass
+    resolves every root at the end.  The given pairs enter the worklist
+    one at a time, each once the previous one's forced pairs are all
+    closed; the fixpoint does not depend on the order.  The labels are
+    normalized here, once; callers that need a :class:`Partition` wrap
+    them, and lookups compare and store the tuple itself.  It is the
+    package's one congruence primitive: principal and generated
+    congruences, the principal lookups and the compatibility test of
+    :func:`_blocks_compatible` all run it.
 
     Given block labels ``within``, it returns None at the first merge of
     two elements with different labels, so the congruence is not inside
-    that partition; without them it always returns the labels.  Since
-    each given pair is closed before the next enters, a pair that forces
+    that partition; without them it always returns the labels.  The
+    verdict does not depend on the order of the merges: while every
+    merge so far stayed inside a block, every class lies inside one, so
+    the fixpoint crosses a block iff some merge does, and the first such
+    merge is caught whichever order the pairs are merged in.  Since each
+    given pair is closed before the next enters, a pair that forces
     such a merge is found without closing the pairs after it.
     """
     n = lattice.size
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     meet, join = lattice.meet, lattice.join
     queue: deque[tuple[int, int]] = deque()
+    extend, popleft = queue.extend, queue.popleft
     for pair in pairs:
         queue.append(pair)
         while queue:
-            x, y = queue.popleft()
-            rx, ry = find(x), find(y)
+            x, y = popleft()
+            rx, ry = x, y
+            while parent[rx] != rx:
+                parent[rx] = rx = parent[parent[rx]]
+            while parent[ry] != ry:
+                parent[ry] = ry = parent[parent[ry]]
             if rx == ry:
                 continue
             if within is not None and within[x] != within[y]:
@@ -712,13 +735,11 @@ def _closure(
             if ry < rx:
                 rx, ry = ry, rx
             parent[ry] = rx
-            mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
-            for z in range(n):
-                if find(mx[z]) != find(my[z]):
-                    queue.append((mx[z], my[z]))
-                if find(jx[z]) != find(jy[z]):
-                    queue.append((jx[z], jy[z]))
-    return _normalize([find(i) for i in range(n)])
+            extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
+            extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return _normalize(parent)
 
 
 def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:

@@ -9,7 +9,10 @@ test, the annihilator form of complementedness, c1/c2 by validating
 each complement) that the package no longer computes; they reuse
 package primitives such as Con(L) and serve as references for the
 forms the package keeps.  The last group holds the replaced algorithms:
-Con(L) and the join of congruences by a compatibility closure per join
+the congruence closure with a nested ``find`` that tests roots when
+it queues a pair, which every closure-based oracle here runs (the
+package's kernel compares products when it queues and roots when it
+pops), Con(L) and the join of congruences by a compatibility closure per join
 (the package ORs covering-pair masks), Con(L) as the identity closed
 under partition joins, union-find merges of two labelings, with every
 principal congruence and balance by closing each bound class again (the
@@ -54,6 +57,7 @@ small lattices.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import reduce
 from itertools import combinations, permutations, product
 from math import factorial, prod
@@ -78,7 +82,6 @@ from finlat import (
     enumerate_filters,
     enumerate_ideals,
     from_leq_matrix,
-    generated_congruence,
     is_balanced_congruence,
     is_filter,
     is_homomorphism,
@@ -89,7 +92,7 @@ from finlat import (
     standard_lattice,
     three_chain_quotient_from_nested_primes,
 )
-from finlat.congruences import Principal, _closure, _normalize
+from finlat.congruences import Principal, _normalize
 from finlat.core import _canonical_from_up_masks
 
 Table = Sequence[Sequence[int]]
@@ -446,6 +449,50 @@ def unbalanced_by_covering_pairs(lattice: FiniteLattice, principal: Principal) -
     )
 
 
+def closure_by_find(
+    lattice: FiniteLattice, pairs: Iterable[tuple[int, int]], within: Sequence[int] | None = None
+) -> tuple[int, ...] | None:
+    """The congruence closure with a nested ``find`` and a root test at push time.
+
+    Labels of the least congruence containing the pairs, or None when
+    ``within`` is given and a merge joins two of its blocks, as
+    ``core._closure`` returns them.  Each merge of (x, y) queues, for z
+    in ascending order, (x∧z, y∧z) and then (x∨z, y∨z), each only when
+    its two elements have different roots; ``core._closure`` queues
+    every pair of distinct products and leaves the root test to pop time.
+    """
+    n = lattice.size
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    meet, join = lattice.meet, lattice.join
+    queue: deque[tuple[int, int]] = deque()
+    for pair in pairs:
+        queue.append(pair)
+        while queue:
+            x, y = queue.popleft()
+            rx, ry = find(x), find(y)
+            if rx == ry:
+                continue
+            if within is not None and within[x] != within[y]:
+                return None
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+            mx, my, jx, jy = meet[x], meet[y], join[x], join[y]
+            for z in range(n):
+                if find(mx[z]) != find(my[z]):
+                    queue.append((mx[z], my[z]))
+                if find(jx[z]) != find(jy[z]):
+                    queue.append((jx[z], jy[z]))
+    return _normalize([find(i) for i in range(n)])
+
+
 def _block_pairs(block_of: Sequence[int]) -> list[tuple[int, int]]:
     """(least element of its block, e) for every other element e."""
     first: dict[int, int] = {}
@@ -461,7 +508,7 @@ def join_by_closure(
     lattice: FiniteLattice, left: Sequence[int], right: Sequence[int]
 ) -> tuple[int, ...]:
     """Least congruence containing two partitions, by compatibility closure."""
-    return _closure(lattice, _block_pairs(left) + _block_pairs(right))
+    return closure_by_find(lattice, _block_pairs(left) + _block_pairs(right))
 
 
 def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]:
@@ -476,7 +523,7 @@ def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]
     frontier: list[tuple[int, ...]] = []
     for a in range(n):
         for b in range(a + 1, n):
-            p = _closure(lattice, [(a, b)])
+            p = closure_by_find(lattice, [(a, b)])
             if p not in seen:
                 seen.add(p)
                 frontier.append(p)
@@ -522,7 +569,7 @@ def congruences_by_frontier_joins(lattice: FiniteLattice) -> list[tuple[int, ...
     principal congruence: |Con L| times |generators| joins.
     """
     n = lattice.size
-    principal = {_closure(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
+    principal = {closure_by_find(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     generators = [_block_pairs(labels) for labels in principal]
     seen = {tuple(range(n))}
     frontier = list(seen)
@@ -538,15 +585,20 @@ def balanced_by_generated_closure(lattice: FiniteLattice, cong: Congruence) -> b
     """Balance of one congruence by closing each of its two bound classes again.
 
     The 0-class must equal the 0-class of the congruence generated by
-    the whole 1-class, and dually.
+    the whole 1-class, and dually; each is generated by
+    ``generated_congruence_by_pairs``.
     """
     if cong.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")
     zero_class = cong.class_of(lattice.bottom)
     one_class = cong.class_of(lattice.top)
-    if generated_congruence(lattice, one_class).class_of(lattice.bottom) != zero_class:
+
+    def class_of(labels: Sequence[int], x: int) -> tuple[int, ...]:
+        return tuple(e for e, label in enumerate(labels) if label == labels[x])
+
+    if class_of(generated_congruence_by_pairs(lattice, one_class), lattice.bottom) != zero_class:
         return False
-    return generated_congruence(lattice, zero_class).class_of(lattice.top) == one_class
+    return class_of(generated_congruence_by_pairs(lattice, zero_class), lattice.top) == one_class
 
 
 def principal_table_by_all_pairs(lattice: FiniteLattice) -> Callable[[int, int], tuple[int, ...]]:
@@ -561,7 +613,7 @@ def principal_table_by_all_pairs(lattice: FiniteLattice) -> Callable[[int, int],
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in range(n):
         for b in range(a + 1, n):
-            labels = _closure(lattice, [(a, b)])
+            labels = closure_by_find(lattice, [(a, b)])
             rows[a][b] = rows[b][a] = stored.setdefault(labels, labels)
     return lambda a, b: rows[a][b]
 
@@ -579,14 +631,14 @@ def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[t
             and not any(c not in (a, j) and leq[a][c] and leq[c][j] for c in range(n))
         ]
         if len(lower) == 1:
-            out.add(_closure(lattice, [(lower[0], j)]))
+            out.add(closure_by_find(lattice, [(lower[0], j)]))
     return out
 
 
 def irreducibles_by_join_test(lattice: FiniteLattice) -> set[tuple[int, ...]]:
     """The principal congruences that are not the join of those strictly below them."""
     n = lattice.size
-    principal = {_closure(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
+    principal = {closure_by_find(lattice, [(a, b)]) for a in range(n) for b in range(a + 1, n)}
     out = set()
     for theta in principal:
         below = [p for p in principal if p != theta and refines(p, theta)]
@@ -929,7 +981,7 @@ def generated_congruence_by_pairs(
 ) -> tuple[int, ...]:
     """The least congruence collapsing the members: one closure of (first, e) per other e."""
     first, *rest = sorted(set(members))
-    return _closure(lattice, [(first, e) for e in rest])
+    return closure_by_find(lattice, [(first, e) for e in rest])
 
 
 def distributive_by_triples(lattice: FiniteLattice) -> bool:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import finlat as fl
 from finlat import congruences
+from finlat.core import _closure
 import oracles
 import support
 
@@ -120,6 +121,53 @@ def test_is_congruence_stops_at_the_first_merge_of_two_blocks():
     assert verdicts == [oracles.compatible(square, p.block_of) for p in partitions]
     assert verdicts == [False] * 19
     assert elapsed < 0.1
+
+
+def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7():
+    # the kernel against the one it replaced, on (a, b), (b, a) and (a, a)
+    closures = 0
+    for lattice in support.lattices_up_to(7):
+        n = lattice.size
+        for a in range(n):
+            for b in range(n):
+                assert _closure(lattice, [(a, b)]) == oracles.closure_by_find(lattice, [(a, b)])
+                closures += 1
+    assert closures == 3_308
+
+
+def test_closure_matches_find_kernel_on_block_pairs_up_to_size_5():
+    # the block pairs of every partition, closed freely and inside every
+    # partition: the same labels, or None on both sides
+    verdicts = {True: 0, False: 0}
+    for lattice in support.lattices_up_to(5):
+        partitions = list(oracles.all_partitions(lattice.size))
+        for labels in partitions:
+            pairs = oracles._block_pairs(labels)
+            assert _closure(lattice, pairs) == oracles.closure_by_find(lattice, pairs)
+            for within in partitions:
+                got = _closure(lattice, pairs, within)
+                assert got == oracles.closure_by_find(lattice, pairs, within), (labels, within)
+                verdicts[got is None] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_closure_matches_find_kernel_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    n = lattice.size
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(n))))
+    element = st.integers(0, n - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=4))
+    expected = oracles.closure_by_find(relabeled, pairs)
+    assert _closure(relabeled, pairs) == expected
+    # inside a principal congruence, or inside a partition of drawn labels
+    inside = oracles.closure_by_find(relabeled, [data.draw(st.tuples(element, element))])
+    drawn = congruences._normalize(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    for within in (inside, drawn, expected):
+        got = _closure(relabeled, pairs, within)
+        assert got == oracles.closure_by_find(relabeled, pairs, within)
+    assert _closure(relabeled, pairs, expected) == expected
 
 
 def test_congruence_equality_is_lattice_identity_scoped():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import random
+import re
 import subprocess
 import sys
 import threading
@@ -78,15 +80,15 @@ def test_tables_survive_a_cycled_row_cache():
     # more distinct rows than the cache holds, all short enough to be
     # shared, so every row of the last lattice is built after evictions:
     # sharing may be lost, values not
-    chains = [fl.standard_lattice("chain", k) for k in range(2, 12)]
+    grid = fl.product(fl.standard_lattice("chain", 4), fl.standard_lattice("chain", 4))
+    assert grid.size <= core._SHARED_LENGTH
+    rng = random.Random(0)
     distinct = set()
-    for first in chains:
-        for second in chains:
-            if first.size * second.size <= core._SHARED_LENGTH:
-                built = fl.product(first, second)
-                distinct.update(built.meet + built.join)
-    assert len(distinct) > core._shared.cache_info().maxsize
-    lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("m3"))
+    while len(distinct) <= core._shared.cache_info().maxsize:
+        built = fl.relabel(grid, rng.sample(range(grid.size), grid.size))
+        distinct.update(built.meet + built.join)
+    lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 3))
+    assert lattice.size <= core._SHARED_LENGTH
     relabelled = _relabelled(lattice.leq, list(reversed(range(lattice.size))))
     _assert_construction_matches_scan(relabelled)
     _assert_construction_matches_scan(lattice.leq)
@@ -252,6 +254,24 @@ def _order_matrices(draw):
 @given(matrix=_order_matrices())
 def test_tables_match_bound_scan_on_random_matrices(matrix):
     _assert_construction_matches_scan(matrix)
+
+
+def test_text_cells_are_rejected_at_their_position():
+    # bool("0") is True, so digit strings were read as all ones and failed
+    # antisymmetry at (0, 1); a text cell is a malformed argument
+    cases = [
+        ([["1", "1"], ["0", "1"]], "cell (0, 0) is str"),
+        (["11", "01"], "cell (0, 0) is str"),
+        ([[1, 1], [0, b"1"]], "cell (1, 1) is bytes"),
+        ([[True, True], [False, "1"]], "cell (1, 1) is str"),
+    ]
+    for matrix, words in cases:
+        with pytest.raises(ValueError, match=re.escape(words)):
+            fl.FiniteLattice(matrix)
+    # bool and int cells keep their meaning
+    chain2 = fl.standard_lattice("chain", 2)
+    assert fl.FiniteLattice([[True, 1], [False, 1]]) == chain2
+    assert fl.FiniteLattice([[2, -1], [0, 1]]) == chain2
 
 
 def test_construction_errors_match_bound_scan():
