@@ -105,7 +105,7 @@ def _cmd_ideals(args: argparse.Namespace) -> int:
     )
     rows = {
         side: [
-            {"set": str(s), "prime": s in primes, "maximal": s in maximals}
+            {"set": str(s), "prime": s.mask in primes, "maximal": s.mask in maximals}
             for s in sets(lattice)
         ]
         for side, sets, (maximals, primes) in sides

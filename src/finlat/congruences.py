@@ -17,21 +17,24 @@ relates: a class is an interval whose members are linked by covering
 pairs inside it, so the mask fixes the congruence.  Con(L) is
 distributive, and its join-irreducibles are the con(a, b) of the
 covering pairs, each join-prime, so a join of congruences is the OR of
-their masks.  ``all_congruences`` closes the masks of J(Con L) under OR
-and labels each result once; called on its own, it runs one closure per
+their masks.  ``_congruence_masks`` closes the masks of J(Con L) under
+OR; that set is Con(L).  The per-lattice record of facts behind
+``verify_theorem`` reads block counts and balance off the masks and
+lists no :class:`Congruence`; ``all_congruences`` runs the same helper
+and labels each mask once.  Called on its own, it runs one closure per
 covering pair.  A congruence class is a convex sublattice, so the
 1-class is an interval [m, 1] and the 0-class an interval [0, z], and
-balance is the one equality con(0, z) = con(m, 1) of the principal
+balance (``_balanced``, on any labels whose equal entries are the
+classes) is the one equality con(0, z) = con(m, 1) of the principal
 congruences the two classes generate.  For the same reason con(a, b) =
 con(a∧b, a∨b): ``principal_table`` runs the closure once per comparable
 pair a < b and reads every other pair at its meet and join.  The
-per-lattice record of facts behind ``verify_theorem`` builds it once
-and passes it to Con(L) and balance, which then read every principal
-congruence from it; without it each lookup is one closure.  The two
-lookups stay side by side until the benchmark reads peak memory from
-one pass: a lazy lookup is faster, and the benchmark keeps every pass,
-so more passes read as more memory.  No closure decides the d-lattice
-scope.
+record of facts builds it once and passes it to Con(L) and balance,
+which then read every principal congruence from it; without it each
+lookup is one closure.  The two lookups stay side by side until the
+benchmark reads peak memory from one pass: a lazy lookup is faster, and
+the benchmark keeps every pass, so more passes read as more memory.  No
+closure decides the d-lattice scope.
 """
 
 from __future__ import annotations
@@ -265,19 +268,24 @@ def _mask(covers: Sequence[tuple[int, int]], labels: Sequence[int]) -> int:
     return sum(1 << i for i, (a, b) in enumerate(covers) if labels[a] == labels[b])
 
 
-def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
-    """Normalized labels of the congruence relating the covering pairs in ``mask``.
+def _classes(size: int, covers: Sequence[tuple[int, int]], mask: int) -> list[int]:
+    """The least element of each element's class, for the covering pairs in ``mask``.
 
     A congruence class is an interval [u, v], and every member above u
     covers another member.  ``covers`` runs up by the size of ↓b, so a's
-    label is final before any pair a ≺ b is read, and each related b
+    entry is final before any pair a ≺ b is read, and each related b
     takes it: the least element u of the class.
     """
     least = list(range(size))
     for i, (a, b) in enumerate(covers):
         if mask >> i & 1:
             least[b] = least[a]
-    return _normalize(least)
+    return least
+
+
+def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
+    """Normalized labels of the congruence relating the covering pairs in ``mask``."""
+    return _normalize(_classes(size, covers, mask))
 
 
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
@@ -301,20 +309,18 @@ def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     return Congruence(lattice, Partition.from_labels(pairs))
 
 
-def all_congruences(
+def _congruence_masks(
     lattice: FiniteLattice, principal: Optional[Principal] = None
-) -> list[Congruence]:
-    """Con(L): the unions of the covering-pair masks of J(Con L).
+) -> tuple[list[tuple[int, int]], set[int]]:
+    """The covering pairs, and Con(L) as the OR-closed set of their masks.
 
     A congruence is held as the mask of the covering pairs a ≺ b it
     relates.  J(Con L) is the set of con(a, b) over those pairs, and
     each is join-prime in the distributive lattice Con(L), so a join of
     congruences is the OR of their masks, and Con(L) is the OR-closure
-    of the masks of J(Con L) with the empty mask (the identity).  Each
-    mask is labelled once (``_labels``).  ``principal`` is the lookup of
-    ``principal_table``; without it each covering pair is one closure,
-    and no other pair is computed.  The result is sorted by normalized
-    representation.
+    of the masks of J(Con L) with the empty mask (the identity).
+    ``principal`` is the lookup of ``principal_table``; without it each
+    covering pair is one closure, and no other pair is computed.
     """
     if principal is None:
         principal = _principal_by_closure(lattice)
@@ -322,6 +328,20 @@ def all_congruences(
     found = {0}
     for irreducible in {_mask(covers, principal(a, b)) for a, b in covers}:
         found |= {mask | irreducible for mask in found}
+    return covers, found
+
+
+def all_congruences(
+    lattice: FiniteLattice, principal: Optional[Principal] = None
+) -> list[Congruence]:
+    """Con(L), sorted by normalized representation.
+
+    The masks of ``_congruence_masks`` (the unions of the covering-pair
+    masks of J(Con L)), each labelled once (``_labels``).  ``principal``
+    is the lookup of ``principal_table``; without it each covering pair
+    is one closure, and no other pair is computed.
+    """
+    covers, found = _congruence_masks(lattice, principal)
     n = lattice.size
     return [
         Congruence(lattice, Partition(n, labels))
@@ -351,7 +371,11 @@ def is_balanced_congruence(
         raise OwnerMismatch("congruence belongs to a different lattice")
     if principal is None:
         principal = _principal_by_closure(lattice)
-    labels = cong.partition.block_of
+    return _balanced(lattice, cong.partition.block_of, principal)
+
+
+def _balanced(lattice: FiniteLattice, labels: Sequence[int], principal: Principal) -> bool:
+    """Balance of the congruence whose classes are the equal entries of ``labels``."""
     bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]
     least = _fold(lattice.meet, sum(1 << e for e, label in enumerate(labels) if label == one))

@@ -42,9 +42,9 @@ class LatticeError(Exception):
     parameter that is not an ``int`` >= 1 (a bool is not one), a
     ``relabel`` argument that is not a permutation of ``int`` elements, a
     malformed ``lattice_from_canonical`` form, an empty or non-square
-    ``FiniteLattice`` matrix or one with a ``str`` or ``bytes`` cell, and
-    ``Partition`` blocks that overlap or miss an element or labels that
-    are not integers or not normalized.
+    ``FiniteLattice`` matrix or one with a ``str`` or ``bytes`` cell or
+    row, and ``Partition`` blocks that overlap or miss an element or
+    labels that are not integers or not normalized.
     """
 
 
@@ -98,7 +98,8 @@ class FiniteLattice:
     :class:`NotALattice` as soon as the corresponding stage fails, so
     no instance holds tables that disagree with its order.
     ``__post_init__`` checks only that the matrix is square and that no
-    cell is a ``str`` or ``bytes`` (``bool("0")`` is True, so text would be
+    cell or row is a ``str`` or ``bytes`` (``bool("0")`` is True, and a
+    ``bytes`` row's cells are its digits' codes, so text would be
     misread), then writes it as n*n bytes of ``0`` and ``1``, one
     ``bool()`` per cell, and hands them to ``_check_order``, the one
     checker that :func:`lattice_from_canonical` and :func:`parse_latt`
@@ -149,13 +150,16 @@ class FiniteLattice:
         n = len(matrix)
         if n < 1 or any(map(n.__ne__, map(len, matrix))):
             raise ValueError(_NOT_SQUARE)
-        kinds = set(map(type, itertools.chain.from_iterable(matrix)))
+        kinds = set(map(type, matrix)) | set(map(type, itertools.chain.from_iterable(matrix)))
         if any(issubclass(kind, (str, bytes)) for kind in kinds):
-            # bool("0") is True, so a text cell would be read as a 1
+            # bool("0") is True, so a text cell would be read as a 1, and
+            # the cells of a bytes row are the nonzero codes of its digits
             for k, cell in enumerate(itertools.chain.from_iterable(matrix)):
                 if isinstance(cell, (str, bytes)):
                     where, kind = (k // n, k % n), type(cell).__name__
                     raise ValueError(f"order matrix cell {where} is {kind}, not bool or int")
+            i = next(i for i, row in enumerate(matrix) if isinstance(row, bytes))
+            raise ValueError(f"order matrix row {i} is bytes, not a row of bool or int cells")
         cells = bytes(map(bool, itertools.chain.from_iterable(matrix)))
         _check_order(self, n, cells.translate(_DIGITS))
 
@@ -697,12 +701,16 @@ def _closure(
     kept, so every parent is at most its child and one ascending pass
     resolves every root at the end.  The given pairs enter the worklist
     one at a time, each once the previous one's forced pairs are all
-    closed; the fixpoint does not depend on the order.  The labels are
-    normalized here, once; callers that need a :class:`Partition` wrap
-    them, and lookups compare and store the tuple itself.  It is the
-    package's one congruence primitive: principal and generated
-    congruences, the principal lookups and the compatibility test of
-    :func:`_blocks_compatible` all run it.
+    closed; the fixpoint does not depend on the order.  The merges are
+    counted, and the merge that leaves one block returns the all-zero
+    labels at once: no pair can merge after it, so the rest of the
+    worklist and of the given pairs would change nothing (a ``within``
+    verdict included, since every merge so far stayed inside a block).
+    The labels are otherwise normalized here, once; callers that need a
+    :class:`Partition` wrap them, and lookups compare and store the tuple
+    itself.  It is the package's one congruence primitive: principal and
+    generated congruences, the principal lookups and the compatibility
+    test of :func:`_blocks_compatible` all run it.
 
     Given block labels ``within``, it returns None at the first merge of
     two elements with different labels, so the congruence is not inside
@@ -716,6 +724,7 @@ def _closure(
     """
     n = lattice.size
     parent = list(range(n))
+    blocks = n
     meet, join = lattice.meet, lattice.join
     queue: deque[tuple[int, int]] = deque()
     extend, popleft = queue.extend, queue.popleft
@@ -735,6 +744,9 @@ def _closure(
             if ry < rx:
                 rx, ry = ry, rx
             parent[ry] = rx
+            blocks -= 1
+            if blocks == 1:
+                return (0,) * n
             extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
             extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
     for x in range(n):

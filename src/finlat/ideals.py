@@ -10,7 +10,8 @@ the join of S; an ideal is maximal iff its join is a coatom; and a
 proper ideal ↓g is prime iff the meet of its complement lies outside
 it.  Filters are the duals.  Each test is linear in the lattice size.
 Sets are bitmasks wrapped in :class:`ElementSet` so reports can print
-them uniformly.
+them uniformly; the verdict path reads the bare masks of
+``_maximal_and_prime`` and wraps none.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class ElementSet:
             raise SizeMismatch(f"mask {mask:#x} does not fit in {size} elements")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "sort_key", (mask.bit_count(), mask))
+        object.__setattr__(self, "sort_key", _by_size(mask))
 
     @staticmethod
     def from_iterable(size: int, items: Iterable[int]) -> "ElementSet":
@@ -124,6 +125,11 @@ def is_filter(lattice: FiniteLattice, subset: ElementSet) -> bool:
     return _is_principal(lattice, subset, lattice.up_masks, lattice.meet)
 
 
+def _by_size(mask: int) -> tuple[int, int]:
+    """The (cardinality, bitmask) key that orders :class:`ElementSet`."""
+    return (mask.bit_count(), mask)
+
+
 def enumerate_ideals(lattice: FiniteLattice) -> list[ElementSet]:
     """All ideals, sorted by (size, bitmask), the improper one included.
 
@@ -131,13 +137,13 @@ def enumerate_ideals(lattice: FiniteLattice) -> list[ElementSet]:
     element, so the principal down-sets are already all of them.
     """
     n = lattice.size
-    return sorted(ElementSet(n, lattice.down_masks[a]) for a in range(n))
+    return [ElementSet(n, mask) for mask in sorted(lattice.down_masks, key=_by_size)]
 
 
 def enumerate_filters(lattice: FiniteLattice) -> list[ElementSet]:
     """All filters, sorted by (size, bitmask); dual to ideals."""
     n = lattice.size
-    return sorted(ElementSet(n, lattice.up_masks[a]) for a in range(n))
+    return [ElementSet(n, mask) for mask in sorted(lattice.up_masks, key=_by_size)]
 
 
 def _is_prime(lattice: FiniteLattice, mask: int, other: _Table) -> bool:
@@ -191,24 +197,25 @@ def is_maximal_filter(lattice: FiniteLattice, filt: ElementSet) -> bool:
     return lattice.down_masks[_fold(lattice.meet, filt.mask)].bit_count() == 2
 
 
-def _maximal_and_prime(lattice: FiniteLattice) -> tuple[tuple[list[ElementSet], ...], ...]:
-    """(maximal, prime) sets of the ideals, then of the filters, in enumeration order.
+def _maximal_and_prime(lattice: FiniteLattice) -> tuple[tuple[list[int], list[int]], ...]:
+    """(maximal, prime) masks of the ideals, then of the filters, in enumeration order.
 
     The maximal ideals are ↓c for the coatoms c and the maximal filters
     ↑a for the atoms a.  Principal sets need no re-validation before
-    the primality test.
+    the primality test.  The masks are sorted as their :class:`ElementSet`
+    would be, by (cardinality, bitmask); no set is wrapped.
     """
     n = lattice.size
     sides = (
-        (enumerate_ideals, lattice.down_masks, lattice.up_masks, lattice.meet),
-        (enumerate_filters, lattice.up_masks, lattice.down_masks, lattice.join),
+        (lattice.down_masks, lattice.up_masks, lattice.meet),
+        (lattice.up_masks, lattice.down_masks, lattice.join),
     )
     return tuple(
         (
-            sorted(ElementSet(n, masks[g]) for g in range(n) if other_masks[g].bit_count() == 2),
-            [s for s in principal(lattice) if _is_prime(lattice, s.mask, other)],
+            sorted((masks[g] for g in range(n) if other_masks[g].bit_count() == 2), key=_by_size),
+            [mask for mask in sorted(masks, key=_by_size) if _is_prime(lattice, mask, other)],
         )
-        for principal, masks, other_masks, other in sides
+        for masks, other_masks, other in sides
     )
 
 

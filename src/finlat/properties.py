@@ -13,16 +13,19 @@ implications, read from principal congruences, are kept as
 the two.
 
 Every predicate, verdict and report reads one record per lattice
-(``_Facts``) that derives each fact on its first read and keeps it:
-the maximal and prime ideals and filters, the first non-prime maximal
-ideal and filter (the d-lattice flag), the least complementless
-element, Con(L) from one table of principal congruences
-(``principal_table``, one closure per comparable pair, any other pair
-read at its meet and join), its first unbalanced congruence, and the
-seven conditions.  A caller reads only what it needs (``is_d_lattice``
-runs no closure, ``is_balanced`` no complement scan), and the census
-and searches read the scope, the conditions and the report off one
-record.
+(``_Facts``) that derives each fact on its first read and keeps it, as
+bit masks and element indices: the masks of the maximal and prime
+ideals and filters, the first non-prime maximal ideal and filter (the
+d-lattice flag), the least complementless element, Con(L) as the
+OR-closed set of covering-pair masks read off one table of principal
+congruences (``principal_table``, one closure per comparable pair, any
+other pair read at its meet and join), its first unbalanced congruence
+(and, for the report, the others), and the seven conditions.  Only the
+report wraps a set in an ``ElementSet`` or the least unbalanced
+congruence in a ``Congruence``.  A caller reads only what it needs
+(``is_d_lattice`` runs no closure, ``is_balanced`` no complement scan),
+and the census and searches read the scope, the conditions and the
+report off one record.
 The record lives only while its caller holds it; nothing is cached on
 the lattice.  No condition is inferred from another, so lattices
 outside the d-lattice scope still get a full (possibly divergent)
@@ -35,13 +38,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from .congruences import (
     Congruence,
+    Partition,
     Principal,
-    all_congruences,
-    is_balanced_congruence,
+    _balanced,
+    _classes,
+    _congruence_masks,
     principal_table,
 )
 from .core import (
@@ -51,6 +56,7 @@ from .core import (
     SizeMismatch,
     _closure,
     _fold,
+    _normalize,
     is_homomorphism,
     is_surjective,
     standard_lattice,
@@ -253,12 +259,14 @@ def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
     """All b with a∧b = bottom and a∨b = top."""
     if not 0 <= a < lattice.size:
         raise SizeMismatch(f"element {a} outside lattice of size {lattice.size}")
+    return ElementSet(lattice.size, _complements(lattice, a))
+
+
+def _complements(lattice: FiniteLattice, a: int) -> int:
+    """The mask of the complements of a."""
     bottom, top = lattice.bottom, lattice.top
-    meets, joins = lattice.meet[a], lattice.join[a]
-    return ElementSet.from_iterable(
-        lattice.size,
-        (b for b in lattice.elements() if meets[b] == bottom and joins[b] == top),
-    )
+    pairs = zip(lattice.meet[a], lattice.join[a])
+    return sum(1 << b for b, (m, j) in enumerate(pairs) if m == bottom and j == top)
 
 
 def is_complemented(lattice: FiniteLattice) -> bool:
@@ -268,7 +276,7 @@ def is_complemented(lattice: FiniteLattice) -> bool:
 
 def is_balanced(lattice: FiniteLattice) -> bool:
     """Every congruence is balanced: condition c6 fails."""
-    return _Facts(lattice).unbalanced is None
+    return _Facts(lattice).balanced
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -290,11 +298,11 @@ def is_distributive(lattice: FiniteLattice) -> bool:
     )
 
 
-def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, ElementSet]]:
-    """First strictly-nested pair in enumeration order, if any."""
-    for small in sets:
-        for big in sets:
-            if small.mask != big.mask and small.issubset(big):
+def _nested_pair(masks: Sequence[int]) -> Optional[tuple[int, int]]:
+    """First strictly-nested pair of sets in enumeration order, if any."""
+    for small in masks:
+        for big in masks:
+            if small != big and small & ~big == 0:
                 return (small, big)
     return None
 
@@ -302,24 +310,33 @@ def _nested_pair(sets: Sequence[ElementSet]) -> Optional[tuple[ElementSet, Eleme
 class _Facts:
     """The facts the theorem is read from, for one lattice, each derived on first read.
 
-    ``sides`` holds the (maximal, prime) ideals, then filters, in
+    Every fact is held as bit masks and element indices.  ``sides``
+    holds the masks of the (maximal, prime) ideals, then filters, in
     enumeration order, and ``nonprime_maximal`` the first maximal ideal,
-    then filter, that is not prime; a d-lattice has neither.  Con(L) and
-    balance read one table of principal congruences.  Each source is
-    called by its module-level name, so patched or traced sources see
-    every call.
+    then filter, that is not prime; a d-lattice has neither.  Con(L) is
+    the OR-closed set of covering-pair masks read off one table of
+    principal congruences, each mask turned once into the least element
+    of every element's class: c5 reads the block counts, and c6 tests
+    balance until the first unbalanced congruence; only the report's
+    witness, the least unbalanced one, tests the rest.  Only ``report``
+    wraps a witness in an :class:`ElementSet` or :class:`Congruence`.
+    Each source is called by its module-level name, so patched or traced
+    sources see every call.
     """
 
     def __init__(self, lattice: FiniteLattice) -> None:
         self.lattice = lattice
 
     @cached_property
-    def sides(self) -> tuple[tuple[list[ElementSet], ...], ...]:
+    def sides(self) -> tuple[tuple[list[int], list[int]], ...]:
         return _maximal_and_prime(self.lattice)
 
     @cached_property
-    def nonprime_maximal(self) -> tuple[Optional[ElementSet], ...]:
-        return tuple(min(set(m).difference(p), default=None) for m, p in self.sides)
+    def nonprime_maximal(self) -> tuple[Optional[int], ...]:
+        return tuple(
+            next((mask for mask in maximal if mask not in prime), None)
+            for maximal, prime in self.sides
+        )
 
     @property
     def d_lattice(self) -> bool:
@@ -329,45 +346,70 @@ class _Facts:
     def complementless(self) -> Optional[int]:
         """The least element with no complement, if any."""
         lattice = self.lattice
-        return next((a for a in lattice.elements() if not complements_of(lattice, a)), None)
+        return next((a for a in lattice.elements() if not _complements(lattice, a)), None)
 
     @cached_property
     def principal(self) -> Principal:
         return principal_table(self.lattice)
 
     @cached_property
-    def congruences(self) -> list[Congruence]:
-        return all_congruences(self.lattice, self.principal)
+    def congruences(self) -> list[list[int]]:
+        """Con(L): each congruence as the least element of every element's class."""
+        n = self.lattice.size
+        covers, masks = _congruence_masks(self.lattice, self.principal)
+        return [_classes(n, covers, mask) for mask in masks]
 
     @cached_property
-    def unbalanced(self) -> Optional[Congruence]:
-        """The first congruence that is not balanced, if any."""
+    def _unbalanced_scan(self) -> Iterator[list[int]]:
+        """The unbalanced congruences, each tested once, as they are read."""
         lattice, principal = self.lattice, self.principal
-        return next(
-            (c for c in self.congruences if not is_balanced_congruence(lattice, c, principal)), None
-        )
+        return (c for c in self.congruences if not _balanced(lattice, c, principal))
 
     @cached_property
-    def nested_primes(self) -> Optional[tuple[ElementSet, ElementSet]]:
+    def first_unbalanced(self) -> Optional[list[int]]:
+        """The first unbalanced congruence the scan meets: c6 stops there."""
+        return next(self._unbalanced_scan, None)
+
+    @property
+    def balanced(self) -> bool:
+        return self.first_unbalanced is None
+
+    @cached_property
+    def unbalanced(self) -> list[list[int]]:
+        """Every unbalanced congruence, in no fixed order; the scan goes on after the first."""
+        first = self.first_unbalanced
+        return [] if first is None else [first, *self._unbalanced_scan]
+
+    @cached_property
+    def nested_primes(self) -> Optional[tuple[int, int]]:
         return _nested_pair(self.sides[0][1])
 
     @cached_property
     def seven(self) -> SevenConditions:
         (maximal_ideals, _), (maximal_filters, prime_filters) = self.sides
+        full = (1 << self.lattice.size) - 1
         return SevenConditions(
-            c1=any(f.complement() not in maximal_ideals for f in maximal_filters),
-            c2=any(i.complement() not in maximal_filters for i in maximal_ideals),
+            c1=any(full ^ f not in maximal_ideals for f in maximal_filters),
+            c2=any(full ^ i not in maximal_filters for i in maximal_ideals),
             c3=self.nested_primes is not None,
             c4=_nested_pair(prime_filters) is not None,
-            c5=any(c.num_blocks == 3 for c in self.congruences),
-            c6=self.unbalanced is not None,
+            c5=any(len(set(c)) == 3 for c in self.congruences),
+            c6=not self.balanced,
             c7=self.complementless is not None,
         )
 
     def report(self) -> PropertyReport:
-        """Every predicate, count and least witness; see ``ReportWitnesses``."""
+        """Every predicate, count and least witness; see ``ReportWitnesses``.
+
+        The least unbalanced congruence is the least normalized labeling
+        among the unbalanced ones, which is the first in the order of
+        ``all_congruences``.
+        """
         lattice, seven = self.lattice, self.seven
+        n = lattice.size
         (_, prime_ideals), (_, prime_filters) = self.sides
+        nested = self.nested_primes
+        unbalanced = min(map(_normalize, self.unbalanced), default=None)
         return PropertyReport(
             size=lattice.size,
             is_bounded=True,  # FiniteLattice construction rejects unbounded orders
@@ -384,7 +426,10 @@ class _Facts:
                 congruences=len(self.congruences),
             ),
             witnesses=ReportWitnesses(
-                self.nested_primes, self.complementless, self.unbalanced, *self.nonprime_maximal
+                None if nested is None else (ElementSet(n, nested[0]), ElementSet(n, nested[1])),
+                self.complementless,
+                None if unbalanced is None else Congruence(lattice, Partition(n, unbalanced)),
+                *(None if mask is None else ElementSet(n, mask) for mask in self.nonprime_maximal),
             ),
             convention_note=None if lattice.size > 1 else (
                 "one-element lattice: d-lattice, complemented and balanced "

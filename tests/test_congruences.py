@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finlat as fl
-from finlat import congruences
+from finlat import congruences, core
 from finlat.core import _closure
 import oracles
 import support
@@ -123,32 +123,55 @@ def test_is_congruence_stops_at_the_first_merge_of_two_blocks():
     assert elapsed < 0.1
 
 
-def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7():
-    # the kernel against the one it replaced, on (a, b), (b, a) and (a, a)
-    closures = 0
-    for lattice in support.lattices_up_to(7):
+def _one_block(labels) -> bool:
+    """Labels of one block on two or more elements: what the closure returns at its early exit."""
+    return labels is not None and len(labels) > 1 and not any(labels)
+
+
+def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypatch):
+    # the kernel against the one it replaced, on (a, b), (b, a) and (a, a);
+    # a closure that merges everything into one block returns at that merge,
+    # before its worklist drains and without normalizing its labels, and
+    # every other closure normalizes once
+    lattices = support.lattices_up_to(7)
+    normalized = support.count_calls(monkeypatch, "_normalize", core)
+    closures = one_block = 0
+    for lattice in lattices:
         n = lattice.size
         for a in range(n):
             for b in range(n):
-                assert _closure(lattice, [(a, b)]) == oracles.closure_by_find(lattice, [(a, b)])
+                got = _closure(lattice, [(a, b)])
+                assert got == oracles.closure_by_find(lattice, [(a, b)])
                 closures += 1
+                one_block += _one_block(got)
     assert closures == 3_308
+    assert one_block > 0 and len(normalized) == closures - one_block
 
 
-def test_closure_matches_find_kernel_on_block_pairs_up_to_size_5():
+def test_closure_matches_find_kernel_on_block_pairs_up_to_size_5(monkeypatch):
     # the block pairs of every partition, closed freely and inside every
-    # partition: the same labels, or None on both sides
+    # partition: the same labels, or None on both sides; the one-block
+    # closures, inside a partition or not, leave at the early exit
+    lattices = support.lattices_up_to(5)
+    normalized = support.count_calls(monkeypatch, "_normalize", core)
     verdicts = {True: 0, False: 0}
-    for lattice in support.lattices_up_to(5):
+    one_block = {True: 0, False: 0}
+    for lattice in lattices:
         partitions = list(oracles.all_partitions(lattice.size))
         for labels in partitions:
             pairs = oracles._block_pairs(labels)
-            assert _closure(lattice, pairs) == oracles.closure_by_find(lattice, pairs)
+            got = _closure(lattice, pairs)
+            assert got == oracles.closure_by_find(lattice, pairs)
+            one_block[False] += _one_block(got)
+            verdicts[False] += 1
             for within in partitions:
                 got = _closure(lattice, pairs, within)
                 assert got == oracles.closure_by_find(lattice, pairs, within), (labels, within)
                 verdicts[got is None] += 1
+                one_block[True] += _one_block(got)
     assert verdicts[True] > 0 and verdicts[False] > 0
+    assert one_block[True] > 0 and one_block[False] > 0
+    assert len(normalized) == verdicts[False] - sum(one_block.values())
 
 
 @settings(max_examples=20, deadline=None)
@@ -168,6 +191,12 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
         got = _closure(relabeled, pairs, within)
         assert got == oracles.closure_by_find(relabeled, pairs, within)
     assert _closure(relabeled, pairs, expected) == expected
+    # with the bounds among the pairs, the closure leaves at the one-block exit
+    bounds = [*pairs, (relabeled.bottom, relabeled.top)]
+    with pytest.MonkeyPatch.context() as patch:
+        normalized = support.count_calls(patch, "_normalize", core)
+        assert _closure(relabeled, bounds) == oracles.closure_by_find(relabeled, bounds) == (0,) * n
+    assert normalized == []
 
 
 def test_congruence_equality_is_lattice_identity_scoped():

@@ -258,20 +258,24 @@ def test_tables_match_bound_scan_on_random_matrices(matrix):
 
 def test_text_cells_are_rejected_at_their_position():
     # bool("0") is True, so digit strings were read as all ones and failed
-    # antisymmetry at (0, 1); a text cell is a malformed argument
+    # antisymmetry at (0, 1); a text cell is a malformed argument, and so is
+    # a bytes row, whose cells are the nonzero codes of its digits
     cases = [
         ([["1", "1"], ["0", "1"]], "cell (0, 0) is str"),
         (["11", "01"], "cell (0, 0) is str"),
         ([[1, 1], [0, b"1"]], "cell (1, 1) is bytes"),
         ([[True, True], [False, "1"]], "cell (1, 1) is str"),
+        ([b"11", b"01"], "row 0 is bytes"),
+        ([[1, 1], b"\x00\x01"], "row 1 is bytes"),
     ]
     for matrix, words in cases:
         with pytest.raises(ValueError, match=re.escape(words)):
             fl.FiniteLattice(matrix)
-    # bool and int cells keep their meaning
+    # bool and int cells keep their meaning, in rows of any int sequence
     chain2 = fl.standard_lattice("chain", 2)
     assert fl.FiniteLattice([[True, 1], [False, 1]]) == chain2
     assert fl.FiniteLattice([[2, -1], [0, 1]]) == chain2
+    assert fl.FiniteLattice([bytearray(b"\x01\x01"), bytearray(b"\x00\x01")]) == chain2
 
 
 def test_construction_errors_match_bound_scan():

@@ -51,10 +51,10 @@ def test_dual_trades_the_witnesses_of_ideals_and_filters_up_to_size_8():
         assert _mask(theirs.nonprime_maximal_ideal) == _mask(mine.nonprime_maximal_filter)
         assert _mask(theirs.nonprime_maximal_filter) == _mask(mine.nonprime_maximal_ideal)
         prime_filters = [f for f in fl.enumerate_filters(lattice) if fl.is_prime_filter(lattice, f)]
-        nested = _nested_pair(prime_filters)
+        nested = _nested_pair([f.mask for f in prime_filters])
         assert (theirs.nested_prime_ideals is None) == (nested is None)
         if nested is not None:
-            assert tuple(map(_mask, theirs.nested_prime_ideals)) == tuple(map(_mask, nested))
+            assert tuple(map(_mask, theirs.nested_prime_ideals)) == nested
 
 
 def _partition(congruence):

@@ -243,6 +243,35 @@ def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
     assert len(derived) == 10
 
 
+def test_verdict_census_and_searches_wrap_no_set_or_congruence(monkeypatch):
+    # the verdict, the census and the four searches read ideals, filters and
+    # congruences as bit masks and element indices; only a report (and the
+    # CLI and the public enumerators) wraps one in an object
+    lattices = support.lattices_up_to(8)
+    made: list[str] = []
+    for cls, method in (
+        (fl.Partition, "__post_init__"),
+        (fl.Congruence, "__init__"),
+        (fl.ElementSet, "__init__"),
+    ):
+
+        def counted(self, *args, _original=getattr(cls, method), _name=cls.__name__):
+            made.append(_name)
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, method, counted)
+    verdicts = [fl.verify_theorem(lattice) for lattice in lattices]
+    assert all(verdict.passed for verdict in verdicts)
+    assert sum(verdict.scope == "d-lattice" for verdict in verdicts) == 110
+    rows = [(row.d_lattice_count, row.balanced_count) for row in fl.census(8)]
+    assert rows == [(1, 1), (1, 1), (1, 0), (2, 1), (4, 1), (9, 2), (23, 3), (69, 9)]
+    for predicate in sorted(fl.SEARCH_PREDICATES):
+        assert fl.search_counterexample(predicate, 8) == []
+    assert made == []
+    fl.classify(fl.standard_lattice("chain", 3))
+    assert set(made) == {"Partition", "Congruence", "ElementSet"}
+
+
 def test_search_rejects_unknown_predicate():
     with pytest.raises(fl.UnknownPredicate):
         fl.search_counterexample("no-such-condition", 4)

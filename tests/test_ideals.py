@@ -236,11 +236,11 @@ def test_primality_and_maximality_match_scans_up_to_size_8():
         (maximals, primes), (maximal_fs, prime_fs) = ideals._maximal_and_prime(lattice)
         for ideal in fl.enumerate_ideals(lattice):
             prime = oracles.prime_by_pairs(lattice, ideal, lattice.meet)
-            assert fl.is_prime_ideal(lattice, ideal) == prime == (ideal in primes)
+            assert fl.is_prime_ideal(lattice, ideal) == prime == (ideal.mask in primes)
             maximal = ideal.mask in maximal_ideals
-            assert fl.is_maximal_ideal(lattice, ideal) == maximal == (ideal in maximals)
+            assert fl.is_maximal_ideal(lattice, ideal) == maximal == (ideal.mask in maximals)
         for filt in fl.enumerate_filters(lattice):
             prime = oracles.prime_by_pairs(lattice, filt, lattice.join)
-            assert fl.is_prime_filter(lattice, filt) == prime == (filt in prime_fs)
+            assert fl.is_prime_filter(lattice, filt) == prime == (filt.mask in prime_fs)
             maximal = filt.mask in maximal_filters
-            assert fl.is_maximal_filter(lattice, filt) == maximal == (filt in maximal_fs)
+            assert fl.is_maximal_filter(lattice, filt) == maximal == (filt.mask in maximal_fs)

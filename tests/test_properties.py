@@ -488,9 +488,11 @@ def test_classify_chain3_witnesses():
 
 def test_classify_derives_each_fact_once(monkeypatch):
     # chain(3) and chain(3)×n5 are unbalanced and non-complemented, so their
-    # witnesses are the first congruence and element that fail those scans;
-    # _maximal_and_prime yields the maximal and prime ideals and filters
-    names = ("all_congruences", "_maximal_and_prime", "is_balanced_congruence", "complements_of")
+    # witnesses are the least congruence and element that fail those scans;
+    # _maximal_and_prime yields the maximal and prime ideal and filter masks,
+    # _congruence_masks Con(L) as masks, and each congruence's balance and
+    # each element's complements are read once
+    names = ("_congruence_masks", "_maximal_and_prime", "_balanced", "_complements")
     chain3 = fl.standard_lattice("chain", 3)
     for lattice in (chain3, fl.product(chain3, fl.standard_lattice("n5"))):
         with monkeypatch.context() as patch:
@@ -500,6 +502,9 @@ def test_classify_derives_each_fact_once(monkeypatch):
         for name, args in calls.items():
             keys = [tuple(map(str, call[1:])) for call in args]
             assert keys and len(keys) == len(set(keys)), (name, keys)
+        assert len(calls["_congruence_masks"]) == len(calls["_maximal_and_prime"]) == 1
+        assert len(calls["_balanced"]) == report.counts.congruences
+        assert len(calls["_complements"]) == report.witnesses.noncomplemented_element + 1
 
 
 @pytest.mark.parametrize(
@@ -523,6 +528,18 @@ def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, comparable, ver
     calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     verdict(lattice)
     assert len(calls) == comparable
+
+
+def test_verify_closures_up_to_size_9_are_pinned(monkeypatch):
+    # one closure per comparable pair a < b of every lattice of size <= 9;
+    # the 9,483 that merge everything into one block return at that merge,
+    # without draining their worklist or normalizing their labels
+    lattices = support.lattices_up_to(9)
+    closures = support.count_calls(monkeypatch, "_closure", fl.congruences)
+    normalized = support.count_calls(monkeypatch, "_normalize", fl.core)
+    for lattice in lattices:
+        fl.verify_theorem(lattice)
+    assert (len(closures), len(closures) - len(normalized)) == (33_482, 9_483)
 
 
 def test_d_lattice_matches_definition_up_to_size_8():
