@@ -11,30 +11,28 @@ primitive: it builds principal and generated congruences, and
 ``is_congruence`` (like ``core.quotient``) asks whether closing a
 partition's blocks adds nothing.  It normalizes its labels once and
 returns the tuple; the principal lookups hand that tuple on, and only
-the public constructors wrap it in a :class:`Partition`.  Con(L) and
-joins hold a congruence as the bit mask of the covering pairs a ≺ b it
-relates: a class is an interval whose members are linked by covering
+the public constructors wrap it, unchecked (``_congruence``: normalized
+labels pass the checks of :class:`Partition` by construction).  Con(L)
+and joins hold a congruence as the bit mask of the covering pairs a ≺ b
+it relates: a class is an interval whose members are linked by covering
 pairs inside it, so the mask fixes the congruence.  Con(L) is
 distributive, and its join-irreducibles are the con(a, b) of the
 covering pairs, each join-prime, so a join of congruences is the OR of
-their masks.  ``_congruence_masks`` closes the masks of J(Con L) under
-OR; that set is Con(L).  The per-lattice record of facts behind
-``verify_theorem`` reads block counts and balance off the masks and
-lists no :class:`Congruence`; ``all_congruences`` runs the same helper
-and labels each mask once.  Called on its own, it runs one closure per
+their masks.  ``all_congruences`` closes the masks of J(Con L) under OR
+and labels each result once; called on its own, it runs one closure per
 covering pair.  A congruence class is a convex sublattice, so the
 1-class is an interval [m, 1] and the 0-class an interval [0, z], and
-balance (``_balanced``, on any labels whose equal entries are the
-classes) is the one equality con(0, z) = con(m, 1) of the principal
+balance is the one equality con(0, z) = con(m, 1) of the principal
 congruences the two classes generate.  For the same reason con(a, b) =
 con(a∧b, a∨b): ``principal_table`` runs the closure once per comparable
 pair a < b and reads every other pair at its meet and join.  The
-record of facts builds it once and passes it to Con(L) and balance,
-which then read every principal congruence from it; without it each
-lookup is one closure.  The two lookups stay side by side until the
-benchmark reads peak memory from one pass: a lazy lookup is faster, and
-the benchmark keeps every pass, so more passes read as more memory.  No
-closure decides the d-lattice scope.
+per-lattice record of facts behind ``verify_theorem`` builds it once
+and passes it to Con(L) and balance, which then read every principal
+congruence from it; without it each lookup is one closure.  The two
+lookups stay side by side until the benchmark reads peak memory from
+one pass: a lazy lookup is faster, and the benchmark keeps every pass,
+so more passes read as more memory.  No closure decides the d-lattice
+scope.
 """
 
 from __future__ import annotations
@@ -178,6 +176,21 @@ class Congruence:
         return f"Congruence({self.partition})"
 
 
+def _congruence(lattice: FiniteLattice, labels: tuple[int, ...]) -> Congruence:
+    """The congruence with the given labels, which ``_normalize`` produced.
+
+    Normalized labels, one per element, pass every check of
+    :class:`Partition` and :class:`Congruence` by construction, so the
+    two are made without them.
+    """
+    partition = object.__new__(Partition)
+    object.__setattr__(partition, "size", len(labels))
+    object.__setattr__(partition, "block_of", labels)
+    congruence = object.__new__(Congruence)
+    congruence.lattice, congruence.partition = lattice, partition
+    return congruence
+
+
 def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     """Whether the partition is compatible with meet and join.
 
@@ -194,7 +207,7 @@ def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
     n = lattice.size
     if not (0 <= a < n and 0 <= b < n):
         raise SizeMismatch(f"elements ({a}, {b}) outside [0, {n})")
-    return Congruence(lattice, Partition(n, _closure(lattice, [(a, b)])))
+    return _congruence(lattice, _closure(lattice, [(a, b)]))
 
 
 def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Congruence:
@@ -211,7 +224,7 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
         raise SizeMismatch(f"elements {members} not all inside [0, {n})")
     mask = sum(1 << e for e in members)
     pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
-    return Congruence(lattice, Partition(n, _closure(lattice, [pair])))
+    return _congruence(lattice, _closure(lattice, [pair]))
 
 
 Principal = Callable[[int, int], tuple[int, ...]]
@@ -268,24 +281,19 @@ def _mask(covers: Sequence[tuple[int, int]], labels: Sequence[int]) -> int:
     return sum(1 << i for i, (a, b) in enumerate(covers) if labels[a] == labels[b])
 
 
-def _classes(size: int, covers: Sequence[tuple[int, int]], mask: int) -> list[int]:
-    """The least element of each element's class, for the covering pairs in ``mask``.
+def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
+    """Normalized labels of the congruence relating the covering pairs in ``mask``.
 
     A congruence class is an interval [u, v], and every member above u
     covers another member.  ``covers`` runs up by the size of ↓b, so a's
-    entry is final before any pair a ≺ b is read, and each related b
+    label is final before any pair a ≺ b is read, and each related b
     takes it: the least element u of the class.
     """
     least = list(range(size))
     for i, (a, b) in enumerate(covers):
         if mask >> i & 1:
             least[b] = least[a]
-    return least
-
-
-def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
-    """Normalized labels of the congruence relating the covering pairs in ``mask``."""
-    return _normalize(_classes(size, covers, mask))
+    return _normalize(least)
 
 
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
@@ -299,7 +307,7 @@ def join_congruences(left: Congruence, right: Congruence) -> Congruence:
     lattice = _require_same_lattice(left, right)
     covers = _covering_pairs(lattice)
     mask = _mask(covers, left.partition.block_of) | _mask(covers, right.partition.block_of)
-    return Congruence(lattice, Partition(lattice.size, _labels(lattice.size, covers, mask)))
+    return _congruence(lattice, _labels(lattice.size, covers, mask))
 
 
 def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
@@ -309,18 +317,20 @@ def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     return Congruence(lattice, Partition.from_labels(pairs))
 
 
-def _congruence_masks(
+def all_congruences(
     lattice: FiniteLattice, principal: Optional[Principal] = None
-) -> tuple[list[tuple[int, int]], set[int]]:
-    """The covering pairs, and Con(L) as the OR-closed set of their masks.
+) -> list[Congruence]:
+    """Con(L): the unions of the covering-pair masks of J(Con L).
 
     A congruence is held as the mask of the covering pairs a ≺ b it
     relates.  J(Con L) is the set of con(a, b) over those pairs, and
     each is join-prime in the distributive lattice Con(L), so a join of
     congruences is the OR of their masks, and Con(L) is the OR-closure
-    of the masks of J(Con L) with the empty mask (the identity).
-    ``principal`` is the lookup of ``principal_table``; without it each
-    covering pair is one closure, and no other pair is computed.
+    of the masks of J(Con L) with the empty mask (the identity).  Each
+    mask is labelled once (``_labels``).  ``principal`` is the lookup of
+    ``principal_table``; without it each covering pair is one closure,
+    and no other pair is computed.  The result is sorted by normalized
+    representation.
     """
     if principal is None:
         principal = _principal_by_closure(lattice)
@@ -328,25 +338,9 @@ def _congruence_masks(
     found = {0}
     for irreducible in {_mask(covers, principal(a, b)) for a, b in covers}:
         found |= {mask | irreducible for mask in found}
-    return covers, found
-
-
-def all_congruences(
-    lattice: FiniteLattice, principal: Optional[Principal] = None
-) -> list[Congruence]:
-    """Con(L), sorted by normalized representation.
-
-    The masks of ``_congruence_masks`` (the unions of the covering-pair
-    masks of J(Con L)), each labelled once (``_labels``).  ``principal``
-    is the lookup of ``principal_table``; without it each covering pair
-    is one closure, and no other pair is computed.
-    """
-    covers, found = _congruence_masks(lattice, principal)
     n = lattice.size
-    return [
-        Congruence(lattice, Partition(n, labels))
-        for labels in sorted(_labels(n, covers, mask) for mask in found)
-    ]
+    labelled = sorted(_labels(n, covers, mask) for mask in found)
+    return [_congruence(lattice, labels) for labels in labelled]
 
 
 def is_balanced_congruence(
@@ -371,11 +365,7 @@ def is_balanced_congruence(
         raise OwnerMismatch("congruence belongs to a different lattice")
     if principal is None:
         principal = _principal_by_closure(lattice)
-    return _balanced(lattice, cong.partition.block_of, principal)
-
-
-def _balanced(lattice: FiniteLattice, labels: Sequence[int], principal: Principal) -> bool:
-    """Balance of the congruence whose classes are the equal entries of ``labels``."""
+    labels = cong.partition.block_of
     bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]
     least = _fold(lattice.meet, sum(1 << e for e, label in enumerate(labels) if label == one))

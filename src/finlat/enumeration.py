@@ -290,7 +290,7 @@ def census(max_n: int) -> list[EnumerationStats]:
             facts = _Facts(lattice)
             if facts.d_lattice:
                 d_count += 1
-                balanced_d += facts.balanced
+                balanced_d += facts.unbalanced is None
                 complemented_d += facts.complementless is None
         rows.append(
             EnumerationStats(
@@ -307,10 +307,10 @@ def census(max_n: int) -> list[EnumerationStats]:
 
 SEARCH_PREDICATES: dict[str, Callable[[_Facts], bool]] = {
     "balanced-not-complemented-d": lambda facts: (
-        facts.d_lattice and facts.complementless is not None and facts.balanced
+        facts.d_lattice and facts.complementless is not None and facts.unbalanced is None
     ),
     "complemented-not-balanced": lambda facts: (
-        facts.complementless is None and not facts.balanced
+        facts.complementless is None and facts.unbalanced is not None
     ),
     "dlattice-characterizations-disagree": lambda facts: (
         is_d_lattice_definition(facts.lattice) != facts.d_lattice

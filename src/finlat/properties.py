@@ -13,19 +13,16 @@ implications, read from principal congruences, are kept as
 the two.
 
 Every predicate, verdict and report reads one record per lattice
-(``_Facts``) that derives each fact on its first read and keeps it, as
-bit masks and element indices: the masks of the maximal and prime
-ideals and filters, the first non-prime maximal ideal and filter (the
-d-lattice flag), the least complementless element, Con(L) as the
-OR-closed set of covering-pair masks read off one table of principal
-congruences (``principal_table``, one closure per comparable pair, any
-other pair read at its meet and join), its first unbalanced congruence
-(and, for the report, the others), and the seven conditions.  Only the
-report wraps a set in an ``ElementSet`` or the least unbalanced
-congruence in a ``Congruence``.  A caller reads only what it needs
-(``is_d_lattice`` runs no closure, ``is_balanced`` no complement scan),
-and the census and searches read the scope, the conditions and the
-report off one record.
+(``_Facts``) that derives each fact on its first read and keeps it: the
+masks of the maximal and prime ideals and filters, the first non-prime
+maximal ideal and filter (the d-lattice flag), the least complementless
+element, Con(L) from one table of principal congruences
+(``principal_table``, one closure per comparable pair, any other pair
+read at its meet and join), its least unbalanced congruence, and the
+seven conditions.  Only the report wraps a set in an ``ElementSet``.
+A caller reads only what it needs (``is_d_lattice`` runs no closure,
+``is_balanced`` no complement scan), and the census and searches read
+the scope, the conditions and the report off one record.
 The record lives only while its caller holds it; nothing is cached on
 the lattice.  No condition is inferred from another, so lattices
 outside the d-lattice scope still get a full (possibly divergent)
@@ -38,15 +35,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .congruences import (
     Congruence,
-    Partition,
     Principal,
-    _balanced,
-    _classes,
-    _congruence_masks,
+    all_congruences,
+    is_balanced_congruence,
     principal_table,
 )
 from .core import (
@@ -56,7 +51,6 @@ from .core import (
     SizeMismatch,
     _closure,
     _fold,
-    _normalize,
     is_homomorphism,
     is_surjective,
     standard_lattice,
@@ -276,7 +270,7 @@ def is_complemented(lattice: FiniteLattice) -> bool:
 
 def is_balanced(lattice: FiniteLattice) -> bool:
     """Every congruence is balanced: condition c6 fails."""
-    return _Facts(lattice).balanced
+    return _Facts(lattice).unbalanced is None
 
 
 def is_distributive(lattice: FiniteLattice) -> bool:
@@ -310,18 +304,16 @@ def _nested_pair(masks: Sequence[int]) -> Optional[tuple[int, int]]:
 class _Facts:
     """The facts the theorem is read from, for one lattice, each derived on first read.
 
-    Every fact is held as bit masks and element indices.  ``sides``
-    holds the masks of the (maximal, prime) ideals, then filters, in
-    enumeration order, and ``nonprime_maximal`` the first maximal ideal,
-    then filter, that is not prime; a d-lattice has neither.  Con(L) is
-    the OR-closed set of covering-pair masks read off one table of
-    principal congruences, each mask turned once into the least element
-    of every element's class: c5 reads the block counts, and c6 tests
-    balance until the first unbalanced congruence; only the report's
-    witness, the least unbalanced one, tests the rest.  Only ``report``
-    wraps a witness in an :class:`ElementSet` or :class:`Congruence`.
-    Each source is called by its module-level name, so patched or traced
-    sources see every call.
+    Ideals, filters and elements are held as bit masks and element
+    indices.  ``sides`` holds the masks of the (maximal, prime) ideals,
+    then filters, in enumeration order, and ``nonprime_maximal`` the
+    first maximal ideal, then filter, that is not prime; a d-lattice has
+    neither.  Con(L) is listed once, sorted, from one table of principal
+    congruences: c5 reads the block counts, and c6 tests balance in that
+    order up to the first unbalanced congruence, which is also the
+    report's least witness.  Only ``report`` wraps a set in an
+    :class:`ElementSet`.  Each source is called by its module-level
+    name, so patched or traced sources see every call.
     """
 
     def __init__(self, lattice: FiniteLattice) -> None:
@@ -353,32 +345,16 @@ class _Facts:
         return principal_table(self.lattice)
 
     @cached_property
-    def congruences(self) -> list[list[int]]:
-        """Con(L): each congruence as the least element of every element's class."""
-        n = self.lattice.size
-        covers, masks = _congruence_masks(self.lattice, self.principal)
-        return [_classes(n, covers, mask) for mask in masks]
+    def congruences(self) -> list[Congruence]:
+        return all_congruences(self.lattice, self.principal)
 
     @cached_property
-    def _unbalanced_scan(self) -> Iterator[list[int]]:
-        """The unbalanced congruences, each tested once, as they are read."""
+    def unbalanced(self) -> Optional[Congruence]:
+        """The first congruence that is not balanced, if any."""
         lattice, principal = self.lattice, self.principal
-        return (c for c in self.congruences if not _balanced(lattice, c, principal))
-
-    @cached_property
-    def first_unbalanced(self) -> Optional[list[int]]:
-        """The first unbalanced congruence the scan meets: c6 stops there."""
-        return next(self._unbalanced_scan, None)
-
-    @property
-    def balanced(self) -> bool:
-        return self.first_unbalanced is None
-
-    @cached_property
-    def unbalanced(self) -> list[list[int]]:
-        """Every unbalanced congruence, in no fixed order; the scan goes on after the first."""
-        first = self.first_unbalanced
-        return [] if first is None else [first, *self._unbalanced_scan]
+        return next(
+            (c for c in self.congruences if not is_balanced_congruence(lattice, c, principal)), None
+        )
 
     @cached_property
     def nested_primes(self) -> Optional[tuple[int, int]]:
@@ -393,23 +369,17 @@ class _Facts:
             c2=any(full ^ i not in maximal_filters for i in maximal_ideals),
             c3=self.nested_primes is not None,
             c4=_nested_pair(prime_filters) is not None,
-            c5=any(len(set(c)) == 3 for c in self.congruences),
-            c6=not self.balanced,
+            c5=any(c.num_blocks == 3 for c in self.congruences),
+            c6=self.unbalanced is not None,
             c7=self.complementless is not None,
         )
 
     def report(self) -> PropertyReport:
-        """Every predicate, count and least witness; see ``ReportWitnesses``.
-
-        The least unbalanced congruence is the least normalized labeling
-        among the unbalanced ones, which is the first in the order of
-        ``all_congruences``.
-        """
+        """Every predicate, count and least witness; see ``ReportWitnesses``."""
         lattice, seven = self.lattice, self.seven
         n = lattice.size
         (_, prime_ideals), (_, prime_filters) = self.sides
         nested = self.nested_primes
-        unbalanced = min(map(_normalize, self.unbalanced), default=None)
         return PropertyReport(
             size=lattice.size,
             is_bounded=True,  # FiniteLattice construction rejects unbounded orders
@@ -428,7 +398,7 @@ class _Facts:
             witnesses=ReportWitnesses(
                 None if nested is None else (ElementSet(n, nested[0]), ElementSet(n, nested[1])),
                 self.complementless,
-                None if unbalanced is None else Congruence(lattice, Partition(n, unbalanced)),
+                self.unbalanced,
                 *(None if mask is None else ElementSet(n, mask) for mask in self.nonprime_maximal),
             ),
             convention_note=None if lattice.size > 1 else (

@@ -208,6 +208,25 @@ def test_congruence_equality_is_lattice_identity_scoped():
     assert str(same) == "{{0},{1},{2},{3},{4}}"
 
 
+def test_unchecked_congruences_equal_the_checked_ones_up_to_size_6():
+    # principal, generated, joined and listed congruences are made from
+    # normalized labels without the Partition and Congruence checks; each
+    # passes those checks and equals, and hashes as, the checked one
+    for lattice in support.lattices_up_to(6):
+        n = lattice.size
+        listed = fl.all_congruences(lattice)
+        made = [
+            *listed,
+            *(fl.principal_congruence(lattice, a, b) for a in range(n) for b in range(n)),
+            fl.generated_congruence(lattice, range(n)),
+            *(fl.join_congruences(left, right) for left in listed for right in listed),
+        ]
+        for cong in made:
+            checked = fl.Congruence(lattice, fl.Partition(n, cong.partition.block_of))
+            assert cong == checked and hash(cong) == hash(checked)
+            assert type(cong.partition.block_of) is tuple and cong.lattice is lattice
+
+
 def test_principal_congruence_basics():
     c3 = fl.standard_lattice("chain", 3)
     assert fl.principal_congruence(c3, 1, 1).partition == fl.Partition.identity(3)

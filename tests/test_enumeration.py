@@ -243,10 +243,13 @@ def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
     assert len(derived) == 10
 
 
-def test_verdict_census_and_searches_wrap_no_set_or_congruence(monkeypatch):
+def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
     # the verdict, the census and the four searches read ideals, filters and
-    # congruences as bit masks and element indices; only a report (and the
-    # CLI and the public enumerators) wraps one in an object
+    # complements as bit masks and element indices, and list Con(L) at most
+    # once per lattice: its members are the only objects they wrap, each
+    # made straight from its normalized labels, with no Partition or
+    # Congruence check run; only a report (and the CLI and the public
+    # enumerators) wraps a set
     lattices = support.lattices_up_to(8)
     made: list[str] = []
     for cls, method in (
@@ -260,16 +263,29 @@ def test_verdict_census_and_searches_wrap_no_set_or_congruence(monkeypatch):
             _original(self, *args)
 
         monkeypatch.setattr(cls, method, counted)
+    listed: list[tuple[fl.FiniteLattice, int]] = []
+    all_congruences = fl.properties.all_congruences
+
+    def listing(lattice, principal):
+        congruences = all_congruences(lattice, principal)
+        listed.append((lattice, len(congruences)))
+        return congruences
+
+    monkeypatch.setattr(fl.properties, "all_congruences", listing)
+    wrapped = support.count_calls(monkeypatch, "_congruence", fl.congruences)
     verdicts = [fl.verify_theorem(lattice) for lattice in lattices]
     assert all(verdict.passed for verdict in verdicts)
     assert sum(verdict.scope == "d-lattice" for verdict in verdicts) == 110
+    assert [lattice for lattice, _ in listed] == lattices
     rows = [(row.d_lattice_count, row.balanced_count) for row in fl.census(8)]
     assert rows == [(1, 1), (1, 1), (1, 0), (2, 1), (4, 1), (9, 2), (23, 3), (69, 9)]
     for predicate in sorted(fl.SEARCH_PREDICATES):
         assert fl.search_counterexample(predicate, 8) == []
     assert made == []
+    assert len({id(lattice) for lattice, _ in listed}) == len(listed)
+    assert len(wrapped) == sum(count for _, count in listed)
     fl.classify(fl.standard_lattice("chain", 3))
-    assert set(made) == {"Partition", "Congruence", "ElementSet"}
+    assert set(made) == {"ElementSet"}
 
 
 def test_search_rejects_unknown_predicate():

@@ -490,9 +490,10 @@ def test_classify_derives_each_fact_once(monkeypatch):
     # chain(3) and chain(3)×n5 are unbalanced and non-complemented, so their
     # witnesses are the least congruence and element that fail those scans;
     # _maximal_and_prime yields the maximal and prime ideal and filter masks,
-    # _congruence_masks Con(L) as masks, and each congruence's balance and
-    # each element's complements are read once
-    names = ("_congruence_masks", "_maximal_and_prime", "_balanced", "_complements")
+    # all_congruences lists Con(L) in its order, and balance is read once per
+    # congruence up to the least unbalanced one, complements once per element
+    # up to the least complementless one
+    names = ("all_congruences", "_maximal_and_prime", "is_balanced_congruence", "_complements")
     chain3 = fl.standard_lattice("chain", 3)
     for lattice in (chain3, fl.product(chain3, fl.standard_lattice("n5"))):
         with monkeypatch.context() as patch:
@@ -502,8 +503,10 @@ def test_classify_derives_each_fact_once(monkeypatch):
         for name, args in calls.items():
             keys = [tuple(map(str, call[1:])) for call in args]
             assert keys and len(keys) == len(set(keys)), (name, keys)
-        assert len(calls["_congruence_masks"]) == len(calls["_maximal_and_prime"]) == 1
-        assert len(calls["_balanced"]) == report.counts.congruences
+        assert len(calls["all_congruences"]) == len(calls["_maximal_and_prime"]) == 1
+        congruences = fl.all_congruences(lattice)
+        read = congruences[: congruences.index(report.witnesses.unbalanced_congruence) + 1]
+        assert [call[1] for call in calls["is_balanced_congruence"]] == read
         assert len(calls["_complements"]) == report.witnesses.noncomplemented_element + 1
 
 
