@@ -6,31 +6,32 @@ Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
-The compatibility closure (``core._closure``) is the one congruence
-primitive: it builds principal and generated congruences, and
-``is_congruence`` (like ``core.quotient``) asks whether closing a
-partition's blocks adds nothing.  It normalizes its labels once and
-returns the tuple; the principal lookups hand that tuple on, and only
-the public constructors wrap it, unchecked (``_congruence``: normalized
-labels pass the checks of :class:`Partition` by construction).  Con(L)
-and joins hold a congruence as the bit mask of the covering pairs a ≺ b
-it relates: a class is an interval whose members are linked by covering
-pairs inside it, so the mask fixes the congruence.  Con(L) is
-distributive, and its join-irreducibles are the con(a, b) of the
-covering pairs, each join-prime, so a join of congruences is the OR of
-their masks.  ``all_congruences`` closes the masks of J(Con L) under OR
-and labels each result once; called on its own, it runs one closure per
-covering pair.  A congruence class is a convex sublattice, so the
-1-class is an interval [m, 1] and the 0-class an interval [0, z], and
-balance is the one equality con(0, z) = con(m, 1) of the principal
-congruences the two classes generate.  For the same reason con(a, b) =
-con(a∧b, a∨b): ``principal_table`` runs the closure once per comparable
-pair a < b and reads every other pair at its meet and join.  The
-per-lattice record of facts behind ``verify_theorem`` builds it once
-and passes it to Con(L) and balance, which then read every principal
-congruence from it; without it each lookup is one closure.  The two
-lookups stay side by side until the benchmark reads peak memory from
-one pass: a lazy lookup is faster, and the benchmark keeps every pass,
+The compatibility closure (``core._closure``) builds principal and
+generated congruences, and ``is_congruence`` (like ``core.quotient``)
+asks whether closing a partition's blocks adds nothing.  It normalizes
+its labels once and returns the tuple; the principal lookups hand that
+tuple on, and only the public constructors wrap it, unchecked
+(``_congruence``: normalized labels pass the checks of
+:class:`Partition` by construction).  Con(L) and joins hold a congruence
+as the bit mask of the covering pairs a ≺ b it relates: a class is an
+interval whose members are linked by covering pairs inside it, so the
+mask fixes the congruence.  Con(L) is distributive, and its
+join-irreducibles are the con(a, b) of the covering pairs, each
+join-prime, so a join of congruences is the OR of their masks.
+``all_congruences`` reads the masks of J(Con L) from Day's dependency
+relation on the join-irreducible elements of L, with no closure
+(Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2), closes them
+under OR and labels each result once.  A congruence class is a convex
+sublattice, so the 1-class is an interval [m, 1] and the 0-class an
+interval [0, z], and balance is the one equality con(0, z) = con(m, 1)
+of the principal congruences the two classes generate.  For the same
+reason con(a, b) = con(a∧b, a∨b): ``principal_table`` runs the closure
+once per comparable pair a < b and reads every other pair at its meet
+and join.  The per-lattice record of facts behind ``verify_theorem``
+builds it once for balance; without it each lookup is one closure.  The
+table stays, eager, until the benchmark reads peak memory from one
+pass: the dependency relation would give every principal congruence
+too, and a lazy lookup is faster, but the benchmark keeps every pass,
 so more passes read as more memory.  No closure decides the d-lattice
 scope.
 """
@@ -38,7 +39,9 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import compress
+from operator import or_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .core import (
@@ -239,9 +242,8 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     comparable pair a < b is computed up front, equal labelings stored
     once, and every lookup reads the pair (a∧b, a∨b), which is (a, b)
     itself when a ≤ b.  The per-lattice record of facts behind
-    ``verify_theorem`` builds one table and passes it to Con(L) and
-    balance.  Without it ``all_congruences`` runs one closure per
-    covering pair, and balance one per lookup.
+    ``verify_theorem`` builds one table for balance; without it balance
+    runs one closure per lookup.  Con(L) does not read it.
     """
     n, leq, meet, join = lattice.size, lattice.leq, lattice.meet, lattice.join
     identity = tuple(range(n))
@@ -317,26 +319,56 @@ def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
     return Congruence(lattice, Partition.from_labels(pairs))
 
 
-def all_congruences(
-    lattice: FiniteLattice, principal: Optional[Principal] = None
-) -> list[Congruence]:
+def _irreducible_masks(lattice: FiniteLattice, covers: Sequence[tuple[int, int]]) -> set[int]:
+    """The covering-pair masks of J(Con L), read from Day's dependency relation D.
+
+    A join-irreducible q has one lower cover q_*, read off ``covers``.
+    For join-irreducibles p ≠ q, p D q iff some x has p ≤ q∨x and
+    p ≰ q_*∨x.  Con(L) is the lattice of the sets S ⊆ J(L) closed under
+    D (with q, S holds every p D q), and θ_S relates a covering pair
+    a ≺ b iff every join-irreducible below b and not below a lies in S.
+    J(Con L) is the θ of the closures C(q) of single q, each
+    con(q_*, q).  Sets of elements are bit masks: the OR over x of
+    ↓(q∨x) ∖ ↓(q_*∨x), within J(L), holds q (at x = 0) and every p D q,
+    and one transitive closure of these masks gives every C(q).  No
+    closure of a partition runs.
+    """
+    down, join = lattice.down_masks, lattice.join
+    lower: dict[int, Optional[int]] = {}
+    for a, b in covers:
+        lower[b] = None if b in lower else a
+    below = {q: a for q, a in lower.items() if a is not None}
+    irreducible = sum(1 << q for q in below)
+    closed = {
+        q: reduce(or_, (down[u] & ~down[v] for u, v in zip(join[q], join[a])), 0) & irreducible
+        for q, a in below.items()
+    }
+    for k in below:  # Warshall's transitive closure, on masks
+        for q in below:
+            if closed[q] >> k & 1:
+                closed[q] |= closed[k]
+    entered = [down[b] & ~down[a] & irreducible for a, b in covers]
+    return {
+        sum(1 << i for i, gained in enumerate(entered) if not gained & ~closed[q])
+        for q in below
+    }
+
+
+def all_congruences(lattice: FiniteLattice) -> list[Congruence]:
     """Con(L): the unions of the covering-pair masks of J(Con L).
 
     A congruence is held as the mask of the covering pairs a ≺ b it
-    relates.  J(Con L) is the set of con(a, b) over those pairs, and
-    each is join-prime in the distributive lattice Con(L), so a join of
-    congruences is the OR of their masks, and Con(L) is the OR-closure
-    of the masks of J(Con L) with the empty mask (the identity).  Each
-    mask is labelled once (``_labels``).  ``principal`` is the lookup of
-    ``principal_table``; without it each covering pair is one closure,
-    and no other pair is computed.  The result is sorted by normalized
-    representation.
+    relates.  J(Con L) comes from Day's dependency relation on the
+    join-irreducible elements (``_irreducible_masks``), with no closure
+    of a partition.  Each member is join-prime in the distributive
+    lattice Con(L), so a join of congruences is the OR of their masks,
+    and Con(L) is the OR-closure of the masks of J(Con L) with the
+    empty mask (the identity).  Each mask is labelled once
+    (``_labels``).  The result is sorted by normalized representation.
     """
-    if principal is None:
-        principal = _principal_by_closure(lattice)
     covers = _covering_pairs(lattice)
     found = {0}
-    for irreducible in {_mask(covers, principal(a, b)) for a, b in covers}:
+    for irreducible in _irreducible_masks(lattice, covers):
         found |= {mask | irreducible for mask in found}
     n = lattice.size
     labelled = sorted(_labels(n, covers, mask) for mask in found)

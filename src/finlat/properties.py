@@ -16,10 +16,11 @@ Every predicate, verdict and report reads one record per lattice
 (``_Facts``) that derives each fact on its first read and keeps it: the
 masks of the maximal and prime ideals and filters, the first non-prime
 maximal ideal and filter (the d-lattice flag), the least complementless
-element, Con(L) from one table of principal congruences
-(``principal_table``, one closure per comparable pair, any other pair
-read at its meet and join), its least unbalanced congruence, and the
-seven conditions.  Only the report wraps a set in an ``ElementSet``.
+element, Con(L) from Day's dependency relation (no closure), its least
+unbalanced congruence, with balance read from one table of principal
+congruences (``principal_table``, one closure per comparable pair, any
+other pair read at its meet and join), and the seven conditions.  Only
+the report wraps a set in an ``ElementSet``.
 A caller reads only what it needs (``is_d_lattice`` runs no closure,
 ``is_balanced`` no complement scan), and the census and searches read
 the scope, the conditions and the report off one record.
@@ -308,10 +309,10 @@ class _Facts:
     indices.  ``sides`` holds the masks of the (maximal, prime) ideals,
     then filters, in enumeration order, and ``nonprime_maximal`` the
     first maximal ideal, then filter, that is not prime; a d-lattice has
-    neither.  Con(L) is listed once, sorted, from one table of principal
-    congruences: c5 reads the block counts, and c6 tests balance in that
-    order up to the first unbalanced congruence, which is also the
-    report's least witness.  Only ``report`` wraps a set in an
+    neither.  Con(L) is listed once, sorted: c5 reads the block counts,
+    and c6 tests balance, read from one table of principal congruences,
+    in that order up to the first unbalanced congruence, which is also
+    the report's least witness.  Only ``report`` wraps a set in an
     :class:`ElementSet`.  Each source is called by its module-level
     name, so patched or traced sources see every call.
     """
@@ -346,7 +347,7 @@ class _Facts:
 
     @cached_property
     def congruences(self) -> list[Congruence]:
-        return all_congruences(self.lattice, self.principal)
+        return all_congruences(self.lattice)
 
     @cached_property
     def unbalanced(self) -> Optional[Congruence]:

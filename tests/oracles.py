@@ -16,7 +16,7 @@ pops), Con(L) and the join of congruences by a compatibility closure per join
 (the package ORs covering-pair masks), Con(L) as the identity closed
 under partition joins, union-find merges of two labelings, with every
 principal congruence and balance by closing each bound class again (the
-package reads both from one table of principal congruences, Con(L) as
+package reads balance from one table of principal congruences, Con(L) as
 the OR-closure of the covering-pair masks of its join-irreducibles),
 the covering pairs by a scan for lower covers, that table with one
 closure for every pair of elements (the package closes the comparable
@@ -43,8 +43,10 @@ witness grown greedily, the generated congruence closed from one pair
 per member, and distributivity by a scan of every triple.
 A further group computes Con(L) and principal congruences from Day's
 dependency relation D on the join-irreducible elements, with no
-closure at all, the method meant to replace the package's table of
-principal congruences.
+closure at all.  It lists every D*-closed set of join-irreducibles;
+the package takes only the closures of single ones, as the masks of
+J(Con L), and ORs those.  The same method is meant to replace the
+package's table of principal congruences.
 The quotient L/θ from the block order [x] <= [y] iff x∨y θ y is the
 reference for the package's image of the order under the block labels,
 and ``check_report`` re-checks every witness of a ``classify`` report,
@@ -1150,10 +1152,9 @@ def _least_set(masks: Iterable[int]) -> int | None:
 def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     """Re-check every witness of ``classify(lattice)`` against the definitions alone.
 
-    Each witness must be present exactly when its flag says so, and each
-    but the congruence must be the least one in the report's order,
-    which would take Con(L) to check.  Conditions c1, c2 and c4, which
-    have no witness, are derived again by the same scans, so every
+    Each witness must be present exactly when its flag says so, and must
+    be the least one in the report's order.  Conditions c1, c2 and c4,
+    which have no witness, are derived again by the same scans, so every
     condition but c5 and c6 is certified without Con(L): c1 and c2 by
     comparing each maximal filter's (ideal's) complement with the maximal
     ideals (filters), c4 by a nested pair among the prime filters.
@@ -1161,15 +1162,18 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     ``ideals_by_principal_scan`` and ``maximal_ideals_by_principal_scan``
     (each down-set and up-set checked by pair scans, maximality by
     comparing them), primality from a pair scan and complements from a
-    scan, all polynomial in the size; Con(L) is not read:
+    scan, all polynomial in the size; only the congruence witness reads
+    Con(L), which is exponential in |J(L)|:
 
     - the nested prime ideals map onto chain(3) through
       ``three_chain_quotient_from_nested_primes``, and ``is_homomorphism``
       checks that map again;
     - the complementless element has no complement, and every element of
       a smaller index has one;
-    - the unbalanced congruence passes the full compatibility scan and
-      fails balance when its two bound classes are closed again;
+    - the unbalanced congruence passes the full compatibility scan, and
+      is the least member of Con(L), read from Day's dependency relation
+      (``congruences_by_dependency_relation``), that fails balance when
+      its two bound classes are closed again;
     - the non-prime maximal ideal (filter) is the least maximal ideal
       (filter) that fails the prime scan, and the lattice is a d-lattice
       iff neither exists.
@@ -1234,7 +1238,18 @@ def check_report(lattice: FiniteLattice, report: PropertyReport) -> None:
     _require(seven.c6 == (cong is not None), "c6 and the unbalanced witness disagree")
     if cong is not None:
         _require(compatible(lattice, cong.partition.block_of), "witness is not a congruence")
-        _require(not balanced_by_generated_closure(lattice, cong), "witness is balanced")
+    least = next(
+        (
+            labels
+            for labels in congruences_by_dependency_relation(lattice)
+            if not balanced_by_generated_closure(lattice, Congruence(lattice, Partition(n, labels)))
+        ),
+        None,
+    )
+    _require(
+        least == (None if cong is None else cong.partition.block_of),
+        "the unbalanced congruence is not the least",
+    )
 
     nonprime = []
     for upward, other, witness in (

@@ -376,12 +376,15 @@ def test_console_script_smoke(tmp_path):
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
 def test_congruences_of_large_lattices_in_bounded_time(tmp_path, flags):
-    # one closure per covering pair; principal_table's 1,747 closures (one per
-    # comparable pair) on m3 x m3 x n5 would run far past the bound
+    # Con(L) is read from Day's dependency relation on the join-irreducibles,
+    # with no congruence closure: one closure per covering pair took about
+    # 10 CPU s on boolean(8) alone.  chain(16) lists 32,768 congruences.
     m3, n5 = fl.standard_lattice("m3"), fl.standard_lattice("n5")
     cases = [
         (fl.product(fl.product(m3, m3), n5), "count: 20"),  # 125 elements
         (fl.standard_lattice("boolean", 7), "count: 128"),  # 128 elements
+        (fl.standard_lattice("boolean", 8), "count: 256"),  # 256 elements
+        (fl.standard_lattice("chain", 16), "count: 32768"),  # 16 elements
     ]
     for lattice, first_line in cases:
         path = tmp_path / f"{lattice.size}.latt"

@@ -12,14 +12,19 @@ half already gives balanced => complemented there.  The lattices that
 keep exactly one half are pinned too: none of them is complemented or
 balanced, and the two halves give the same vectors with c1 and c2
 swapped.
+
+Which of the 42 ordered pairs ci => cj hold is pinned too, with the least
+counterexample, in enumeration order, to each arrow that fails.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
+import finlat as fl
 import support
 
 # size -> {c1...c7 as 0/1 text: number of classes}
@@ -114,3 +119,50 @@ def test_pinned_tables_total_over_every_class_up_to_size_10():
         one_sided.update(counts)
     assert one_sided == {"1000011": 70, "1100011": 377, "1111111": 655}
     assert sum(BALANCED_NOT_COMPLEMENTED.values()) == totals["1100001"] == 1012
+
+
+# The arrows ci => cj that hold on every lattice of size <= 9: c3, c4 and
+# c5 are equivalent and imply c1, c2, c6 and c7, and c6 implies c7.
+HOLDING = frozenset(
+    {(i, j) for i in (3, 4, 5) for j in range(1, 8) if i != j} | {(6, 7)}
+)
+
+# LATT text of the least lattice (by size, then enumeration order) on which
+# the arrows fail, with its vector c1...c7, for each of the other 23 arrows
+COUNTEREXAMPLES = {
+    ("LATT 1\nn=5\n11111\n01001\n00101\n00011\n00001\n", "1100000"): (
+        (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7),
+    ),
+    ("LATT 1\nn=6\n111111\n010011\n001011\n000111\n000011\n000001\n", "1100011"): (
+        (6, 3), (6, 4), (6, 5), (7, 3), (7, 4), (7, 5),
+    ),
+    (
+        "LATT 1\nn=7\n1111111\n0100111\n0010011\n0001101\n0000101\n0000011\n0000001\n",
+        "1000011",
+    ): ((1, 2), (6, 2), (7, 2)),
+    (
+        "LATT 1\nn=7\n1111111\n0100111\n0011011\n0001001\n0000101\n0000011\n0000001\n",
+        "0100011",
+    ): ((2, 1), (6, 1), (7, 1)),
+    (
+        "LATT 1\nn=8\n11111111\n01000111\n00100101\n00010011\n"
+        "00001011\n00000101\n00000011\n00000001\n",
+        "1100001",
+    ): ((7, 6),),
+}
+
+
+def test_implication_matrix_and_least_counterexamples_up_to_size_9():
+    least: dict[tuple[int, int], str] = {}
+    for n in range(1, 10):
+        for lattice, report in support.classified(n):
+            vector = report.seven.as_tuple()
+            for i, j in permutations(range(7), 2):
+                if vector[i] and not vector[j]:
+                    least.setdefault((i + 1, j + 1), fl.format_latt(lattice))
+    pinned = {arrow: text for (text, _), arrows in COUNTEREXAMPLES.items() for arrow in arrows}
+    assert least == pinned
+    assert len(HOLDING) == 19
+    assert HOLDING == set(permutations(range(1, 8), 2)) - set(least)
+    for text, vector in COUNTEREXAMPLES:
+        assert _vector(fl.classify(fl.parse_latt(text))) == vector

@@ -484,19 +484,20 @@ def test_join_congruences_matches_closure_join_up_to_size_6():
 
 
 @pytest.mark.parametrize(
-    "lattice, covers",
+    "lattice",
     [
-        (fl.standard_lattice("chain", 6), 5),
-        (fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)), 15),
+        fl.standard_lattice("chain", 6),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+        support.catalog_product(("m3", "m3", "n5")),
     ],
-    ids=["chain6", "n5xchain2"],
+    ids=["chain6", "n5xchain2", "m3xm3xn5"],
 )
-def test_all_congruences_runs_one_closure_per_covering_pair(monkeypatch, lattice, covers):
-    # joins are ORs of covering-pair masks: the only closures are those of
-    # the covering pairs, and no table of all pairs is built
+def test_all_congruences_runs_no_closure(monkeypatch, lattice):
+    # J(Con L) is read from Day's dependency relation and joins are ORs of
+    # covering-pair masks: no congruence closure runs at all
     calls = support.count_calls(monkeypatch, "_closure", congruences)
-    fl.all_congruences(lattice)
-    assert len(calls) == covers
+    assert fl.all_congruences(lattice)
+    assert calls == []
 
 
 def test_all_congruences_match_frontier_joins_up_to_size_8():
@@ -511,14 +512,17 @@ def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
     assert sizes == sorted(sizes)
     table = fl.principal_table(lattice)
     got = {table(a, b) for a, b in covers}
+    masks = {congruences._mask(covers, labels) for labels in got}
+    assert congruences._irreducible_masks(lattice, covers) == masks
     assert got == oracles.irreducibles_from_join_irreducible_elements(lattice)
     assert got == oracles.irreducibles_by_join_test(lattice)
 
 
 def test_join_irreducibles_agree_three_ways_up_to_size_8():
     # con(a, b) over the covering pairs a ≺ b, listed up by the size of
-    # ↓b; con(j_*, j) over join-irreducible elements; and the principal
-    # congruences that are no join of those below them
+    # ↓b; con(j_*, j) over join-irreducible elements; the principal
+    # congruences that are no join of those below them; and the masks
+    # read from Day's dependency relation
     for lattice in support.lattices_up_to(8):
         _irreducibles_agree(lattice)
 
@@ -542,7 +546,7 @@ def test_covering_pair_masks_round_trip_up_to_size_8():
 
 def _balance_agrees(lattice: fl.FiniteLattice) -> None:
     table = fl.principal_table(lattice)
-    for cong in fl.all_congruences(lattice, table):
+    for cong in fl.all_congruences(lattice):
         expected = oracles.balanced_by_generated_closure(lattice, cong)
         assert fl.is_balanced_congruence(lattice, cong, table) == expected
         assert fl.is_balanced_congruence(lattice, cong) == expected
@@ -559,8 +563,6 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_frontier_joins(relabeled)
-    table = fl.principal_table(relabeled)
-    assert fl.all_congruences(relabeled) == fl.all_congruences(relabeled, table)
     _irreducibles_agree(relabeled)
     _masks_round_trip(relabeled)
     _balance_agrees(relabeled)
@@ -640,7 +642,7 @@ def _unbalanced_found_among_covering_pairs(lattice: fl.FiniteLattice) -> None:
     table = fl.principal_table(lattice)
     some = any(
         not fl.is_balanced_congruence(lattice, cong, table)
-        for cong in fl.all_congruences(lattice, table)
+        for cong in fl.all_congruences(lattice)
     )
     assert oracles.unbalanced_by_covering_pairs(lattice, table) == some
 

@@ -266,8 +266,8 @@ def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
     listed: list[tuple[fl.FiniteLattice, int]] = []
     all_congruences = fl.properties.all_congruences
 
-    def listing(lattice, principal):
-        congruences = all_congruences(lattice, principal)
+    def listing(lattice):
+        congruences = all_congruences(lattice)
         listed.append((lattice, len(congruences)))
         return congruences
 

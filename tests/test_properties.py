@@ -626,6 +626,25 @@ def test_check_report_rejects_a_flipped_condition_without_a_witness():
                 oracles.check_report(lattice, dataclasses.replace(report, seven=seven))
 
 
+def test_check_report_rejects_an_unbalanced_congruence_that_is_not_the_least():
+    # the checker lists Con(L) again, from Day's dependency relation, and
+    # balance again by closing the bound classes: a later unbalanced
+    # congruence in sorted order fails as a witness
+    replaced = 0
+    for lattice, report in support.classified_up_to(6):
+        least = report.witnesses.unbalanced_congruence
+        if least is None:
+            continue
+        for cong in fl.all_congruences(lattice):
+            if cong.partition <= least.partition or fl.is_balanced_congruence(lattice, cong):
+                continue
+            witnesses = dataclasses.replace(report.witnesses, unbalanced_congruence=cong)
+            with pytest.raises(AssertionError, match="not the least"):
+                oracles.check_report(lattice, dataclasses.replace(report, witnesses=witnesses))
+            replaced += 1
+    assert replaced > 0
+
+
 @pytest.mark.parametrize("n", [9, pytest.param(10, marks=pytest.mark.slow)])
 def test_report_witnesses_hold_by_definition_at_sizes_9_and_10(n):
     # 1,078 and 5,994 lattices; the ideal scans are polynomial
