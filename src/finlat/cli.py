@@ -7,13 +7,15 @@ lines carrying the same fields as the JSON, so the two never diverge.
 
 Exit codes: 0 success (including a passing verdict and an empty
 search), 1 theorem-verdict failure or counterexample found, 2 invalid
-input of any kind.
+input of any kind, 141 (128 + SIGPIPE) when the reader of standard
+output closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -67,15 +69,11 @@ def _indented_json(value: object, margin: str = "") -> str:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(_indented_json(payload))
-    else:
-        print("\n".join(_flat_lines(payload)))
+    print(_indented_json(payload) if fmt == "json" else "\n".join(_flat_lines(payload)))
 
 
 def _load(path: str) -> FiniteLattice:
-    data = Path(path).read_bytes()
-    return parse_latt(data)
+    return parse_latt(Path(path).read_bytes())
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -219,19 +217,34 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    source = getattr(args, "file", None)
     try:
         return args.fn(args)
     except ParseError as exc:
-        print(f"error: {source}:{exc.line}: {exc}", file=sys.stderr)
+        print(f"error: {getattr(args, 'file', None)}:{exc.line}: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        raise
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main() -> None:
-    sys.exit(run())
+    """Run the CLI; a reader that closes standard output early ends it quietly.
+
+    The output is flushed inside the ``try``, so a closed pipe raises
+    here and not at shutdown.  Standard output is then pointed at
+    ``os.devnull``, as the ``signal`` module's documentation advises, so
+    the flush at exit writes nowhere, and the status is 141, as a shell
+    reports a process that SIGPIPE ended.
+    """
+    try:
+        status = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(status)
 
 
 if __name__ == "__main__":

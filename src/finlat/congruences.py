@@ -6,11 +6,13 @@ Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
-The compatibility closure (``core._closure``) builds principal and
-generated congruences, and ``is_congruence`` (like ``core.quotient``)
-asks whether closing a partition's blocks adds nothing.  It normalizes
-its labels once and returns the tuple; the principal lookups hand that
-tuple on, and only the public constructors wrap it, unchecked
+The compatibility closure (``core._closure``) builds con(a, b), and so
+principal and generated congruences; ``is_congruence`` (like
+``core.quotient``) checks the definition instead, with no closure: each
+member of a block moves with the block's first member under every
+translation u ↦ u∧z and u ↦ u∨z.  The closure normalizes its labels
+once and returns the tuple; the principal lookups hand that tuple on,
+and only the public constructors wrap it, unchecked
 (``_congruence``: normalized labels pass the checks of
 :class:`Partition` by construction).  Con(L) and joins hold a congruence
 as the bit mask of the covering pairs a ≺ b it relates: a class is an
@@ -39,7 +41,7 @@ scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import compress
 from operator import or_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -197,8 +199,9 @@ def _congruence(lattice: FiniteLattice, labels: tuple[int, ...]) -> Congruence:
 def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     """Whether the partition is compatible with meet and join.
 
-    Decided by the closure: the partition is a congruence iff the least
-    congruence holding its blocks has no larger block.
+    Decided by the definition, with no closure: each member of a block
+    moves with the block's first member under every translation
+    u ↦ u∧z and u ↦ u∨z.
     """
     if partition.size != lattice.size:
         raise SizeMismatch("partition sized for a different lattice")
@@ -210,7 +213,7 @@ def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
     n = lattice.size
     if not (0 <= a < n and 0 <= b < n):
         raise SizeMismatch(f"elements ({a}, {b}) outside [0, {n})")
-    return _congruence(lattice, _closure(lattice, [(a, b)]))
+    return _congruence(lattice, _closure(lattice, a, b))
 
 
 def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Congruence:
@@ -227,7 +230,7 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
         raise SizeMismatch(f"elements {members} not all inside [0, {n})")
     mask = sum(1 << e for e in members)
     pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
-    return _congruence(lattice, _closure(lattice, [pair]))
+    return _congruence(lattice, _closure(lattice, *pair))
 
 
 Principal = Callable[[int, int], tuple[int, ...]]
@@ -252,14 +255,9 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     for a in range(n):
         for b in compress(range(n), leq[a]):
             if b != a:
-                labels = _closure(lattice, [(a, b)])
+                labels = _closure(lattice, a, b)
                 rows[a][b] = stored.setdefault(labels, labels)
     return lambda a, b: rows[meet[a][b]][join[a][b]]
-
-
-def _principal_by_closure(lattice: FiniteLattice) -> Principal:
-    """The lookup without a table: one closure per call."""
-    return lambda a, b: _closure(lattice, [(a, b)])
 
 
 def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
@@ -396,7 +394,7 @@ def is_balanced_congruence(
     if cong.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")
     if principal is None:
-        principal = _principal_by_closure(lattice)
+        principal = partial(_closure, lattice)
     labels = cong.partition.block_of
     bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]

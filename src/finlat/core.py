@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from operator import and_, itemgetter, or_, xor
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .congruences import Congruence
@@ -682,10 +682,8 @@ def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _closure(
-    lattice: FiniteLattice, pairs: Iterable[tuple[int, int]], within: Sequence[int] | None = None
-) -> tuple[int, ...] | None:
-    """Normalized labels of the least congruence containing the given pairs.
+def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
+    """Normalized labels of con(a, b), the least congruence relating a and b.
 
     Union-find plus a FIFO worklist: whenever two classes merge through
     the pair (x, y), the forced pairs (x∧z, y∧z) for every z in
@@ -699,75 +697,61 @@ def _closure(
     the merges are those a root test at push time would make.  The
     union-find is inline: path halving at pop time, and the smaller root
     kept, so every parent is at most its child and one ascending pass
-    resolves every root at the end.  The given pairs enter the worklist
-    one at a time, each once the previous one's forced pairs are all
-    closed; the fixpoint does not depend on the order.  The merges are
-    counted, and the merge that leaves one block returns the all-zero
-    labels at once: no pair can merge after it, so the rest of the
-    worklist and of the given pairs would change nothing (a ``within``
-    verdict included, since every merge so far stayed inside a block).
-    The labels are otherwise normalized here, once; callers that need a
-    :class:`Partition` wrap them, and lookups compare and store the tuple
-    itself.  It is the package's one congruence primitive: principal and
-    generated congruences, the principal lookups and the compatibility
-    test of :func:`_blocks_compatible` all run it.
-
-    Given block labels ``within``, it returns None at the first merge of
-    two elements with different labels, so the congruence is not inside
-    that partition; without them it always returns the labels.  The
-    verdict does not depend on the order of the merges: while every
-    merge so far stayed inside a block, every class lies inside one, so
-    the fixpoint crosses a block iff some merge does, and the first such
-    merge is caught whichever order the pairs are merged in.  Since each
-    given pair is closed before the next enters, a pair that forces
-    such a merge is found without closing the pairs after it.
+    resolves every root at the end.  The merges are counted, and the
+    merge that leaves one block returns the all-zero labels at once: no
+    pair can merge after it, so the rest of the worklist would change
+    nothing.  The labels are otherwise normalized here, once; callers
+    that need a :class:`Partition` wrap them, and lookups compare and
+    store the tuple itself.  Principal and generated congruences, the
+    principal lookups and the d-lattice definition run it.
     """
     n = lattice.size
     parent = list(range(n))
     blocks = n
     meet, join = lattice.meet, lattice.join
-    queue: deque[tuple[int, int]] = deque()
+    queue: deque[tuple[int, int]] = deque([(a, b)])
     extend, popleft = queue.extend, queue.popleft
-    for pair in pairs:
-        queue.append(pair)
-        while queue:
-            x, y = popleft()
-            rx, ry = x, y
-            while parent[rx] != rx:
-                parent[rx] = rx = parent[parent[rx]]
-            while parent[ry] != ry:
-                parent[ry] = ry = parent[parent[ry]]
-            if rx == ry:
-                continue
-            if within is not None and within[x] != within[y]:
-                return None
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-            blocks -= 1
-            if blocks == 1:
-                return (0,) * n
-            extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
-            extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
+    while queue:
+        x, y = popleft()
+        rx, ry = x, y
+        while parent[rx] != rx:
+            parent[rx] = rx = parent[parent[rx]]
+        while parent[ry] != ry:
+            parent[ry] = ry = parent[parent[ry]]
+        if rx == ry:
+            continue
+        if ry < rx:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        blocks -= 1
+        if blocks == 1:
+            return (0,) * n
+        extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
+        extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
     for x in range(n):
         parent[x] = parent[parent[x]]
     return _normalize(parent)
 
 
 def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:
-    """Meet/join compatibility of a normalized block labeling, by the closure.
+    """Meet/join compatibility of a block labeling, by the definition.
 
-    The least congruence holding every pair of a partition's blocks
-    contains the partition, and equals it iff the partition is a
-    congruence (Grätzer, *Lattice Theory: Foundation*, 2011).  So the
-    pairs (first member of the block, member) are closed, and the
-    labeling is compatible iff closing never merges two blocks: the
-    closure stops at the first such merge.  O(n²) table reads on a
-    congruence.
+    A partition is a congruence iff every member x of a block moves with
+    the block's first member f under each translation u ↦ u∧z and
+    u ↦ u∨z: f∧z and x∧z lie in one block, and so do f∨z and x∨z, for
+    every z (Grätzer, *Lattice Theory: Foundation*, 2011); any two
+    members then move together through f.  So each element's labels of
+    x∧z and x∨z over all z are compared with its block's first member's,
+    and the scan stops at the first member that differs.  O(n²) table
+    reads, and no closure.
     """
-    first: dict[int, int] = {}
-    pairs = [(first.setdefault(label, x), x) for x, label in enumerate(block_of)]
-    return _closure(lattice, pairs, block_of) is not None
+    label = block_of.__getitem__
+    moved_by_block: dict[int, tuple[int, ...]] = {}
+    for block, meet_row, join_row in zip(block_of, lattice.meet, lattice.join):
+        moved = (*map(label, meet_row), *map(label, join_row))
+        if moved_by_block.setdefault(block, moved) != moved:
+            return False
+    return True
 
 
 def _order_image(lattice: FiniteLattice, image: Sequence[int], k: int) -> FiniteLattice:
@@ -792,7 +776,7 @@ def quotient(
 
     Block X <= block Y iff some x in X and y in Y satisfy x <= y, which
     for congruence blocks is a valid bounded-lattice order.  A partition
-    that closes to a coarser one (:func:`_blocks_compatible`) raises
+    that is not meet/join compatible (:func:`_blocks_compatible`) raises
     :class:`NotACongruence`.
     """
     if congruence.lattice is not lattice:

@@ -268,14 +268,13 @@ def annihilator_ideal(lattice: FiniteLattice, a: int) -> ElementSet:
 def prime_ideal_congruence(lattice: FiniteLattice, ideal: ElementSet) -> Congruence:
     """The two-block congruence with classes I and L∖I, for prime I.
 
-    Compatibility is re-verified by the closure before returning (see
+    Compatibility is re-verified by the definition before returning (see
     :func:`is_congruence`); primality is exactly what makes the
     complement meet-closed and hence the partition compatible.
     """
     if not is_prime_ideal(lattice, ideal):
         raise NotPrime(f"{ideal} is not a prime ideal")
-    labels = [0 if e in ideal else 1 for e in range(lattice.size)]
-    partition = Partition.from_labels(labels)
+    partition = Partition.from_labels([0 if e in ideal else 1 for e in range(lattice.size)])
     if not is_congruence(lattice, partition):
         raise NotACongruence("two-block partition failed the compatibility scan")
     return Congruence(lattice, partition)

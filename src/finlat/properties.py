@@ -230,7 +230,7 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     )
     for c in range(n):
         for bound, opposite, table in sides:
-            theta = _closure(lattice, [(bound, c)])
+            theta = _closure(lattice, bound, c)
             if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
                 return False
     return True

@@ -457,11 +457,13 @@ def closure_by_find(
     """The congruence closure with a nested ``find`` and a root test at push time.
 
     Labels of the least congruence containing the pairs, or None when
-    ``within`` is given and a merge joins two of its blocks, as
-    ``core._closure`` returns them.  Each merge of (x, y) queues, for z
-    in ascending order, (x∧z, y∧z) and then (x∨z, y∨z), each only when
-    its two elements have different roots; ``core._closure`` queues
-    every pair of distinct products and leaves the root test to pop time.
+    ``within`` is given and a merge joins two of its blocks.  On one pair
+    and no ``within`` it is the reference for ``core._closure``; closing
+    a partition's block pairs inside the partition is a reference for
+    ``core._blocks_compatible``.  Each merge of (x, y) queues, for z in
+    ascending order, (x∧z, y∧z) and then (x∨z, y∨z), each only when its
+    two elements have different roots; ``core._closure`` queues every
+    pair of distinct products and leaves the root test to pop time.
     """
     n = lattice.size
     parent = list(range(n))

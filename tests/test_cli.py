@@ -399,6 +399,26 @@ def test_congruences_of_large_lattices_in_bounded_time(tmp_path, flags):
         assert done.stdout.splitlines()[0] == first_line
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_closed_output_pipe_ends_quietly_with_sigpipe_status(tmp_path, flags):
+    # chain(16) lists 32,768 congruences, far more than a pipe buffers, so
+    # the CLI is still writing when the reader closes its end after one line
+    path = tmp_path / "chain16.latt"
+    path.write_text(fl.format_latt(fl.standard_lattice("chain", 16)))
+    with subprocess.Popen(
+        [sys.executable, *flags, "-m", "finlat.cli", "congruences", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    ) as process:
+        first = process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        status = process.wait(timeout=10)
+    assert first == "count: 32768\n"
+    assert (status, stderr) == (141, "")
+
+
 def _grid_latt(k: int) -> str:
     """The LATT text of chain(k) x chain(k), with (a, b) numbered a*k + b."""
     n = k * k

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import finlat as fl
 from finlat import congruences, core
-from finlat.core import _closure
+from finlat.core import _blocks_compatible, _closure
 import oracles
 import support
 
@@ -104,9 +104,8 @@ def test_is_congruence_matches_compatibility_scan_up_to_size_7():
     assert pairs == 49_824
 
 
-def test_is_congruence_stops_at_the_first_merge_of_two_blocks():
-    # random partitions of a 144-element lattice are not congruences; closing
-    # every block pair before comparing took 0.37 s of CPU for these 19
+def _random_partitions_of_grid():
+    # random partitions of a 144-element lattice are not congruences
     chain = fl.standard_lattice("chain", 12)
     square = fl.product(chain, chain)
     rng = random.Random(19)
@@ -114,18 +113,53 @@ def test_is_congruence_stops_at_the_first_merge_of_two_blocks():
         fl.Partition.from_labels([rng.randrange(6) for _ in range(square.size)])
         for _ in range(19)
     ]
-    assert square.meet and square.join  # derive the tables outside the timed part
+    expected = [oracles.compatible(square, p.block_of) for p in partitions]
+    assert expected == [False] * 19
+    return square, lambda: [fl.is_congruence(square, p) for p in partitions], expected
+
+
+def _projection_kernel_of_boolean_8():
+    # the kernel of the projection of 2^8 onto its first four coordinates:
+    # a congruence with 16 blocks, so every member is compared in full
+    cube = fl.standard_lattice("boolean", 8)
+    theta = fl.Congruence(cube, fl.Partition.from_labels([x & 0b1111 for x in range(cube.size)]))
+
+    def run():
+        image, _ = fl.quotient(cube, theta)
+        return fl.is_congruence(cube, theta.partition), image.size
+
+    return cube, run, (True, 16)
+
+
+def _prime_ideal_of_chain_400():
+    chain = fl.standard_lattice("chain", 400)
+    ideal = fl.ElementSet.from_iterable(400, range(200))
+    labels = (0,) * 200 + (1,) * 200
+    return chain, lambda: fl.prime_ideal_congruence(chain, ideal).partition.block_of, labels
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_random_partitions_of_grid, _projection_kernel_of_boolean_8, _prime_ideal_of_chain_400],
+    ids=["chain12-squared-random", "boolean8-projection", "chain400-prime-ideal"],
+)
+def test_compatibility_in_bounded_cpu_time(case):
+    # the definition's O(n²) table reads decide compatibility; on a 2-vCPU
+    # host each case took 0.001-0.016 s of CPU, and closing the block pairs
+    # inside the partition, which it replaced, took 0.027-0.033 s on the
+    # two congruences
+    lattice, run, expected = case()
+    assert lattice.meet and lattice.join  # derive the tables outside the timed part
     start = time.process_time()
-    verdicts = [fl.is_congruence(square, partition) for partition in partitions]
+    got = run()
     elapsed = time.process_time() - start
-    assert verdicts == [oracles.compatible(square, p.block_of) for p in partitions]
-    assert verdicts == [False] * 19
+    assert got == expected
     assert elapsed < 0.1
 
 
 def _one_block(labels) -> bool:
     """Labels of one block on two or more elements: what the closure returns at its early exit."""
-    return labels is not None and len(labels) > 1 and not any(labels)
+    return len(labels) > 1 and not any(labels)
 
 
 def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypatch):
@@ -140,7 +174,7 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
         n = lattice.size
         for a in range(n):
             for b in range(n):
-                got = _closure(lattice, [(a, b)])
+                got = _closure(lattice, a, b)
                 assert got == oracles.closure_by_find(lattice, [(a, b)])
                 closures += 1
                 one_block += _one_block(got)
@@ -148,30 +182,25 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
     assert one_block > 0 and len(normalized) == closures - one_block
 
 
-def test_closure_matches_find_kernel_on_block_pairs_up_to_size_5(monkeypatch):
-    # the block pairs of every partition, closed freely and inside every
-    # partition: the same labels, or None on both sides; the one-block
-    # closures, inside a partition or not, leave at the early exit
-    lattices = support.lattices_up_to(5)
-    normalized = support.count_calls(monkeypatch, "_normalize", core)
+def _compatible_three_ways(lattice, labels) -> bool:
+    """``_blocks_compatible``, checked against the find kernel inside the labels and the scan."""
+    got = _blocks_compatible(lattice, labels)
+    inside = oracles.closure_by_find(lattice, oracles._block_pairs(labels), labels)
+    assert got == (inside is not None) == oracles.compatible(lattice, labels), labels
+    return got
+
+
+def test_blocks_compatible_matches_find_kernel_and_scan_up_to_size_5(monkeypatch):
+    # every partition of every lattice of size <= 5: the definition, the
+    # block pairs closed inside the partition, and the x, y, z scan agree,
+    # and the definition runs no closure
+    closures = support.count_calls(monkeypatch, "_closure", core)
     verdicts = {True: 0, False: 0}
-    one_block = {True: 0, False: 0}
-    for lattice in lattices:
-        partitions = list(oracles.all_partitions(lattice.size))
-        for labels in partitions:
-            pairs = oracles._block_pairs(labels)
-            got = _closure(lattice, pairs)
-            assert got == oracles.closure_by_find(lattice, pairs)
-            one_block[False] += _one_block(got)
-            verdicts[False] += 1
-            for within in partitions:
-                got = _closure(lattice, pairs, within)
-                assert got == oracles.closure_by_find(lattice, pairs, within), (labels, within)
-                verdicts[got is None] += 1
-                one_block[True] += _one_block(got)
+    for lattice in support.lattices_up_to(5):
+        for labels in oracles.all_partitions(lattice.size):
+            verdicts[_compatible_three_ways(lattice, labels)] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
-    assert one_block[True] > 0 and one_block[False] > 0
-    assert len(normalized) == verdicts[False] - sum(one_block.values())
+    assert closures == []
 
 
 @settings(max_examples=20, deadline=None)
@@ -181,22 +210,54 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
     n = lattice.size
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(n))))
     element = st.integers(0, n - 1)
-    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=4))
-    expected = oracles.closure_by_find(relabeled, pairs)
-    assert _closure(relabeled, pairs) == expected
-    # inside a principal congruence, or inside a partition of drawn labels
-    inside = oracles.closure_by_find(relabeled, [data.draw(st.tuples(element, element))])
-    drawn = congruences._normalize(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
-    for within in (inside, drawn, expected):
-        got = _closure(relabeled, pairs, within)
-        assert got == oracles.closure_by_find(relabeled, pairs, within)
-    assert _closure(relabeled, pairs, expected) == expected
-    # with the bounds among the pairs, the closure leaves at the one-block exit
-    bounds = [*pairs, (relabeled.bottom, relabeled.top)]
+    a, b = data.draw(st.tuples(element, element))
+    expected = oracles.closure_by_find(relabeled, [(a, b)])
+    assert _closure(relabeled, a, b) == expected
+    # with the bounds as the pair, the closure leaves at the one-block exit
     with pytest.MonkeyPatch.context() as patch:
         normalized = support.count_calls(patch, "_normalize", core)
-        assert _closure(relabeled, bounds) == oracles.closure_by_find(relabeled, bounds) == (0,) * n
+        bounds = relabeled.bottom, relabeled.top
+        got = _closure(relabeled, *bounds)
+        assert got == oracles.closure_by_find(relabeled, [bounds]) == (0,) * n
     assert normalized == []
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_blocks_compatible_matches_find_kernel_and_scan_on_relabelled_products(data):
+    # a principal congruence, and a partition of drawn labels
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    n = lattice.size
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(n))))
+    element = st.integers(0, n - 1)
+    principal = oracles.closure_by_find(relabeled, [data.draw(st.tuples(element, element))])
+    assert _compatible_three_ways(relabeled, principal)
+    drawn = congruences._normalize(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    _compatible_three_ways(relabeled, drawn)
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [fl.standard_lattice("n5"), support.catalog_product(("n5", "m3"))],
+    ids=["n5", "n5xm3"],
+)
+def test_compatibility_runs_no_closure(monkeypatch, lattice):
+    # is_congruence, quotient and prime_ideal_congruence check the
+    # definition; none of them closes a pair
+    calls = support.count_calls(monkeypatch, "_closure", core, congruences)
+    n = lattice.size
+    for theta in fl.all_congruences(lattice):
+        assert fl.is_congruence(lattice, theta.partition)
+        fl.quotient(lattice, theta)
+    merged = fl.Partition.from_labels([0, 0, *range(1, n - 1)])
+    assert not oracles.compatible(lattice, merged.block_of)
+    assert not fl.is_congruence(lattice, merged)
+    with pytest.raises(fl.NotACongruence):
+        fl.quotient(lattice, fl.Congruence(lattice, merged))
+    primes = [ideal for ideal in fl.enumerate_ideals(lattice) if fl.is_prime_ideal(lattice, ideal)]
+    for ideal in primes:
+        assert fl.prime_ideal_congruence(lattice, ideal).num_blocks == 2
+    assert primes and calls == []
 
 
 def test_congruence_equality_is_lattice_identity_scoped():

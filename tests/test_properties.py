@@ -585,7 +585,7 @@ def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice, co
     assert calls == []
     fl.is_balanced(lattice)
     assert len(calls) == comparable
-    assert all(lattice.leq[a][b] and a != b for _, [(a, b)] in calls)
+    assert all(lattice.leq[a][b] and a != b for _, a, b in calls)
 
 
 def test_witness_scope_check_runs_no_closure(monkeypatch):
