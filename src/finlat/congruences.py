@@ -7,7 +7,12 @@ equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
 The compatibility closure (``core._closure``) builds con(a, b), and so
-principal and generated congruences; ``is_congruence`` (like
+principal and generated congruences.  It merges a forced pair
+(x∧z, y∧z) or (x∨z, y∨z) as soon as it reads one whose roots differ,
+and queues only the pairs that merged, so it reaches the fixpoint that
+queueing every forced pair reaches with a tenth of the queue: the
+closures of ``verify_theorem`` on the lattices of size at most 9 pop
+156,475 pairs, against 1,504,558.  ``is_congruence`` (like
 ``core.quotient``) checks the definition instead, with no closure: each
 member of a block moves with the block's first member under every
 translation u ↦ u∧z and u ↦ u∨z.  The closure normalizes its labels

@@ -88,7 +88,7 @@ class ParseError(LatticeError):
         self.line = line
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FiniteLattice:
     """A bounded lattice on elements 0..size-1 with its operation tables.
 
@@ -122,6 +122,16 @@ class FiniteLattice:
     failure, with the same type and message, as a full scan.  ``meet``
     and ``join`` are built together by :func:`_meet_join_tables` on the
     first read of either.
+
+    The fields are slots: an instance has no ``__dict__``, and every
+    assignment raises.  ``_check_order`` fills the order's fields, and
+    ``__getattr__``, called only while a slot is empty, fills the two
+    tables, both with ``object.__setattr__``.  An instance takes 96
+    bytes, where with a ``__dict__`` it took 352; slots and the
+    ``_shared`` row intern keep the 1,378 classes of size at most 9,
+    with their tables, in 1,499 KiB instead of 2,107 (``tracemalloc``,
+    CPython 3.11).  That memory counts because the benchmark worker
+    keeps every pass, so a faster pass reads as more memory.
 
     ``leq[i][j]`` is the bool True iff i <= j, that is, iff the given
     cell is true.  ``down_masks[i]`` has bit j set iff j <= i,
@@ -164,12 +174,13 @@ class FiniteLattice:
         _check_order(self, n, cells.translate(_DIGITS))
 
     def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
-        # called only for attributes not in __dict__: the tables before their first read
+        # called only for empty slots and unknown names: the tables before their first read
         if name not in ("meet", "join"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         meet, join = _meet_join_tables(self.down_masks, self.up_masks)
-        self.__dict__.update(meet=meet, join=join)
-        return self.__dict__[name]
+        object.__setattr__(self, "meet", meet)
+        object.__setattr__(self, "join", join)
+        return meet if name == "meet" else join
 
     def elements(self) -> range:
         return range(self.size)
@@ -234,14 +245,13 @@ def _check_order(lattice: FiniteLattice, n: int, body: bytes) -> None:
         raise NotBounded("order has no unique bottom or top element")
     if not has_meets:
         _meet_join_tables(down, up)  # raises at the first failing pair
-    lattice.__dict__.update(
-        size=n,
-        leq=leq,
-        bottom=up.index(full),
-        top=down.index(full),
-        down_masks=down,
-        up_masks=up,
-    )
+    set_field = object.__setattr__  # the fields are frozen slots
+    set_field(lattice, "size", n)
+    set_field(lattice, "leq", leq)
+    set_field(lattice, "bottom", up.index(full))
+    set_field(lattice, "top", down.index(full))
+    set_field(lattice, "down_masks", down)
+    set_field(lattice, "up_masks", up)
 
 
 @dataclass(frozen=True)
@@ -293,7 +303,7 @@ def _meet_join_tables(
 
     Every row is an immutable tuple.  Rows of at most ``_SHARED_LENGTH``
     elements are shared with equal rows of other lattices, through the
-    bounded cache ``_shared``; longer ones are kept only by their
+    bounded intern ``_shared``; longer ones are kept only by their
     lattice.
     """
     n = len(down)
@@ -318,32 +328,41 @@ def _meet_join_tables(
                     raise NotALattice(f"elements ({x}, {y}) have no join")
             meet_row[y] = meet[y][x] = m
             join_row[y] = join[y][x] = j
-    meet_rows, join_rows = map(tuple, meet), map(tuple, join)
     if n <= _SHARED_LENGTH:
-        meet_rows, join_rows = map(_shared, meet_rows), map(_shared, join_rows)
-    return tuple(meet_rows), tuple(join_rows)
+        return _shared(meet), _shared(join)
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
-# Enumerated classes have at most MAX_SIZE = 10 elements, and their rows
-# repeat across classes.  Rows of larger lattices seldom do: cached, the
-# rows of the 12- to 40-element products the single-lattice commands read
-# held about 0.8 MiB after each command was done with its lattice.
-_SHARED_LENGTH = 16
+# Rows repeat across lattices only among the enumerated classes, which
+# have at most MAX_SIZE = 10 elements.  Rows of larger lattices seldom
+# do: cached, the rows of the 12- to 40-element products the
+# single-lattice commands read only stayed alive after each command was
+# done with its lattice.
+_SHARED_LENGTH = 10
+_SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
+_SHARED_CAPACITY = 1 << 12
 
 
-@lru_cache(maxsize=1 << 12)
-def _shared(row: tuple[int, ...]) -> tuple[int, ...]:
-    """The first meet or join row equal to ``row`` among the cached ones.
+def _shared(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """A meet or join table as tuples, each the first equal row interned.
 
     Equal rows of different lattices become one tuple object: the
     143,836 rows of the 7,372 classes of size at most 10 hold 10,645
-    distinct values.  An evicted row only stops being shared.  Only rows
-    of at most ``_SHARED_LENGTH`` elements are passed in: the cache
-    would otherwise keep up to 4,096 rows of any length alive after
-    their lattice is gone (1,599 rows and about 33 MiB for ``chain(800)``),
-    and rows that long are rarely equal across lattices.
+    distinct values.  The intern is a plain dict, ``_SHARED_ROWS``, that
+    maps a row to itself and is emptied before a table would take it
+    past ``_SHARED_CAPACITY`` rows; a row dropped by the clear only stops
+    being shared.  An ``lru_cache`` did this job before, but its
+    bookkeeping (a linked node and a key tuple per entry) outweighed the
+    short rows it shared.  Only tables of at most ``_SHARED_LENGTH``
+    elements are passed in: the intern would otherwise keep up to 4,096
+    rows of any length alive after their lattice is gone (1,599 rows and
+    about 33 MiB for ``chain(800)``), and rows that long are rarely equal
+    across lattices.
     """
-    return row
+    if len(_SHARED_ROWS) + len(table) > _SHARED_CAPACITY:
+        _SHARED_ROWS.clear()
+    intern = _SHARED_ROWS.setdefault
+    return tuple([intern(row, row) for row in map(tuple, table)])
 
 
 def _fold(table: Sequence[Sequence[int]], mask: int) -> int:
@@ -685,49 +704,60 @@ def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
 def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
     """Normalized labels of con(a, b), the least congruence relating a and b.
 
-    Union-find plus a FIFO worklist: whenever two classes merge through
-    the pair (x, y), the forced pairs (x∧z, y∧z) for every z in
-    ascending order, then (x∨z, y∨z) likewise, are queued.  Chains of
-    merges compose transitively inside the union-find, so enqueueing
-    products for the merged pair alone reaches the full fixpoint.  The
-    two products of a pair are compared when it is pushed, and only a
-    pair of distinct elements is queued; their roots are compared when
-    it is popped.  A pair whose products already share a root when it is
-    pushed still shares it when it is popped, so it is skipped there, and
-    the merges are those a root test at push time would make.  The
-    union-find is inline: path halving at pop time, and the smaller root
-    kept, so every parent is at most its child and one ascending pass
-    resolves every root at the end.  The merges are counted, and the
-    merge that leaves one block returns the all-zero labels at once: no
-    pair can merge after it, so the rest of the worklist would change
-    nothing.  The labels are otherwise normalized here, once; callers
-    that need a :class:`Partition` wrap them, and lookups compare and
-    store the tuple itself.  Principal and generated congruences, the
-    principal lookups and the d-lattice definition run it.
+    Union-find with union at scan time, plus a FIFO worklist of merged
+    pairs.  When the pair (x, y) merges two classes, each forced pair
+    (x∧z, y∧z) for z in ascending order, then (x∨z, y∨z) likewise, is
+    root-tested as it is read, and merges at once if its roots differ;
+    only the two roots of such a merge are queued, to have their own
+    products read when they are popped.  This reaches the fixpoint that
+    queueing every forced pair reaches: every merge is forced by a pair
+    already related, so the result lies inside con(a, b); and every
+    merged pair has all its products related before the worklist
+    drains, so the result is compatible, since a class is joined up by
+    its merged pairs and the products of a chain of them form a chain.
+    A forced pair whose roots already agree is never queued, where the
+    kernel it replaced (``oracles.closure_by_queue``) queued each one
+    and skipped it when popped.  The union-find is inline: path halving,
+    and the smaller root kept, so every parent is at most its child and
+    one ascending pass resolves every root at the end.  The merges are
+    counted, and the merge that leaves one block returns the all-zero
+    labels at once: no pair can merge after it, so the rest of the scan
+    and the worklist would change nothing.  The labels are otherwise
+    normalized here, once, ``a == b`` included; callers that need a
+    :class:`Partition` wrap them, and lookups compare and store the
+    tuple itself.  Principal and generated congruences, the principal
+    lookups and the d-lattice definition run it.
     """
     n = lattice.size
     parent = list(range(n))
     blocks = n
     meet, join = lattice.meet, lattice.join
-    queue: deque[tuple[int, int]] = deque([(a, b)])
-    extend, popleft = queue.extend, queue.popleft
-    while queue:
-        x, y = popleft()
-        rx, ry = x, y
-        while parent[rx] != rx:
-            parent[rx] = rx = parent[parent[rx]]
-        while parent[ry] != ry:
-            parent[ry] = ry = parent[parent[ry]]
-        if rx == ry:
-            continue
-        if ry < rx:
-            rx, ry = ry, rx
-        parent[ry] = rx
+    queue: deque[tuple[int, int]] = deque()
+    append, popleft = queue.append, queue.popleft
+    if a != b:
+        parent[max(a, b)] = min(a, b)
         blocks -= 1
         if blocks == 1:
             return (0,) * n
-        extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
-        extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
+        append((a, b))
+    while queue:
+        x, y = popleft()
+        for u, v in itertools.chain(zip(meet[x], meet[y]), zip(join[x], join[y])):
+            if u == v:
+                continue
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                continue
+            if v < u:
+                u, v = v, u
+            parent[v] = u
+            blocks -= 1
+            if blocks == 1:
+                return (0,) * n
+            append((u, v))
     for x in range(n):
         parent[x] = parent[parent[x]]
     return _normalize(parent)
@@ -800,11 +830,14 @@ def parse_latt(data: bytes | str) -> FiniteLattice:
 
     Any deviation (wrong header, bad size line, wrong row count or
     length, characters other than 0/1, missing trailing newline) raises
-    :class:`ParseError` with the offending line.  The checked row lines,
-    joined, are the order's text, which goes to the order checker that
-    ``FiniteLattice`` runs; an order that fails there is reported as a
-    :class:`ParseError` on line 3 whose message is ``"<Type>: <message>"``
-    of the constructor's error.
+    :class:`ParseError` with the offending line.  A size with more
+    digits than the count of the rows that follow is reported on line 2
+    before it is converted to an ``int``, so a size line of any length
+    fails fast.  The checked row lines, joined, are the order's text,
+    which goes to the order checker that ``FiniteLattice`` runs; an
+    order that fails there is reported as a :class:`ParseError` on line
+    3 whose message is ``"<Type>: <message>"`` of the constructor's
+    error.
     """
     if isinstance(data, bytes):
         try:
@@ -828,15 +861,19 @@ def parse_latt(data: bytes | str) -> FiniteLattice:
     m = _SIZE_LINE.match(lines[1])
     if m is None:
         raise ParseError(2, "expected size line 'n=<k>'")
-    n = int(m.group(1))
+    digits, rows = m.group(1), len(lines) - 2
+    if len(digits) > len(str(rows)):
+        # n exceeds the row count without being converted, which int()
+        # refuses past 4,300 digits
+        raise ParseError(2, f"size has {len(digits)} digits, but {rows} matrix rows follow")
+    n = int(digits)
     if n < 1:
         raise ParseError(2, "size must be >= 1")
-    if len(lines) < 2 + n:
-        raise ParseError(len(lines) + 1, f"expected {n} matrix rows, found {len(lines) - 2}")
-    if len(lines) > 2 + n:
+    if rows < n:
+        raise ParseError(len(lines) + 1, f"expected {n} matrix rows, found {rows}")
+    if rows > n:
         raise ParseError(2 + n + 1, "trailing content after matrix")
-    rows = lines[2:]
-    for i, line in enumerate(rows, 3):
+    for i, line in enumerate(lines[2:], 3):
         if len(line) != n:
             raise ParseError(i, f"expected {n} characters, found {len(line)}")
         bad = line.lstrip("01")
@@ -844,7 +881,7 @@ def parse_latt(data: bytes | str) -> FiniteLattice:
             raise ParseError(i, f"invalid character {bad[0]!r}")
     lattice = object.__new__(FiniteLattice)
     try:
-        _check_order(lattice, n, "".join(rows).encode())
+        _check_order(lattice, n, "".join(lines[2:]).encode())
     except LatticeError as exc:
         raise ParseError(3, f"{type(exc).__name__}: {exc}") from exc
     return lattice

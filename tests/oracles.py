@@ -462,8 +462,8 @@ def closure_by_find(
     a partition's block pairs inside the partition is a reference for
     ``core._blocks_compatible``.  Each merge of (x, y) queues, for z in
     ascending order, (x∧z, y∧z) and then (x∨z, y∨z), each only when its
-    two elements have different roots; ``core._closure`` queues every
-    pair of distinct products and leaves the root test to pop time.
+    two elements have different roots, and merges a pair when it is
+    popped; ``core._closure`` merges a pair as soon as it reads it.
     """
     n = lattice.size
     parent = list(range(n))
@@ -495,6 +495,43 @@ def closure_by_find(
                 if find(jx[z]) != find(jy[z]):
                     queue.append((jx[z], jy[z]))
     return _normalize([find(i) for i in range(n)])
+
+
+def closure_by_queue(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
+    """Normalized labels of con(a, b), with the root test at pop time.
+
+    The kernel ``core._closure`` replaced: each merge of (x, y) queues
+    every pair of distinct products, (x∧z, y∧z) for z in ascending order
+    and then (x∨z, y∨z), and a popped pair merges only if its roots
+    differ.  Path halving, the smaller root kept and the one-block exit
+    are as in ``core._closure``, which merges a product pair as soon as
+    it reads it and queues only pairs that merged.
+    """
+    n = lattice.size
+    parent = list(range(n))
+    blocks = n
+    meet, join = lattice.meet, lattice.join
+    queue: deque[tuple[int, int]] = deque([(a, b)])
+    while queue:
+        x, y = queue.popleft()
+        rx, ry = x, y
+        while parent[rx] != rx:
+            parent[rx] = rx = parent[parent[rx]]
+        while parent[ry] != ry:
+            parent[ry] = ry = parent[parent[ry]]
+        if rx == ry:
+            continue
+        if ry < rx:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        blocks -= 1
+        if blocks == 1:
+            return (0,) * n
+        queue.extend([(u, v) for u, v in zip(meet[x], meet[y]) if u != v])
+        queue.extend([(u, v) for u, v in zip(join[x], join[y]) if u != v])
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return _normalize(parent)
 
 
 def _block_pairs(block_of: Sequence[int]) -> list[tuple[int, int]]:

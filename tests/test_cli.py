@@ -238,6 +238,23 @@ def test_parse_error_diagnostic_names_file_and_line(tmp_path, capsys):
     assert f"{bad}:3: NotAPartialOrder" in err
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_huge_size_line_is_exit_2(tmp_path, flags):
+    # 5,000 digits are past int()'s limit on string conversion; the size
+    # is rejected on line 2 before any conversion
+    path = tmp_path / "huge.latt"
+    path.write_text("LATT 1\nn=" + "9" * 5_000 + "\n")
+    done = subprocess.run(
+        [sys.executable, *flags, "-m", "finlat.cli", "check", str(path)],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {path}:2: size has 5000 digits, but 0 matrix rows follow\n"
+
+
 def test_missing_file_is_exit_2(capsys):
     assert cli.run(["check", "/no/such/file.latt"]) == 2
     assert capsys.readouterr().err.startswith("error: ")

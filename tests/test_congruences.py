@@ -163,10 +163,10 @@ def _one_block(labels) -> bool:
 
 
 def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypatch):
-    # the kernel against the one it replaced, on (a, b), (b, a) and (a, a);
+    # the kernel against the two it replaced, on (a, b), (b, a) and (a, a);
     # a closure that merges everything into one block returns at that merge,
     # before its worklist drains and without normalizing its labels, and
-    # every other closure normalizes once
+    # every other closure normalizes once, a == b included
     lattices = support.lattices_up_to(7)
     normalized = support.count_calls(monkeypatch, "_normalize", core)
     closures = one_block = 0
@@ -176,9 +176,11 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
             for b in range(n):
                 got = _closure(lattice, a, b)
                 assert got == oracles.closure_by_find(lattice, [(a, b)])
+                assert got == oracles.closure_by_queue(lattice, a, b)
                 closures += 1
                 one_block += _one_block(got)
     assert closures == 3_308
+    # only core's binding is counted, so the oracles' calls are not
     assert one_block > 0 and len(normalized) == closures - one_block
 
 
@@ -212,7 +214,7 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
     element = st.integers(0, n - 1)
     a, b = data.draw(st.tuples(element, element))
     expected = oracles.closure_by_find(relabeled, [(a, b)])
-    assert _closure(relabeled, a, b) == expected
+    assert _closure(relabeled, a, b) == expected == oracles.closure_by_queue(relabeled, a, b)
     # with the bounds as the pair, the closure leaves at the one-block exit
     with pytest.MonkeyPatch.context() as patch:
         normalized = support.count_calls(patch, "_normalize", core)

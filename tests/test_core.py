@@ -67,8 +67,10 @@ def test_rows_of_bools_are_shared_and_other_rows_normalized():
 
 
 def test_equal_meet_and_join_rows_are_one_object():
-    # a fresh enumeration, not the suite's cached one: equal rows of
-    # different lattices are the one tuple the cache handed out first
+    # a fresh enumeration, not the suite's cached one, into an emptied
+    # intern: equal rows of different lattices are the one tuple the
+    # intern handed out first
+    core._SHARED_ROWS.clear()
     lattices = [lattice for n in range(1, 9) for lattice in fl.enumerate_lattices(n)]
     rows = [row for lattice in lattices for table in (lattice.meet, lattice.join) for row in table]
     assert len(rows) == 4552
@@ -77,17 +79,27 @@ def test_equal_meet_and_join_rows_are_one_object():
 
 
 def test_tables_survive_a_cycled_row_cache():
-    # more distinct rows than the cache holds, all short enough to be
-    # shared, so every row of the last lattice is built after evictions:
-    # sharing may be lost, values not
-    grid = fl.product(fl.standard_lattice("chain", 4), fl.standard_lattice("chain", 4))
-    assert grid.size <= core._SHARED_LENGTH
+    # more distinct rows than the intern holds, all short enough to be
+    # shared: it is emptied before a table would take it past its
+    # capacity, so it never holds more, and the tables built after a
+    # clear are still right; sharing may be lost, values not
+    grid = fl.product(fl.standard_lattice("chain", 2), fl.standard_lattice("chain", 5))
+    assert grid.size <= core._SHARED_LENGTH and core._SHARED_CAPACITY == 4096
     rng = random.Random(0)
-    distinct = set()
-    while len(distinct) <= core._shared.cache_info().maxsize:
+    clears = 0
+    while clears < 2:
+        held = len(core._SHARED_ROWS)
         built = fl.relabel(grid, rng.sample(range(grid.size), grid.size))
-        distinct.update(built.meet + built.join)
-    lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 3))
+        built.meet
+        if len(core._SHARED_ROWS) < held:  # cleared while this lattice's tables were built
+            clears += 1
+            expected = oracles.lattice_tables_by_scan(built.leq)
+            assert (built.meet, built.join) == (expected["meet"], expected["join"])
+        assert len(core._SHARED_ROWS) <= core._SHARED_CAPACITY
+        # the join rows, interned last, are the held ones (a clear before
+        # them may have dropped the meet rows)
+        assert all(core._SHARED_ROWS[row] is row for row in built.join)
+    lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2))
     assert lattice.size <= core._SHARED_LENGTH
     relabelled = _relabelled(lattice.leq, list(reversed(range(lattice.size))))
     _assert_construction_matches_scan(relabelled)
@@ -98,12 +110,38 @@ def test_only_short_rows_enter_the_row_cache():
     # a long row is kept by its lattice alone, so freeing the lattice frees it
     for k, shared in ((core._SHARED_LENGTH, True), (core._SHARED_LENGTH + 1, False)):
         matrix = [[i <= j for j in range(k)] for i in range(k)]
-        before = core._shared.cache_info()
         lattice = fl.FiniteLattice(matrix)
         assert lattice.meet[0][k - 1] == 0 and lattice.join[0][k - 1] == k - 1
-        after = core._shared.cache_info()
-        assert after.hits + after.misses - before.hits - before.misses == (2 * k if shared else 0)
+        if shared:  # the join rows are interned last, so no clear has dropped them
+            assert all(core._SHARED_ROWS[row] is row for row in lattice.join)
+        else:
+            assert not any(row in core._SHARED_ROWS for row in lattice.meet + lattice.join)
         _assert_construction_matches_scan(matrix)
+    assert max(map(len, core._SHARED_ROWS)) <= core._SHARED_LENGTH == enumeration.MAX_SIZE
+
+
+_HELD_BY_LATTICES = """
+import tracemalloc
+import finlat as fl
+tracemalloc.start()
+lattices = [lattice for n in range(1, 10) for lattice in fl.enumerate_lattices(n)]
+for lattice in lattices:
+    lattice.meet
+print(len(lattices), tracemalloc.get_traced_memory()[0])
+"""
+
+
+def test_lattices_up_to_size_9_with_their_tables_fit_in_1_6_mib():
+    # a fresh process, so the caches start empty: the 1,378 classes the
+    # verify benchmark holds, their forms, tables and interned rows
+    # (1,499 KiB on CPython 3.11; 2,107 KiB with an lru_cache intern and
+    # a __dict__ per lattice)
+    done = subprocess.run(
+        [sys.executable, "-c", _HELD_BY_LATTICES], capture_output=True, text=True, check=True
+    )
+    count, held = map(int, done.stdout.split())
+    assert count == 1378
+    assert held <= 1.6 * 2**20
 
 
 def test_only_short_forms_enter_the_canonical_form_caches():
@@ -573,6 +611,24 @@ def test_tables_first_read_from_several_threads_agree():
     assert seen == [expected] * 4
 
 
+def test_lattice_has_no_dict_and_rejects_assignment():
+    # the fields are slots; the tables fill theirs on the first read
+    lattice = fl.standard_lattice("n5")
+    fresh = fl.FiniteLattice(lattice.leq)
+    assert not hasattr(fresh, "__dict__")
+    assert fresh.meet == lattice.meet and fresh.join == lattice.join
+    for name, value in (("size", 3), ("meet", lattice.join)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(fresh, name, value)
+    # a name that is no field has no slot; which error says so depends on
+    # the Python version
+    with pytest.raises((AttributeError, TypeError)):
+        fresh.extra = 1
+    with pytest.raises(AttributeError, match="no attribute 'extra'"):
+        fresh.extra
+    assert fresh == lattice
+
+
 def test_tables_cannot_be_supplied_or_replaced():
     lattice = fl.standard_lattice("boolean", 2)
     meet = tuple((lattice.bottom,) * 4 for _ in range(4))
@@ -916,6 +972,20 @@ def test_parse_latt_rejects_malformed_input(payload, line):
     with pytest.raises(fl.ParseError) as excinfo:
         fl.parse_latt(payload)
     assert excinfo.value.line == line
+
+
+def test_parse_latt_rejects_a_size_longer_than_its_row_count_on_line_2():
+    # int() refuses more than 4,300 digits, so the size is never converted
+    for digits, rows in ((5_000, 0), (5_000, 3), (2, 9), (3, 99)):
+        text = "LATT 1\nn=" + "9" * digits + "\n" + "1\n" * rows
+        with pytest.raises(fl.ParseError) as excinfo:
+            fl.parse_latt(text)
+        assert excinfo.value.line == 2
+        assert str(excinfo.value) == f"size has {digits} digits, but {rows} matrix rows follow"
+    # as many digits as the row count has: the size is read and compared
+    with pytest.raises(fl.ParseError, match="^expected 12 matrix rows, found 10$") as excinfo:
+        fl.parse_latt("LATT 1\nn=12\n" + "1\n" * 10)
+    assert excinfo.value.line == 13
 
 
 def test_parse_latt_rejects_non_ascii_bytes():
