@@ -6,49 +6,43 @@ Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
-The compatibility closure (``core._closure``) builds con(a, b), and so
-principal and generated congruences.  It merges a forced pair
-(x∧z, y∧z) or (x∨z, y∨z) as soon as it reads one whose roots differ,
-and queues only the pairs that merged, so it reaches the fixpoint that
-queueing every forced pair reaches with a tenth of the queue: the
-closures of ``verify_theorem`` on the lattices of size at most 9 pop
-156,475 pairs, against 1,504,558.  ``is_congruence`` (like
-``core.quotient``) checks the definition instead, with no closure: each
-member of a block moves with the block's first member under every
-translation u ↦ u∧z and u ↦ u∨z.  The closure normalizes its labels
-once and returns the tuple; the principal lookups hand that tuple on,
-and only the public constructors wrap it, unchecked
-(``_congruence``: normalized labels pass the checks of
-:class:`Partition` by construction).  Con(L) and joins hold a congruence
-as the bit mask of the covering pairs a ≺ b it relates: a class is an
-interval whose members are linked by covering pairs inside it, so the
-mask fixes the congruence.  Con(L) is distributive, and its
+This module is the one home of con(a, b).  The compatibility closure
+``_closure`` computes it, and ``principal_congruence``,
+``generated_congruence``, ``principal_table`` and
+``is_balanced_congruence`` read it; the d-lattice definition in
+``properties`` reads ``principal_congruence``.  A congruence class is a
+convex sublattice, so con(a, b) = con(a∧b, a∨b), a class holds a set S
+iff it holds ⋀S and ⋁S, the 1-class is an interval [m, 1] and the
+0-class an interval [0, z], and balance is the one equality
+con(0, z) = con(m, 1).  ``principal_table`` runs the closure once per
+comparable pair a < b and reads every other pair at its meet and join;
+the per-lattice record of facts behind ``verify_theorem`` builds it
+once for balance.  ``is_congruence`` (like ``core.quotient``) checks the
+definition instead, with no closure.
+
+Con(L), joins and meets hold a congruence as the bit mask of the
+covering pairs a ≺ b it relates: a class is an interval whose members
+are linked by covering pairs inside it, so the mask fixes the
+congruence, and the intersection of two congruences relates exactly the
+covering pairs both relate.  Con(L) is distributive, and its
 join-irreducibles are the con(a, b) of the covering pairs, each
-join-prime, so a join of congruences is the OR of their masks.
-``all_congruences`` reads the masks of J(Con L) from Day's dependency
-relation on the join-irreducible elements of L, with no closure
-(Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2), closes them
-under OR and labels each result once.  A congruence class is a convex
-sublattice, so the 1-class is an interval [m, 1] and the 0-class an
-interval [0, z], and balance is the one equality con(0, z) = con(m, 1)
-of the principal congruences the two classes generate.  For the same
-reason con(a, b) = con(a∧b, a∨b): ``principal_table`` runs the closure
-once per comparable pair a < b and reads every other pair at its meet
-and join.  The per-lattice record of facts behind ``verify_theorem``
-builds it once for balance; without it each lookup is one closure.  The
-table stays, eager, until the benchmark reads peak memory from one
-pass: the dependency relation would give every principal congruence
-too, and a lazy lookup is faster, but the benchmark keeps every pass,
-so more passes read as more memory.  No closure decides the d-lattice
-scope.
+join-prime, so a join of congruences is the OR of their masks and a
+meet the AND.  ``all_congruences`` reads the masks of J(Con L) from
+Day's dependency relation on the join-irreducible elements of L, with
+no closure (Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2),
+closes them under OR and labels each result once.  The closure
+normalizes its labels once and returns the tuple; only the public
+constructors wrap it, unchecked (``_congruence``: normalized labels pass
+the checks of :class:`Partition` by construction).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import compress
-from operator import or_
+from itertools import chain, compress
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .core import (
@@ -57,10 +51,20 @@ from .core import (
     OwnerMismatch,
     SizeMismatch,
     _blocks_compatible,
-    _closure,
+    _element,
     _fold,
-    _normalize,
 )
+
+
+def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
+    """Relabel blocks in first-occurrence order (element 0 gets label 0)."""
+    seen: dict[Hashable, int] = {}
+    out = []
+    for lab in labels:
+        if lab not in seen:
+            seen[lab] = len(seen)
+        out.append(seen[lab])
+    return tuple(out)
 
 
 @dataclass(frozen=True, order=True)
@@ -69,10 +73,8 @@ class Partition:
 
     ``block_of[x]`` is the label of x's block: an ``int`` (not a bool),
     with labels first occurring in the order 0, 1, 2, ...; any other
-    labels raise :class:`ValueError`.  ``from_blocks`` likewise takes
-    block elements that are ``int`` (not bool), raising
-    :class:`ValueError` for any other before it indexes with one, and
-    :class:`SizeMismatch` for one outside 0..size-1.
+    labels raise :class:`ValueError`.  ``from_blocks`` checks each block
+    element as ``core._element`` does, before it indexes with one.
     """
 
     size: int
@@ -87,11 +89,7 @@ class Partition:
         labels = [-1] * size
         for tag, block in enumerate(blocks):
             for e in block:
-                if type(e) is not int:
-                    raise ValueError(f"block element {e!r} is not an integer")
-                if not 0 <= e < size:
-                    raise SizeMismatch(f"element {e} outside [0, {size})")
-                if labels[e] != -1:
+                if labels[_element(e, size, "block element")] != -1:
                     raise ValueError(f"element {e} appears in two blocks")
                 labels[e] = tag
         if -1 in labels:
@@ -213,12 +211,59 @@ def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     return _blocks_compatible(lattice, partition.block_of)
 
 
-def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
-    """The least congruence merging a with b."""
+def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
+    """Normalized labels of con(a, b), the least congruence relating a and b.
+
+    Union-find with union at scan time, plus a FIFO worklist of merged
+    pairs.  When the pair (x, y) merges two classes, each forced pair
+    (x∧z, y∧z) for z in ascending order, then (x∨z, y∨z) likewise, is
+    root-tested as it is read, and merges at once if its roots differ;
+    only the two roots of such a merge are queued, to have their own
+    products read when they are popped.  Every merge is forced by a pair
+    already related, so the result lies inside con(a, b); and every
+    merged pair has all its products related before the worklist
+    drains, so the result is compatible, since a class is joined up by
+    its merged pairs and the products of a chain of them form a chain.
+    The union-find is inline: path halving, and the smaller root kept,
+    so every parent is at most its child and one ascending pass resolves
+    every root at the end.  The merges are counted, and the merge that
+    leaves one block returns the all-zero labels at once: no pair can
+    merge after it.  The labels are otherwise normalized here, once,
+    ``a == b`` included.
+    """
     n = lattice.size
-    if not (0 <= a < n and 0 <= b < n):
-        raise SizeMismatch(f"elements ({a}, {b}) outside [0, {n})")
-    return _congruence(lattice, _closure(lattice, a, b))
+    parent = list(range(n))
+    blocks = n
+    meet, join = lattice.meet, lattice.join
+    queue: deque[tuple[int, int]] = deque()
+    append, popleft = queue.append, queue.popleft
+    if a != b:
+        parent[max(a, b)] = min(a, b)
+        blocks -= 1
+        if blocks == 1:
+            return (0,) * n
+        append((a, b))
+    while queue:
+        x, y = popleft()
+        for u, v in chain(zip(meet[x], meet[y]), zip(join[x], join[y])):
+            if u == v:
+                continue
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                continue
+            if v < u:
+                u, v = v, u
+            parent[v] = u
+            blocks -= 1
+            if blocks == 1:
+                return (0,) * n
+            append((u, v))
+    for x in range(n):
+        parent[x] = parent[parent[x]]
+    return _normalize(parent)
 
 
 def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Congruence:
@@ -226,16 +271,21 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
 
     Congruence classes are convex sublattices, so a class holds the set
     S iff it holds ⋀S and ⋁S: the answer is con(⋀S, ⋁S), one closure.
+    Each element is checked as ``core._element`` does.
     """
-    members = sorted(set(elements))
-    if not members:
-        raise EmptySet("generating set is empty")
     n = lattice.size
-    if not all(0 <= e < n for e in members):
-        raise SizeMismatch(f"elements {members} not all inside [0, {n})")
-    mask = sum(1 << e for e in members)
+    mask = 0
+    for e in elements:
+        mask |= 1 << _element(e, n)
+    if not mask:
+        raise EmptySet("generating set is empty")
     pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
     return _congruence(lattice, _closure(lattice, *pair))
+
+
+def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
+    """The least congruence merging a with b: the one ``{a, b}`` generates."""
+    return generated_congruence(lattice, (a, b))
 
 
 Principal = Callable[[int, int], tuple[int, ...]]
@@ -281,6 +331,18 @@ def _covering_pairs(lattice: FiniteLattice) -> list[tuple[int, int]]:
     return pairs
 
 
+def _join_irreducibles(covers: Sequence[tuple[int, int]]) -> dict[int, int]:
+    """Each join-irreducible element q with its one lower cover q_*.
+
+    q is join-irreducible iff it covers exactly one element (the bottom
+    covers none), read off the covering pairs; keys follow ``covers``.
+    """
+    lower: dict[int, Optional[int]] = {}
+    for a, b in covers:
+        lower[b] = None if b in lower else a
+    return {q: a for q, a in lower.items() if a is not None}
+
+
 def _mask(covers: Sequence[tuple[int, int]], labels: Sequence[int]) -> int:
     """Bit i set iff the labelling relates the covering pair ``covers[i]``."""
     return sum(1 << i for i, (a, b) in enumerate(covers) if labels[a] == labels[b])
@@ -301,6 +363,14 @@ def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[in
     return _normalize(least)
 
 
+def _combine(left: Congruence, right: Congruence, merge: Callable[[int, int], int]) -> Congruence:
+    """The congruence relating the covering pairs ``merge`` keeps of the two masks."""
+    lattice = _require_same_lattice(left, right)
+    covers = _covering_pairs(lattice)
+    mask = merge(_mask(covers, left.partition.block_of), _mask(covers, right.partition.block_of))
+    return _congruence(lattice, _labels(lattice.size, covers, mask))
+
+
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
     """Least congruence containing both: the covering pairs either relates.
 
@@ -309,23 +379,18 @@ def join_congruences(left: Congruence, right: Congruence) -> Congruence:
     iff it lies below one side.  So the join relates exactly the covering
     pairs of the two, and no compatibility closure runs.
     """
-    lattice = _require_same_lattice(left, right)
-    covers = _covering_pairs(lattice)
-    mask = _mask(covers, left.partition.block_of) | _mask(covers, right.partition.block_of)
-    return _congruence(lattice, _labels(lattice.size, covers, mask))
+    return _combine(left, right, or_)
 
 
 def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
-    """Common refinement; the intersection of congruences is a congruence."""
-    lattice = _require_same_lattice(left, right)
-    pairs = list(zip(left.partition.block_of, right.partition.block_of))
-    return Congruence(lattice, Partition.from_labels(pairs))
+    """Common refinement, the intersection: the covering pairs both relate."""
+    return _combine(left, right, and_)
 
 
 def _irreducible_masks(lattice: FiniteLattice, covers: Sequence[tuple[int, int]]) -> set[int]:
     """The covering-pair masks of J(Con L), read from Day's dependency relation D.
 
-    A join-irreducible q has one lower cover q_*, read off ``covers``.
+    A join-irreducible q has one lower cover q_* (``_join_irreducibles``).
     For join-irreducibles p ≠ q, p D q iff some x has p ≤ q∨x and
     p ≰ q_*∨x.  Con(L) is the lattice of the sets S ⊆ J(L) closed under
     D (with q, S holds every p D q), and θ_S relates a covering pair
@@ -337,10 +402,7 @@ def _irreducible_masks(lattice: FiniteLattice, covers: Sequence[tuple[int, int]]
     closure of a partition runs.
     """
     down, join = lattice.down_masks, lattice.join
-    lower: dict[int, Optional[int]] = {}
-    for a, b in covers:
-        lower[b] = None if b in lower else a
-    below = {q: a for q, a in lower.items() if a is not None}
+    below = _join_irreducibles(covers)
     irreducible = sum(1 << q for q in below)
     closed = {
         q: reduce(or_, (down[u] & ~down[v] for u, v in zip(join[q], join[a])), 0) & irreducible

@@ -7,11 +7,21 @@ form, is first written as its n*n bytes of ``0`` and ``1`` and checked
 from those bytes by one checker, so the three routes give the same
 lattice or the same error.  Binary meet and join tables are derived on
 their first read and kept, so every algorithm layered on top is a table
-lookup, and a lattice whose tables are never read (every class that
-enumeration rebuilds and only counts or writes out) never pays for them.  Bottom and top are
-discovered by validation, not fixed by index: input files may label
-elements freely, while :func:`canonical_form` renumbers so that bottom
-is 0 and top is n-1.
+lookup, and a lattice whose tables are never read (a class that
+enumeration rebuilds and only counts or writes out) never pays for
+them.  Bottom and top are discovered by validation, not fixed by index:
+input files may label elements freely, while :func:`canonical_form`
+renumbers so that bottom is 0 and top is n-1.
+
+Orders of at most ``MAX_SIZE`` elements, the enumerated range, share
+equal rows across lattices.  The caches ``_row``, ``_mask``, ``_bits``
+and ``_row_text`` have no bound of their own: a key of at most
+``MAX_SIZE`` elements takes at most 2**(MAX_SIZE + 1) values.  The meet
+and join rows take far more, so their intern ``_shared`` is cleared at
+a capacity.  Longer orders are read past the caches, so nothing they
+hand in outlives them.  Every element argument is checked by
+``_element``: a value that is not an ``int`` (a bool is not one) raises
+:class:`ValueError`, one outside 0..n-1 :class:`SizeMismatch`.
 
 All values are immutable and safe to share across threads; two threads
 that read a lattice's tables first at the same time may both derive
@@ -22,11 +32,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from operator import and_, itemgetter, or_, xor
-from typing import TYPE_CHECKING, Hashable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .congruences import Congruence
@@ -38,13 +47,16 @@ class LatticeError(Exception):
     A failed check on an order, a lattice, a set of elements, a
     congruence, a size, a search predicate or a LATT file raises a
     subclass, and the CLI maps each to exit code 2.  Malformed arguments
-    raise :class:`ValueError` instead: a ``standard_lattice`` size
-    parameter that is not an ``int`` >= 1 (a bool is not one), a
-    ``relabel`` argument that is not a permutation of ``int`` elements, a
-    malformed ``lattice_from_canonical`` form, an empty or non-square
+    raise :class:`ValueError` instead: an element, mask or size argument
+    that is not an ``int`` (a bool is not one), a ``standard_lattice``
+    size parameter below 1, a ``relabel`` argument that is not a
+    permutation of ``int`` elements, a malformed
+    ``lattice_from_canonical`` form, an empty or non-square
     ``FiniteLattice`` matrix or one with a ``str`` or ``bytes`` cell or
     row, and ``Partition`` blocks that overlap or miss an element or
-    labels that are not integers or not normalized.
+    labels that are not integers or not normalized.  An ``int`` element
+    or mask out of range raises :class:`SizeMismatch`, and an ``int``
+    size out of range ``SizeOutOfRange``.
     """
 
 
@@ -73,7 +85,7 @@ class OwnerMismatch(LatticeError):
 
 
 class SizeMismatch(LatticeError):
-    """A partition or element set is sized for a different lattice."""
+    """A partition, element set, element or mask does not fit the lattice's size."""
 
 
 class EmptySet(LatticeError):
@@ -86,6 +98,21 @@ class ParseError(LatticeError):
     def __init__(self, line: int, message: str) -> None:
         super().__init__(message)
         self.line = line
+
+
+def _element(value: object, size: int, what: str = "element") -> int:
+    """``value``, checked as one of 0..size-1.
+
+    A value that is not an ``int`` (a bool is not one) raises
+    :class:`ValueError` before it can index anything, and one out of
+    range :class:`SizeMismatch`.  A mask of n elements is checked as
+    one of the 2**n subsets.
+    """
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if not 0 <= value < size:
+        raise SizeMismatch(f"{what} {value} outside [0, {size})")
+    return value
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,27 +150,20 @@ class FiniteLattice:
     and ``join`` are built together by :func:`_meet_join_tables` on the
     first read of either.
 
-    The fields are slots: an instance has no ``__dict__``, and every
-    assignment raises.  ``_check_order`` fills the order's fields, and
-    ``__getattr__``, called only while a slot is empty, fills the two
-    tables, both with ``object.__setattr__``.  An instance takes 96
-    bytes, where with a ``__dict__`` it took 352; slots and the
-    ``_shared`` row intern keep the 1,378 classes of size at most 9,
-    with their tables, in 1,499 KiB instead of 2,107 (``tracemalloc``,
-    CPython 3.11).  That memory counts because the benchmark worker
-    keeps every pass, so a faster pass reads as more memory.
+    The fields are slots: an instance has no ``__dict__`` (96 bytes on
+    CPython 3.11), and every assignment raises.  ``_check_order`` fills
+    the order's fields, and ``__getattr__``, called only while a slot is
+    empty, fills the two tables, both with ``object.__setattr__``.
 
     ``leq[i][j]`` is the bool True iff i <= j, that is, iff the given
     cell is true.  ``down_masks[i]`` has bit j set iff j <= i,
     ``up_masks[i]`` has bit j set iff i <= j; they exist only to make
-    subset arithmetic cheap.  On lattices of at most ``_SHARED_LENGTH`` elements the
-    ``leq`` rows are the cached ``_row`` tuples of their text, so equal
-    rows of different lattices are one object.  The rows of ``meet`` and
-    ``join`` are immutable tuples; on lattices of at most
-    ``_SHARED_LENGTH`` elements they are shared with equal rows of other
-    lattices, so holding many small lattices costs little more than
-    their distinct rows.  Equality and hashing read every field, the
-    tables included.
+    subset arithmetic cheap.  The rows of ``meet`` and ``join`` are
+    immutable tuples.  On lattices of at most ``MAX_SIZE`` elements the
+    ``leq``, ``meet`` and ``join`` rows are shared with equal rows of
+    other lattices, so holding many small lattices costs little more
+    than their distinct rows.  Equality and hashing read every field,
+    the tables included.
     """
 
     size: int = field(init=False)
@@ -201,15 +221,15 @@ def _check_order(lattice: FiniteLattice, n: int, body: bytes) -> None:
     one form every order is checked from.  The ``leq`` rows and up-set
     masks are read from the n row strings, and the down-set masks from
     the n column strings ``body[j::n]``, so the three views cannot
-    disagree.  For orders of at most ``_SHARED_LENGTH`` elements they
-    come from the bounded caches ``_row`` and ``_mask``, so equal rows
-    of different lattices are one tuple.  Raises
+    disagree.  For orders of at most ``MAX_SIZE`` elements they come
+    from the caches ``_row`` and ``_mask``, so equal rows of different
+    lattices are one tuple.  Raises
     :class:`NotAPartialOrder`, :class:`NotBounded` or
     :class:`NotALattice` at the first failing stage, as described on
     :class:`FiniteLattice`, and fills the fields only when every stage
     passes.
     """
-    row, mask = (_row, _mask) if n <= _SHARED_LENGTH else (_row.__wrapped__, _mask.__wrapped__)
+    row, mask = (_row, _mask) if n <= MAX_SIZE else (_row.__wrapped__, _mask.__wrapped__)
     rows = [body[i : i + n] for i in range(0, n * n, n)]
     leq = tuple(map(row, rows))
     up = tuple(map(mask, rows))
@@ -267,9 +287,13 @@ class LatticeHomomorphism:
 
 
 def is_homomorphism(hom: LatticeHomomorphism) -> bool:
-    """Full-table check of the homomorphism laws, bounds included."""
+    """Full-table check of the homomorphism laws, bounds included.
+
+    A map of the wrong length, or with an entry that is not an ``int``
+    (a bool is not one) of the target, is no homomorphism.
+    """
     src, dst, f = hom.source, hom.target, hom.map
-    if len(f) != src.size or any(not 0 <= v < dst.size for v in f):
+    if len(f) != src.size or any(type(v) is not int or not 0 <= v < dst.size for v in f):
         return False
     if f[src.bottom] != dst.bottom or f[src.top] != dst.top:
         return False
@@ -301,10 +325,9 @@ def _meet_join_tables(
     met in a full row-major scan, since the diagonal never fails and the
     tables are symmetric.
 
-    Every row is an immutable tuple.  Rows of at most ``_SHARED_LENGTH``
+    Every row is an immutable tuple.  Rows of at most ``MAX_SIZE``
     elements are shared with equal rows of other lattices, through the
-    bounded intern ``_shared``; longer ones are kept only by their
-    lattice.
+    intern ``_shared``; longer ones are kept only by their lattice.
     """
     n = len(down)
     meet_of = {mask: e for e, mask in enumerate(down)}.get
@@ -328,17 +351,14 @@ def _meet_join_tables(
                     raise NotALattice(f"elements ({x}, {y}) have no join")
             meet_row[y] = meet[y][x] = m
             join_row[y] = join[y][x] = j
-    if n <= _SHARED_LENGTH:
+    if n <= MAX_SIZE:
         return _shared(meet), _shared(join)
     return tuple(map(tuple, meet)), tuple(map(tuple, join))
 
 
-# Rows repeat across lattices only among the enumerated classes, which
-# have at most MAX_SIZE = 10 elements.  Rows of larger lattices seldom
-# do: cached, the rows of the 12- to 40-element products the
-# single-lattice commands read only stayed alive after each command was
-# done with its lattice.
-_SHARED_LENGTH = 10
+# The largest size enumerated, and the longest row the caches take: rows
+# repeat across the enumerated classes, and longer ones seldom repeat.
+MAX_SIZE = 10
 _SHARED_ROWS: dict[tuple[int, ...], tuple[int, ...]] = {}
 _SHARED_CAPACITY = 1 << 12
 
@@ -349,15 +369,11 @@ def _shared(table: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     Equal rows of different lattices become one tuple object: the
     143,836 rows of the 7,372 classes of size at most 10 hold 10,645
     distinct values.  The intern is a plain dict, ``_SHARED_ROWS``, that
-    maps a row to itself and is emptied before a table would take it
-    past ``_SHARED_CAPACITY`` rows; a row dropped by the clear only stops
-    being shared.  An ``lru_cache`` did this job before, but its
-    bookkeeping (a linked node and a key tuple per entry) outweighed the
-    short rows it shared.  Only tables of at most ``_SHARED_LENGTH``
-    elements are passed in: the intern would otherwise keep up to 4,096
-    rows of any length alive after their lattice is gone (1,599 rows and
-    about 33 MiB for ``chain(800)``), and rows that long are rarely equal
-    across lattices.
+    maps a row to itself, with no bookkeeping per entry.  Rows of
+    ``MAX_SIZE`` elements take too many values to keep them all, so it
+    is emptied before a table would take it past ``_SHARED_CAPACITY``
+    rows; a row dropped by the clear only stops being shared.  Only
+    tables of at most ``MAX_SIZE`` elements are passed in.
     """
     if len(_SHARED_ROWS) + len(table) > _SHARED_CAPACITY:
         _SHARED_ROWS.clear()
@@ -396,7 +412,7 @@ def from_leq_matrix(matrix: Sequence[Sequence[object]]) -> FiniteLattice:
 CATALOG_NAMES = ("chain", "boolean", "n5", "m3")
 
 
-@lru_cache(maxsize=None)
+@cache
 def _build_standard(name: str, parameter: int | None) -> FiniteLattice:
     if name == "chain":
         k = parameter or 0
@@ -471,16 +487,15 @@ def dual(lattice: FiniteLattice) -> FiniteLattice:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=1 << 12)
+@cache
 def _bits(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, lowest first.
 
     Cached: enumeration up to size 10 asks about at most 2**10 distinct
     masks, about 256,000 times in all.  Only masks of orders of at most
-    ``_SHARED_LENGTH`` elements are passed in; longer ones go to the
-    uncached ``_bits.__wrapped__``, because the cache would keep up to
-    4,096 of their index tuples alive after their lattice is gone (about
-    48 MB for ``chain(1200)``).
+    ``MAX_SIZE`` elements are passed in, which bounds the cache at
+    2**MAX_SIZE keys; longer ones go to the uncached ``_bits.__wrapped__``,
+    so their index tuples go with their lattice.
     """
     out = []
     while mask:
@@ -511,7 +526,7 @@ def _refine_colors(n: int, up: Sequence[int], down: Sequence[int], groups: int) 
     per call, not per round.
     """
     own = [1 << i for i in range(n)]
-    bits = _bits if n <= _SHARED_LENGTH else _bits.__wrapped__
+    bits = _bits if n <= MAX_SIZE else _bits.__wrapped__
     below = list(map(bits, map(xor, down, own)))
     above = list(map(bits, map(xor, up, own)))
     sizes = list(map(int.bit_count, down))
@@ -587,7 +602,7 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     keys = list(map(xor, down, up))
     groups = len(set(keys))
     color = _refine_colors(n, up, down, groups)
-    text = _row_text if n <= _SHARED_LENGTH else _row_text.__wrapped__
+    text = _row_text if n <= MAX_SIZE else _row_text.__wrapped__
     rows = [text(n, mask) for mask in up]
     classes = max(color) + 1
     if groups == classes:
@@ -606,14 +621,14 @@ def _canonical_from_up_masks(n: int, up: Sequence[int], down: Sequence[int]) -> 
     return f"{n}:".encode() + b"".join(map(bytes, best))
 
 
-@lru_cache(maxsize=1 << 12)
+@cache
 def _row_text(n: int, mask: int) -> bytes:
     """One up-set mask as its order-matrix row, column 0 first.
 
     Cached: the 7,848 placements canonicalized at sizes up to 10 have
     76,599 rows, of which 308 are distinct.  Only rows of at most
-    ``_SHARED_LENGTH`` elements are passed in; longer ones are read by
-    the uncached ``_row_text.__wrapped__``, as for ``_bits``.
+    ``MAX_SIZE`` elements are passed in; longer ones are read by the
+    uncached ``_row_text.__wrapped__``, as for ``_bits``.
     """
     return format(mask, f"0{n}b")[::-1].encode()
 
@@ -629,20 +644,20 @@ def canonical_form(lattice: FiniteLattice) -> bytes:
     return _canonical_from_up_masks(lattice.size, lattice.up_masks, lattice.down_masks)
 
 
-@lru_cache(maxsize=1 << 12)
+@cache
 def _row(encoded: bytes) -> tuple[bool, ...]:
     """One order-matrix row, read from its ``0``/``1`` bytes.
 
     Cached, so equal rows of different lattices are one tuple:
     the 7,372 classes of size at most 10 have 71,918 rows, of which 335
-    are distinct.  Only rows of at most ``_SHARED_LENGTH`` elements are
-    passed in; longer ones are read by the uncached ``_row.__wrapped__``,
-    as for ``_bits``.
+    are distinct.  Only rows of at most ``MAX_SIZE`` elements are passed
+    in; longer ones are read by the uncached ``_row.__wrapped__``, as for
+    ``_bits``.
     """
     return tuple(map((0x31).__eq__, encoded))
 
 
-@lru_cache(maxsize=1 << 12)
+@cache
 def _mask(encoded: bytes) -> int:
     """The mask of a row or column of an order's text: bit j is byte j.
 
@@ -686,81 +701,8 @@ def is_isomorphic(first: FiniteLattice, second: FiniteLattice) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Congruence closure and quotients
+# Quotients
 # ---------------------------------------------------------------------------
-
-
-def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
-    """Relabel blocks in first-occurrence order (element 0 gets label 0)."""
-    seen: dict[Hashable, int] = {}
-    out = []
-    for lab in labels:
-        if lab not in seen:
-            seen[lab] = len(seen)
-        out.append(seen[lab])
-    return tuple(out)
-
-
-def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
-    """Normalized labels of con(a, b), the least congruence relating a and b.
-
-    Union-find with union at scan time, plus a FIFO worklist of merged
-    pairs.  When the pair (x, y) merges two classes, each forced pair
-    (x∧z, y∧z) for z in ascending order, then (x∨z, y∨z) likewise, is
-    root-tested as it is read, and merges at once if its roots differ;
-    only the two roots of such a merge are queued, to have their own
-    products read when they are popped.  This reaches the fixpoint that
-    queueing every forced pair reaches: every merge is forced by a pair
-    already related, so the result lies inside con(a, b); and every
-    merged pair has all its products related before the worklist
-    drains, so the result is compatible, since a class is joined up by
-    its merged pairs and the products of a chain of them form a chain.
-    A forced pair whose roots already agree is never queued, where the
-    kernel it replaced (``oracles.closure_by_queue``) queued each one
-    and skipped it when popped.  The union-find is inline: path halving,
-    and the smaller root kept, so every parent is at most its child and
-    one ascending pass resolves every root at the end.  The merges are
-    counted, and the merge that leaves one block returns the all-zero
-    labels at once: no pair can merge after it, so the rest of the scan
-    and the worklist would change nothing.  The labels are otherwise
-    normalized here, once, ``a == b`` included; callers that need a
-    :class:`Partition` wrap them, and lookups compare and store the
-    tuple itself.  Principal and generated congruences, the principal
-    lookups and the d-lattice definition run it.
-    """
-    n = lattice.size
-    parent = list(range(n))
-    blocks = n
-    meet, join = lattice.meet, lattice.join
-    queue: deque[tuple[int, int]] = deque()
-    append, popleft = queue.append, queue.popleft
-    if a != b:
-        parent[max(a, b)] = min(a, b)
-        blocks -= 1
-        if blocks == 1:
-            return (0,) * n
-        append((a, b))
-    while queue:
-        x, y = popleft()
-        for u, v in itertools.chain(zip(meet[x], meet[y]), zip(join[x], join[y])):
-            if u == v:
-                continue
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                continue
-            if v < u:
-                u, v = v, u
-            parent[v] = u
-            blocks -= 1
-            if blocks == 1:
-                return (0,) * n
-            append((u, v))
-    for x in range(n):
-        parent[x] = parent[parent[x]]
-    return _normalize(parent)
 
 
 def _blocks_compatible(lattice: FiniteLattice, block_of: Sequence[int]) -> bool:

@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .core import (
+    MAX_SIZE,
     FiniteLattice,
     LatticeError,
     _bits,
@@ -74,8 +75,6 @@ from .core import (
     lattice_from_canonical,
 )
 from .properties import PropertyReport, _Facts, _Result, is_d_lattice_definition
-
-MAX_SIZE = 10
 
 
 class SizeOutOfRange(LatticeError):
@@ -112,6 +111,8 @@ class SearchWitness:
 
 
 def _require_size(n: int) -> None:
+    if type(n) is not int:  # bool is a type of its own here
+        raise ValueError(f"size {n!r} is not an integer")
     if not 1 <= n <= MAX_SIZE:
         raise SizeOutOfRange(f"size {n} outside 1..{MAX_SIZE}")
 

@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .congruences import Congruence, Partition, is_congruence
-from .core import EmptySet, FiniteLattice, LatticeError, NotACongruence, SizeMismatch, _fold
+from .core import (
+    EmptySet,
+    FiniteLattice,
+    LatticeError,
+    NotACongruence,
+    SizeMismatch,
+    _element,
+    _fold,
+)
 
 
 _Masks = tuple[int, ...]
@@ -44,7 +52,9 @@ class ElementSet:
     """A subset of the elements of a lattice of the given size.
 
     Ordering is (cardinality, bitmask), the contract order for ideal
-    and filter enumerations.
+    and filter enumerations.  The mask, and each element passed to
+    ``from_iterable`` or ``with_element``, is checked as
+    ``core._element`` does: the mask as one of the 2**size subsets.
     """
 
     sort_key: tuple[int, int]
@@ -52,8 +62,7 @@ class ElementSet:
     mask: int
 
     def __init__(self, size: int, mask: int) -> None:
-        if mask < 0 or mask >> size:
-            raise SizeMismatch(f"mask {mask:#x} does not fit in {size} elements")
+        _element(mask, 1 << size, "mask")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "sort_key", _by_size(mask))
@@ -62,9 +71,7 @@ class ElementSet:
     def from_iterable(size: int, items: Iterable[int]) -> "ElementSet":
         mask = 0
         for e in items:
-            if not 0 <= e < size:
-                raise SizeMismatch(f"element {e} outside [0, {size})")
-            mask |= 1 << e
+            mask |= 1 << _element(e, size)
         return ElementSet(size, mask)
 
     @staticmethod
@@ -78,9 +85,7 @@ class ElementSet:
         return ElementSet(self.size, ~self.mask & (1 << self.size) - 1)
 
     def with_element(self, e: int) -> "ElementSet":
-        if not 0 <= e < self.size:
-            raise SizeMismatch(f"element {e} outside [0, {self.size})")
-        return ElementSet(self.size, self.mask | 1 << e)
+        return ElementSet(self.size, self.mask | 1 << _element(e, self.size))
 
     def isdisjoint(self, other: "ElementSet") -> bool:
         return self.mask & other.mask == 0
@@ -89,7 +94,7 @@ class ElementSet:
         return self.mask & ~other.mask == 0
 
     def __contains__(self, e: int) -> bool:
-        return 0 <= e < self.size and self.mask >> e & 1 == 1
+        return type(e) is int and 0 <= e < self.size and self.mask >> e & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members())
@@ -247,9 +252,7 @@ def _generated(
 
 
 def _annihilator(lattice: FiniteLattice, a: int, table: _Table, bound: int) -> ElementSet:
-    if not 0 <= a < lattice.size:
-        raise SizeMismatch(f"element {a} outside [0, {lattice.size})")
-    row = table[a]
+    row = table[_element(a, lattice.size)]
     return ElementSet.from_iterable(
         lattice.size, (x for x in lattice.elements() if row[x] == bound)
     )

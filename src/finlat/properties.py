@@ -8,7 +8,7 @@ verdict plus a full classification report for a single lattice.
 The d-lattice scope is decided by the characterization (Lemma
 ``charact``): every maximal ideal and maximal filter is prime.  It reads
 the maximal and prime sets alone, with no closure; the defining
-implications, read from principal congruences, are kept as
+implications, read from ``principal_congruence``, are kept as
 ``is_d_lattice_definition`` for the tests and searches that compare
 the two.
 
@@ -41,16 +41,18 @@ from typing import Any, Optional, Sequence
 from .congruences import (
     Congruence,
     Principal,
+    _covering_pairs,
+    _join_irreducibles,
     all_congruences,
     is_balanced_congruence,
+    principal_congruence,
     principal_table,
 )
 from .core import (
     FiniteLattice,
     LatticeError,
     LatticeHomomorphism,
-    SizeMismatch,
-    _closure,
+    _element,
     _fold,
     is_homomorphism,
     is_surjective,
@@ -221,7 +223,7 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
 
     For all a, c: if (a, top) lies in the congruence generated by
     (bottom, c) then a∨c = top, and dually with the roles of the bounds
-    swapped.  One closure per congruence read, at most 2n.
+    swapped.  One principal congruence per pair read, at most 2n.
     """
     n = lattice.size
     sides = (
@@ -230,7 +232,7 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
     )
     for c in range(n):
         for bound, opposite, table in sides:
-            theta = _closure(lattice, bound, c)
+            theta = principal_congruence(lattice, bound, c).partition.block_of
             if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
                 return False
     return True
@@ -251,10 +253,8 @@ is_d_lattice_maximal_prime = is_d_lattice  # the characterization's own public n
 
 
 def complements_of(lattice: FiniteLattice, a: int) -> ElementSet:
-    """All b with a∧b = bottom and a∨b = top."""
-    if not 0 <= a < lattice.size:
-        raise SizeMismatch(f"element {a} outside lattice of size {lattice.size}")
-    return ElementSet(lattice.size, _complements(lattice, a))
+    """All b with a∧b = bottom and a∨b = top; a is checked as ``core._element`` does."""
+    return ElementSet(lattice.size, _complements(lattice, _element(a, lattice.size)))
 
 
 def _complements(lattice: FiniteLattice, a: int) -> int:
@@ -277,16 +277,14 @@ def is_balanced(lattice: FiniteLattice) -> bool:
 def is_distributive(lattice: FiniteLattice) -> bool:
     """Birkhoff's form: x ↦ J(L) ∩ ↓x preserves binary joins.
 
-    j is join-irreducible iff the join of its strict down-set is not j;
-    that join starts from the bottom, so the bottom is not one.  Every x
-    is the join of J(L) ∩ ↓x and the map preserves meets, so it embeds L
-    in the subsets of J(L) exactly when it also preserves joins, that
+    J(L) is read off the covering pairs (``_join_irreducibles``).  Every
+    x is the join of J(L) ∩ ↓x and the map preserves meets, so it embeds
+    L in the subsets of J(L) exactly when it also preserves joins, that
     is, when every join-irreducible is join-prime.  One mask test per
     pair of elements.
     """
     n, down, join = lattice.size, lattice.down_masks, lattice.join
-    bottom = 1 << lattice.bottom
-    irreducible = sum(1 << j for j in range(n) if _fold(join, down[j] & ~(1 << j) | bottom) != j)
+    irreducible = sum(1 << j for j in _join_irreducibles(_covering_pairs(lattice)))
     below = [mask & irreducible for mask in down]
     return all(
         below[join[x][y]] == below[x] | below[y] for x in range(n) for y in range(x + 1, n)

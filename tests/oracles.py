@@ -458,12 +458,12 @@ def closure_by_find(
 
     Labels of the least congruence containing the pairs, or None when
     ``within`` is given and a merge joins two of its blocks.  On one pair
-    and no ``within`` it is the reference for ``core._closure``; closing
+    and no ``within`` it is the reference for ``congruences._closure``; closing
     a partition's block pairs inside the partition is a reference for
     ``core._blocks_compatible``.  Each merge of (x, y) queues, for z in
     ascending order, (x∧z, y∧z) and then (x∨z, y∨z), each only when its
     two elements have different roots, and merges a pair when it is
-    popped; ``core._closure`` merges a pair as soon as it reads it.
+    popped; ``congruences._closure`` merges a pair as soon as it reads it.
     """
     n = lattice.size
     parent = list(range(n))
@@ -500,11 +500,11 @@ def closure_by_find(
 def closure_by_queue(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
     """Normalized labels of con(a, b), with the root test at pop time.
 
-    The kernel ``core._closure`` replaced: each merge of (x, y) queues
+    The kernel ``congruences._closure`` replaced: each merge of (x, y) queues
     every pair of distinct products, (x∧z, y∧z) for z in ascending order
     and then (x∨z, y∨z), and a popped pair merges only if its roots
     differ.  Path halving, the smaller root kept and the one-block exit
-    are as in ``core._closure``, which merges a product pair as soon as
+    are as in ``congruences._closure``, which merges a product pair as soon as
     it reads it and queues only pairs that merged.
     """
     n = lattice.size
@@ -550,6 +550,11 @@ def join_by_closure(
 ) -> tuple[int, ...]:
     """Least congruence containing two partitions, by compatibility closure."""
     return closure_by_find(lattice, _block_pairs(left) + _block_pairs(right))
+
+
+def meet_by_common_refinement(left: Sequence[int], right: Sequence[int]) -> tuple[int, ...]:
+    """Intersection of two partitions: x and y share a block iff they share one in both."""
+    return _normalize(list(zip(left, right)))
 
 
 def congruences_by_pair_closure(lattice: FiniteLattice) -> list[tuple[int, ...]]:
@@ -659,10 +664,10 @@ def principal_table_by_all_pairs(lattice: FiniteLattice) -> Callable[[int, int],
     return lambda a, b: rows[a][b]
 
 
-def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[tuple[int, ...]]:
-    """con(j_*, j) for every element j with exactly one lower cover j_*."""
+def join_irreducibles_by_scan(lattice: FiniteLattice) -> dict[int, int]:
+    """Each element j with exactly one lower cover j_*, mapped to it; by scanning for covers."""
     n, leq = lattice.size, lattice.leq
-    out = set()
+    out = {}
     for j in range(n):
         lower = [
             a
@@ -672,8 +677,32 @@ def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[t
             and not any(c not in (a, j) and leq[a][c] and leq[c][j] for c in range(n))
         ]
         if len(lower) == 1:
-            out.add(closure_by_find(lattice, [(lower[0], j)]))
+            out[j] = lower[0]
     return out
+
+
+def join_irreducibles_by_fold(lattice: FiniteLattice) -> dict[int, int]:
+    """J(L) with lower covers: j whose strict down-set joins (from the bottom) to j_* != j."""
+    n, down, join = lattice.size, lattice.down_masks, lattice.join
+    bottom = 1 << lattice.bottom
+    out = {}
+    for j in range(n):
+        lower = reduce(lambda x, y: join[x][y], _members(down[j] & ~(1 << j) | bottom))
+        if lower != j:
+            out[j] = lower
+    return out
+
+
+def _members(mask: int) -> list[int]:
+    return [e for e in range(mask.bit_length()) if mask >> e & 1]
+
+
+def irreducibles_from_join_irreducible_elements(lattice: FiniteLattice) -> set[tuple[int, ...]]:
+    """con(j_*, j) for every element j with exactly one lower cover j_*."""
+    return {
+        closure_by_find(lattice, [(lower, j)])
+        for j, lower in join_irreducibles_by_scan(lattice).items()
+    }
 
 
 def irreducibles_by_join_test(lattice: FiniteLattice) -> set[tuple[int, ...]]:

@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finlat as fl
-from finlat import congruences, core
-from finlat.core import _blocks_compatible, _closure
+from finlat import congruences
+from finlat.congruences import _closure
+from finlat.core import _blocks_compatible
 import oracles
 import support
 
@@ -168,7 +169,7 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
     # before its worklist drains and without normalizing its labels, and
     # every other closure normalizes once, a == b included
     lattices = support.lattices_up_to(7)
-    normalized = support.count_calls(monkeypatch, "_normalize", core)
+    normalized = support.count_calls(monkeypatch, "_normalize", congruences)
     closures = one_block = 0
     for lattice in lattices:
         n = lattice.size
@@ -180,7 +181,7 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
                 closures += 1
                 one_block += _one_block(got)
     assert closures == 3_308
-    # only core's binding is counted, so the oracles' calls are not
+    # only congruences' binding is counted, so the oracles' calls are not
     assert one_block > 0 and len(normalized) == closures - one_block
 
 
@@ -196,7 +197,7 @@ def test_blocks_compatible_matches_find_kernel_and_scan_up_to_size_5(monkeypatch
     # every partition of every lattice of size <= 5: the definition, the
     # block pairs closed inside the partition, and the x, y, z scan agree,
     # and the definition runs no closure
-    closures = support.count_calls(monkeypatch, "_closure", core)
+    closures = support.count_calls(monkeypatch, "_closure", congruences)
     verdicts = {True: 0, False: 0}
     for lattice in support.lattices_up_to(5):
         for labels in oracles.all_partitions(lattice.size):
@@ -217,7 +218,7 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
     assert _closure(relabeled, a, b) == expected == oracles.closure_by_queue(relabeled, a, b)
     # with the bounds as the pair, the closure leaves at the one-block exit
     with pytest.MonkeyPatch.context() as patch:
-        normalized = support.count_calls(patch, "_normalize", core)
+        normalized = support.count_calls(patch, "_normalize", congruences)
         bounds = relabeled.bottom, relabeled.top
         got = _closure(relabeled, *bounds)
         assert got == oracles.closure_by_find(relabeled, [bounds]) == (0,) * n
@@ -246,7 +247,7 @@ def test_blocks_compatible_matches_find_kernel_and_scan_on_relabelled_products(d
 def test_compatibility_runs_no_closure(monkeypatch, lattice):
     # is_congruence, quotient and prime_ideal_congruence check the
     # definition; none of them closes a pair
-    calls = support.count_calls(monkeypatch, "_closure", core, congruences)
+    calls = support.count_calls(monkeypatch, "_closure", congruences)
     n = lattice.size
     for theta in fl.all_congruences(lattice):
         assert fl.is_congruence(lattice, theta.partition)
@@ -378,6 +379,28 @@ def test_join_meet_results_are_congruences():
         for right in congs:
             assert fl.is_congruence(n5, fl.join_congruences(left, right).partition)
             assert fl.is_congruence(n5, fl.meet_congruences(left, right).partition)
+    for lattice in support.lattices_up_to(6):
+        _meets_are_common_refinements(lattice)
+
+
+def _meets_are_common_refinements(lattice: fl.FiniteLattice) -> None:
+    # the AND of covering-pair masks, against the intersection of the blocks
+    congs = fl.all_congruences(lattice)
+    for left in congs:
+        for right in congs:
+            got = fl.meet_congruences(left, right).partition.block_of
+            expected = oracles.meet_by_common_refinement(
+                left.partition.block_of, right.partition.block_of
+            )
+            assert got == expected
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_meet_congruences_matches_common_refinement_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    _meets_are_common_refinements(relabeled)
 
 
 def test_all_congruences_counts():
@@ -571,6 +594,10 @@ def test_all_congruences_match_frontier_joins_up_to_size_8():
 def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
     covers = congruences._covering_pairs(lattice)
     assert sorted(covers) == sorted(oracles.covering_pairs_by_scan(lattice))
+    lower = congruences._join_irreducibles(covers)
+    assert lower == oracles.join_irreducibles_by_scan(lattice)
+    assert lower == oracles.join_irreducibles_by_fold(lattice)
+    assert len(lower) == _join_irreducible_count(lattice)
     sizes = [lattice.down_masks[b].bit_count() for _, b in covers]
     assert sizes == sorted(sizes)
     table = fl.principal_table(lattice)
@@ -585,7 +612,9 @@ def test_join_irreducibles_agree_three_ways_up_to_size_8():
     # con(a, b) over the covering pairs a ≺ b, listed up by the size of
     # ↓b; con(j_*, j) over join-irreducible elements; the principal
     # congruences that are no join of those below them; and the masks
-    # read from Day's dependency relation
+    # read from Day's dependency relation.  J(L) with each lower cover j_*
+    # (``_join_irreducibles``, read off the covering pairs) agrees with a
+    # scan for lower covers and with the join of each strict down-set
     for lattice in support.lattices_up_to(8):
         _irreducibles_agree(lattice)
 

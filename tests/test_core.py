@@ -84,7 +84,7 @@ def test_tables_survive_a_cycled_row_cache():
     # capacity, so it never holds more, and the tables built after a
     # clear are still right; sharing may be lost, values not
     grid = fl.product(fl.standard_lattice("chain", 2), fl.standard_lattice("chain", 5))
-    assert grid.size <= core._SHARED_LENGTH and core._SHARED_CAPACITY == 4096
+    assert grid.size <= core.MAX_SIZE and core._SHARED_CAPACITY == 4096
     rng = random.Random(0)
     clears = 0
     while clears < 2:
@@ -100,7 +100,7 @@ def test_tables_survive_a_cycled_row_cache():
         # them may have dropped the meet rows)
         assert all(core._SHARED_ROWS[row] is row for row in built.join)
     lattice = fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2))
-    assert lattice.size <= core._SHARED_LENGTH
+    assert lattice.size <= core.MAX_SIZE
     relabelled = _relabelled(lattice.leq, list(reversed(range(lattice.size))))
     _assert_construction_matches_scan(relabelled)
     _assert_construction_matches_scan(lattice.leq)
@@ -108,7 +108,7 @@ def test_tables_survive_a_cycled_row_cache():
 
 def test_only_short_rows_enter_the_row_cache():
     # a long row is kept by its lattice alone, so freeing the lattice frees it
-    for k, shared in ((core._SHARED_LENGTH, True), (core._SHARED_LENGTH + 1, False)):
+    for k, shared in ((core.MAX_SIZE, True), (core.MAX_SIZE + 1, False)):
         matrix = [[i <= j for j in range(k)] for i in range(k)]
         lattice = fl.FiniteLattice(matrix)
         assert lattice.meet[0][k - 1] == 0 and lattice.join[0][k - 1] == k - 1
@@ -117,7 +117,7 @@ def test_only_short_rows_enter_the_row_cache():
         else:
             assert not any(row in core._SHARED_ROWS for row in lattice.meet + lattice.join)
         _assert_construction_matches_scan(matrix)
-    assert max(map(len, core._SHARED_ROWS)) <= core._SHARED_LENGTH == enumeration.MAX_SIZE
+    assert max(map(len, core._SHARED_ROWS)) <= core.MAX_SIZE == enumeration.MAX_SIZE
 
 
 _HELD_BY_LATTICES = """
@@ -148,7 +148,7 @@ def test_only_short_forms_enter_the_canonical_form_caches():
     # the caches of the canonical form and the rebuild keep what they are
     # handed after its lattice is gone, so long rows never enter them
     caches = (core._bits, core._row_text, core._row, core._mask)
-    for k, cached in ((core._SHARED_LENGTH, True), (core._SHARED_LENGTH + 1, False)):
+    for k, cached in ((core.MAX_SIZE, True), (core.MAX_SIZE + 1, False)):
         lattice = fl.standard_lattice("chain", k)
         before = [cache.cache_info() for cache in caches]
         rebuilt = fl.lattice_from_canonical(fl.canonical_form(lattice))
@@ -449,7 +449,7 @@ def test_every_input_is_checked_from_its_order_text():
             assert {name: getattr(other, name) for name in FIELDS} == expected
             assert all(row is core._row(bytes(0x30 + v for v in row)) for row in other.leq)
     # longer orders are checked without the caches, so their rows go with them
-    k = core._SHARED_LENGTH + 1
+    k = core.MAX_SIZE + 1
     matrix = [[i <= j for j in range(k)] for i in range(k)]
     before = [cache.cache_info() for cache in (core._row, core._mask)]
     built = [fl.FiniteLattice(matrix), fl.parse_latt(_latt(matrix))]
@@ -936,7 +936,7 @@ def test_latt_round_trip_is_byte_exact():
     # the writer against the per-cell reference, and back through the parser,
     # on the catalog, every class of size <= 9 and an order past the caches
     lattices = [*support.catalog().values(), *support.lattices_up_to(9)]
-    lattices.append(fl.standard_lattice("chain", core._SHARED_LENGTH + 1))
+    lattices.append(fl.standard_lattice("chain", core.MAX_SIZE + 1))
     for lattice in lattices:
         text = fl.format_latt(lattice)
         assert text == oracles.format_latt_by_cells(lattice)

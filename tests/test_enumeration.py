@@ -246,10 +246,11 @@ def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
 def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
     # the verdict, the census and the four searches read ideals, filters and
     # complements as bit masks and element indices, and list Con(L) at most
-    # once per lattice: its members are the only objects they wrap, each
-    # made straight from its normalized labels, with no Partition or
-    # Congruence check run; only a report (and the CLI and the public
-    # enumerators) wraps a set
+    # once per lattice: its members, and the principal congruences the
+    # d-lattice definition reads in one search, are the only objects they
+    # wrap, each made straight from its normalized labels, with no
+    # Partition or Congruence check run; only a report (and the CLI and
+    # the public enumerators) wraps a set
     lattices = support.lattices_up_to(8)
     made: list[str] = []
     for cls, method in (
@@ -273,6 +274,7 @@ def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
 
     monkeypatch.setattr(fl.properties, "all_congruences", listing)
     wrapped = support.count_calls(monkeypatch, "_congruence", fl.congruences)
+    principals = support.count_calls(monkeypatch, "principal_congruence", fl.properties)
     verdicts = [fl.verify_theorem(lattice) for lattice in lattices]
     assert all(verdict.passed for verdict in verdicts)
     assert sum(verdict.scope == "d-lattice" for verdict in verdicts) == 110
@@ -283,7 +285,7 @@ def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
         assert fl.search_counterexample(predicate, 8) == []
     assert made == []
     assert len({id(lattice) for lattice, _ in listed}) == len(listed)
-    assert len(wrapped) == sum(count for _, count in listed)
+    assert len(wrapped) == sum(count for _, count in listed) + len(principals)
     fl.classify(fl.standard_lattice("chain", 3))
     assert set(made) == {"ElementSet"}
 

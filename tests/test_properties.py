@@ -536,13 +536,16 @@ def test_verdicts_run_one_closure_per_pair(monkeypatch, lattice, comparable, ver
 def test_verify_closures_up_to_size_9_are_pinned(monkeypatch):
     # one closure per comparable pair a < b of every lattice of size <= 9;
     # the 9,483 that merge everything into one block return at that merge,
-    # without draining their worklist or normalizing their labels
+    # without draining their worklist or normalizing their labels; the
+    # other normalizations are one per congruence listed (``_labels``)
     lattices = support.lattices_up_to(9)
     closures = support.count_calls(monkeypatch, "_closure", fl.congruences)
-    normalized = support.count_calls(monkeypatch, "_normalize", fl.core)
+    normalized = support.count_calls(monkeypatch, "_normalize", fl.congruences)
+    labelled = support.count_calls(monkeypatch, "_labels", fl.congruences)
     for lattice in lattices:
         fl.verify_theorem(lattice)
-    assert (len(closures), len(closures) - len(normalized)) == (33_482, 9_483)
+    by_closures = len(normalized) - len(labelled)
+    assert (len(closures), len(closures) - by_closures) == (33_482, 9_483)
 
 
 def test_d_lattice_matches_definition_up_to_size_8():
@@ -580,7 +583,7 @@ def test_d_lattice_matches_definition_at_size_10():
 def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice, comparable):
     # balance reads one principal table, which closes only the comparable
     # pairs a < b and reads any other pair at (a∧b, a∨b)
-    calls = support.count_calls(monkeypatch, "_closure", fl.congruences, fl.properties)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     fl.is_d_lattice(lattice)
     assert calls == []
     fl.is_balanced(lattice)
@@ -589,7 +592,7 @@ def test_scope_runs_no_closure_and_balance_one_per_pair(monkeypatch, lattice, co
 
 
 def test_witness_scope_check_runs_no_closure(monkeypatch):
-    calls = support.count_calls(monkeypatch, "_closure", fl.congruences, fl.properties)
+    calls = support.count_calls(monkeypatch, "_closure", fl.congruences)
     chain = fl.standard_lattice("chain", 4)
     for a in (1, 2):
         fl.witness_from_noncomplemented(chain, a)
