@@ -15,25 +15,29 @@ convex sublattice, so con(a, b) = con(a∧b, a∨b), a class holds a set S
 iff it holds ⋀S and ⋁S, the 1-class is an interval [m, 1] and the
 0-class an interval [0, z], and balance is the one equality
 con(0, z) = con(m, 1).  ``principal_table`` runs the closure once per
-comparable pair a < b and reads every other pair at its meet and join;
-the per-lattice record of facts behind ``verify_theorem`` builds it
-once for balance.  ``is_congruence`` (like ``core.quotient``) checks the
-definition instead, with no closure.
+comparable pair a < b, over one list of product rows built for the
+call, and reads every other pair at its meet and join; the per-lattice
+record of facts behind ``verify_theorem`` builds it once for balance.
+``is_congruence`` (like ``core.quotient``) checks the definition
+instead, with no closure.
 
-Con(L), joins and meets hold a congruence as the bit mask of the
-covering pairs a ≺ b it relates: a class is an interval whose members
-are linked by covering pairs inside it, so the mask fixes the
-congruence, and the intersection of two congruences relates exactly the
-covering pairs both relate.  Con(L) is distributive, and its
-join-irreducibles are the con(a, b) of the covering pairs, each
-join-prime, so a join of congruences is the OR of their masks and a
-meet the AND.  ``all_congruences`` reads the masks of J(Con L) from
-Day's dependency relation on the join-irreducible elements of L, with
-no closure (Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2),
-closes them under OR and labels each result once.  The closure
-normalizes its labels once and returns the tuple; only the public
-constructors wrap it, unchecked (``_congruence``: normalized labels pass
-the checks of :class:`Partition` by construction).
+Con(L), joins and meets hold a congruence θ as the set S ⊆ J(L) of the
+join-irreducibles p with p θ p_*, p_* the one lower cover of p.  These
+sets are the sets closed under Day's dependency relation D, and S ↦ θ_S
+is an isomorphism from them, ordered by inclusion, onto Con(L)
+(Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2): a join is a
+union, a meet an intersection.  θ is the kernel of x ↦ J(↓x) ∖ S.  If
+x θ y and some p ∈ J ∖ S lies below x and not below y, then
+p θ p∧y ≤ p_*, so p θ p_* by convexity and p ∈ S, a contradiction.
+Conversely, if the two sets agree, take a maximal chain from x∧y up to
+x; for each cover c ≺ c′ on it, a least p ∈ J(↓c′) ∖ J(↓c) lies in S,
+has p_* ≤ c by its minimality, and so c′ = p∨c θ p_*∨c = c.  Likewise
+for y, so x θ y.  ``all_congruences`` reads the sets of J(Con L) from
+D, with no closure, closes them under union and labels each result
+once; the closure normalizes its labels once and returns the tuple.
+Only the public constructors wrap labels, unchecked (``_congruence``:
+normalized labels pass the checks of :class:`Partition` by
+construction).
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, compress
+from itertools import compress
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
@@ -53,6 +57,7 @@ from .core import (
     _blocks_compatible,
     _element,
     _fold,
+    _size,
 )
 
 
@@ -73,8 +78,9 @@ class Partition:
 
     ``block_of[x]`` is the label of x's block: an ``int`` (not a bool),
     with labels first occurring in the order 0, 1, 2, ...; any other
-    labels raise :class:`ValueError`.  ``from_blocks`` checks each block
-    element as ``core._element`` does, before it indexes with one.
+    labels raise :class:`ValueError`.  Every size is checked as
+    ``core._size`` does, and every element as ``core._element`` does,
+    before either is used.
     """
 
     size: int
@@ -86,7 +92,7 @@ class Partition:
 
     @staticmethod
     def from_blocks(size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        labels = [-1] * size
+        labels = [-1] * _size(size)
         for tag, block in enumerate(blocks):
             for e in block:
                 if labels[_element(e, size, "block element")] != -1:
@@ -98,14 +104,14 @@ class Partition:
 
     @staticmethod
     def identity(size: int) -> "Partition":
-        return Partition(size, tuple(range(size)))
+        return Partition(size, tuple(range(_size(size))))
 
     @staticmethod
     def all_in_one(size: int) -> "Partition":
-        return Partition(size, (0,) * size)
+        return Partition(size, (0,) * _size(size))
 
     def __post_init__(self) -> None:
-        if len(self.block_of) != self.size:
+        if len(self.block_of) != _size(self.size):
             raise SizeMismatch("block_of length differs from size")
         if set(map(type, self.block_of)) - {int}:  # bool is a type of its own here
             raise ValueError("block labels are not all integers")
@@ -126,7 +132,7 @@ class Partition:
         return tuple(tuple(b) for b in out)
 
     def block_containing(self, x: int) -> tuple[int, ...]:
-        lab = self.block_of[x]
+        lab = self.block_of[_element(x, self.size)]
         return tuple(e for e, l in enumerate(self.block_of) if l == lab)
 
     def refines(self, other: "Partition") -> bool:
@@ -160,7 +166,8 @@ class Congruence:
         self.partition = partition
 
     def related(self, x: int, y: int) -> bool:
-        return self.partition.block_of[x] == self.partition.block_of[y]
+        labels = self.partition.block_of
+        return labels[_element(x, len(labels))] == labels[_element(y, len(labels))]
 
     def class_of(self, x: int) -> tuple[int, ...]:
         return self.partition.block_containing(x)
@@ -211,16 +218,25 @@ def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     return _blocks_compatible(lattice, partition.block_of)
 
 
-def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
+def _product_rows(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+    """Row x holds x∧z for every z in ascending order, then x∨z likewise.
+
+    Built per call for the closures it serves, and not kept.
+    """
+    return [m + j for m, j in zip(lattice.meet, lattice.join)]
+
+
+def _closure(rows: Sequence[tuple[int, ...]], a: int, b: int) -> tuple[int, ...]:
     """Normalized labels of con(a, b), the least congruence relating a and b.
 
-    Union-find with union at scan time, plus a FIFO worklist of merged
-    pairs.  When the pair (x, y) merges two classes, each forced pair
-    (x∧z, y∧z) for z in ascending order, then (x∨z, y∨z) likewise, is
-    root-tested as it is read, and merges at once if its roots differ;
-    only the two roots of such a merge are queued, to have their own
-    products read when they are popped.  Every merge is forced by a pair
-    already related, so the result lies inside con(a, b); and every
+    ``rows`` is ``_product_rows`` of the lattice.  Union-find with union
+    at scan time, plus a FIFO worklist of merged pairs.  When the pair
+    (x, y) merges two classes, each forced pair (x∧z, y∧z) for z in
+    ascending order, then (x∨z, y∨z) likewise, is read from the two
+    rows, root-tested as it is read, and merged at once if its roots
+    differ; only the two roots of such a merge are queued, to have their
+    own products read when they are popped.  Every merge is forced by a
+    pair already related, so the result lies inside con(a, b); and every
     merged pair has all its products related before the worklist
     drains, so the result is compatible, since a class is joined up by
     its merged pairs and the products of a chain of them form a chain.
@@ -231,10 +247,9 @@ def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
     merge after it.  The labels are otherwise normalized here, once,
     ``a == b`` included.
     """
-    n = lattice.size
+    n = len(rows)
     parent = list(range(n))
     blocks = n
-    meet, join = lattice.meet, lattice.join
     queue: deque[tuple[int, int]] = deque()
     append, popleft = queue.append, queue.popleft
     if a != b:
@@ -245,7 +260,7 @@ def _closure(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
         append((a, b))
     while queue:
         x, y = popleft()
-        for u, v in chain(zip(meet[x], meet[y]), zip(join[x], join[y])):
+        for u, v in zip(rows[x], rows[y]):
             if u == v:
                 continue
             while parent[u] != u:
@@ -280,7 +295,7 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
     if not mask:
         raise EmptySet("generating set is empty")
     pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
-    return _congruence(lattice, _closure(lattice, *pair))
+    return _congruence(lattice, _closure(_product_rows(lattice), *pair))
 
 
 def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
@@ -297,28 +312,24 @@ def principal_table(lattice: FiniteLattice) -> Principal:
 
     A congruence class is a convex sublattice, so a ≡ b iff
     a∧b ≡ a∨b, and con(a, b) = con(a∧b, a∨b).  One closure per
-    comparable pair a < b is computed up front, equal labelings stored
-    once, and every lookup reads the pair (a∧b, a∨b), which is (a, b)
-    itself when a ≤ b.  The per-lattice record of facts behind
-    ``verify_theorem`` builds one table for balance; without it balance
-    runs one closure per lookup.  Con(L) does not read it.
+    comparable pair a < b is computed up front, all over one list of
+    product rows (``_product_rows``) built here and dropped on return,
+    equal labelings stored once, and every lookup reads the pair
+    (a∧b, a∨b), which is (a, b) itself when a ≤ b.  The per-lattice
+    record of facts behind ``verify_theorem`` builds one table for
+    balance; without it balance runs one closure per lookup.  Con(L)
+    does not read it.
     """
     n, leq, meet, join = lattice.size, lattice.leq, lattice.meet, lattice.join
-    identity = tuple(range(n))
+    products, identity = _product_rows(lattice), tuple(range(n))
     rows = [[identity] * n for _ in range(n)]
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in range(n):
         for b in compress(range(n), leq[a]):
             if b != a:
-                labels = _closure(lattice, a, b)
+                labels = _closure(products, a, b)
                 rows[a][b] = stored.setdefault(labels, labels)
     return lambda a, b: rows[meet[a][b]][join[a][b]]
-
-
-def _require_same_lattice(left: Congruence, right: Congruence) -> FiniteLattice:
-    if left.lattice is not right.lattice:
-        raise OwnerMismatch("congruences belong to different lattices")
-    return left.lattice
 
 
 def _covering_pairs(lattice: FiniteLattice) -> list[tuple[int, int]]:
@@ -343,66 +354,58 @@ def _join_irreducibles(covers: Sequence[tuple[int, int]]) -> dict[int, int]:
     return {q: a for q, a in lower.items() if a is not None}
 
 
-def _mask(covers: Sequence[tuple[int, int]], labels: Sequence[int]) -> int:
-    """Bit i set iff the labelling relates the covering pair ``covers[i]``."""
-    return sum(1 << i for i, (a, b) in enumerate(covers) if labels[a] == labels[b])
+def _kernel(down: Sequence[int], kept: int) -> tuple[int, ...]:
+    """Normalized labels of θ_S, given ``kept`` = J(L) ∖ S as a mask.
 
-
-def _labels(size: int, covers: Sequence[tuple[int, int]], mask: int) -> tuple[int, ...]:
-    """Normalized labels of the congruence relating the covering pairs in ``mask``.
-
-    A congruence class is an interval [u, v], and every member above u
-    covers another member.  ``covers`` runs up by the size of ↓b, so a's
-    label is final before any pair a ≺ b is read, and each related b
-    takes it: the least element u of the class.
+    x θ_S y iff J(↓x) ∖ S = J(↓y) ∖ S: the kernel of x ↦ J(↓x) ∖ S.
     """
-    least = list(range(size))
-    for i, (a, b) in enumerate(covers):
-        if mask >> i & 1:
-            least[b] = least[a]
-    return _normalize(least)
+    return _normalize([d & kept for d in down])
 
 
 def _combine(left: Congruence, right: Congruence, merge: Callable[[int, int], int]) -> Congruence:
-    """The congruence relating the covering pairs ``merge`` keeps of the two masks."""
-    lattice = _require_same_lattice(left, right)
-    covers = _covering_pairs(lattice)
-    mask = merge(_mask(covers, left.partition.block_of), _mask(covers, right.partition.block_of))
-    return _congruence(lattice, _labels(lattice.size, covers, mask))
+    """θ_S for the D-closed set S that ``merge`` makes of the two sets.
+
+    The set of a congruence θ holds each join-irreducible p with p θ p_*.
+    """
+    lattice = left.lattice
+    if right.lattice is not lattice:
+        raise OwnerMismatch("congruences belong to different lattices")
+    below = _join_irreducibles(_covering_pairs(lattice))
+    left_set, right_set = (
+        sum(1 << p for p, a in below.items() if labels[p] == labels[a])
+        for labels in (left.partition.block_of, right.partition.block_of)
+    )
+    kept = sum(1 << p for p in below) & ~merge(left_set, right_set)
+    return _congruence(lattice, _kernel(lattice.down_masks, kept))
 
 
 def join_congruences(left: Congruence, right: Congruence) -> Congruence:
-    """Least congruence containing both: the covering pairs either relates.
+    """Least congruence containing both: the union of the two D-closed sets.
 
-    Each con(a, b) of a covering pair a ≺ b is join-irreducible in the
-    distributive lattice Con(L), hence join-prime: it lies below a join
-    iff it lies below one side.  So the join relates exactly the covering
-    pairs of the two, and no compatibility closure runs.
+    A union of D-closed sets is D-closed, and S ↦ θ_S is an order
+    isomorphism, so the union is the join and no compatibility closure
+    runs.
     """
     return _combine(left, right, or_)
 
 
 def meet_congruences(left: Congruence, right: Congruence) -> Congruence:
-    """Common refinement, the intersection: the covering pairs both relate."""
+    """Common refinement, the intersection: the intersection of the D-closed sets."""
     return _combine(left, right, and_)
 
 
-def _irreducible_masks(lattice: FiniteLattice, covers: Sequence[tuple[int, int]]) -> set[int]:
-    """The covering-pair masks of J(Con L), read from Day's dependency relation D.
+def _irreducible_masks(lattice: FiniteLattice) -> dict[int, int]:
+    """Each join-irreducible q with C(q), the least D-closed set holding q.
 
-    A join-irreducible q has one lower cover q_* (``_join_irreducibles``).
     For join-irreducibles p ≠ q, p D q iff some x has p ≤ q∨x and
-    p ≰ q_*∨x.  Con(L) is the lattice of the sets S ⊆ J(L) closed under
-    D (with q, S holds every p D q), and θ_S relates a covering pair
-    a ≺ b iff every join-irreducible below b and not below a lies in S.
-    J(Con L) is the θ of the closures C(q) of single q, each
-    con(q_*, q).  Sets of elements are bit masks: the OR over x of
-    ↓(q∨x) ∖ ↓(q_*∨x), within J(L), holds q (at x = 0) and every p D q,
-    and one transitive closure of these masks gives every C(q).  No
+    p ≰ q_*∨x.  Sets of join-irreducibles are bit masks: the OR over x
+    of ↓(q∨x) ∖ ↓(q_*∨x), within J(L), holds q (at x = 0) and every
+    p D q, and one transitive closure of these masks gives every C(q).
+    θ_C(q) is con(q_*, q), and these are the members of J(Con L).  No
     closure of a partition runs.
     """
     down, join = lattice.down_masks, lattice.join
-    below = _join_irreducibles(covers)
+    below = _join_irreducibles(_covering_pairs(lattice))
     irreducible = sum(1 << q for q in below)
     closed = {
         q: reduce(or_, (down[u] & ~down[v] for u, v in zip(join[q], join[a])), 0) & irreducible
@@ -412,31 +415,24 @@ def _irreducible_masks(lattice: FiniteLattice, covers: Sequence[tuple[int, int]]
         for q in below:
             if closed[q] >> k & 1:
                 closed[q] |= closed[k]
-    entered = [down[b] & ~down[a] & irreducible for a, b in covers]
-    return {
-        sum(1 << i for i, gained in enumerate(entered) if not gained & ~closed[q])
-        for q in below
-    }
+    return closed
 
 
 def all_congruences(lattice: FiniteLattice) -> list[Congruence]:
-    """Con(L): the unions of the covering-pair masks of J(Con L).
+    """Con(L): θ_S for every D-closed set S ⊆ J(L).
 
-    A congruence is held as the mask of the covering pairs a ≺ b it
-    relates.  J(Con L) comes from Day's dependency relation on the
-    join-irreducible elements (``_irreducible_masks``), with no closure
-    of a partition.  Each member is join-prime in the distributive
-    lattice Con(L), so a join of congruences is the OR of their masks,
-    and Con(L) is the OR-closure of the masks of J(Con L) with the
-    empty mask (the identity).  Each mask is labelled once
-    (``_labels``).  The result is sorted by normalized representation.
+    A D-closed set is a union of sets C(q) (``_irreducible_masks``), and
+    every such union is D-closed, so Con(L) is the OR-closure of the
+    C(q) with the empty set (the identity).  No closure of a partition
+    runs, and each set is labelled once (``_kernel``).  The result is
+    sorted by normalized representation.
     """
-    covers = _covering_pairs(lattice)
+    closed = _irreducible_masks(lattice)
     found = {0}
-    for irreducible in _irreducible_masks(lattice, covers):
+    for irreducible in set(closed.values()):
         found |= {mask | irreducible for mask in found}
-    n = lattice.size
-    labelled = sorted(_labels(n, covers, mask) for mask in found)
+    down, every = lattice.down_masks, sum(1 << q for q in closed)
+    labelled = sorted(_kernel(down, every & ~mask) for mask in found)
     return [_congruence(lattice, labels) for labels in labelled]
 
 
@@ -461,7 +457,7 @@ def is_balanced_congruence(
     if cong.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")
     if principal is None:
-        principal = partial(_closure, lattice)
+        principal = partial(_closure, _product_rows(lattice))
     labels = cong.partition.block_of
     bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]

@@ -115,6 +115,17 @@ def _element(value: object, size: int, what: str = "element") -> int:
     return value
 
 
+def _size(value: object) -> int:
+    """``value``, checked as a number of elements.
+
+    An ``int`` (a bool is not one) that is not negative passes; anything
+    else raises :class:`ValueError`, before it can size anything.
+    """
+    if type(value) is not int or value < 0:
+        raise ValueError(f"size {value!r} is not a non-negative integer")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class FiniteLattice:
     """A bounded lattice on elements 0..size-1 with its operation tables.

@@ -28,6 +28,7 @@ from .core import (
     SizeMismatch,
     _element,
     _fold,
+    _size,
 )
 
 
@@ -52,9 +53,10 @@ class ElementSet:
     """A subset of the elements of a lattice of the given size.
 
     Ordering is (cardinality, bitmask), the contract order for ideal
-    and filter enumerations.  The mask, and each element passed to
-    ``from_iterable`` or ``with_element``, is checked as
-    ``core._element`` does: the mask as one of the 2**size subsets.
+    and filter enumerations.  The size is checked as ``core._size``
+    does.  The mask, and each element passed to ``from_iterable`` or
+    ``with_element``, is checked as ``core._element`` does: the mask as
+    one of the 2**size subsets.
     """
 
     sort_key: tuple[int, int]
@@ -62,7 +64,7 @@ class ElementSet:
     mask: int
 
     def __init__(self, size: int, mask: int) -> None:
-        _element(mask, 1 << size, "mask")
+        _element(mask, 1 << _size(size), "mask")
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "sort_key", _by_size(mask))
@@ -76,7 +78,7 @@ class ElementSet:
 
     @staticmethod
     def full(size: int) -> "ElementSet":
-        return ElementSet(size, (1 << size) - 1)
+        return ElementSet(size, (1 << _size(size)) - 1)
 
     def members(self) -> tuple[int, ...]:
         return tuple(e for e in range(self.size) if self.mask >> e & 1)

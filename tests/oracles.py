@@ -1207,6 +1207,38 @@ def principal_by_dependency_relation(lattice: FiniteLattice, a: int, b: int) -> 
     return _theta(lattice, lower, _dependency_closure(depends, seed))
 
 
+def unbalanced_by_pairs(lattice: FiniteLattice) -> bool:
+    """Whether some congruence is unbalanced, from the pairs (z, m) with no listing.
+
+    A congruence θ with 0-class [0, z] and 1-class [m, 1] is balanced
+    iff con(0, z) = con(m, 1), so balance depends on (z, m) alone, and
+    θ′ = con(0, z) ∨ con(m, 1) ≤ θ has the same two classes.  So some
+    congruence is unbalanced iff some pair (z, m) has con(0, z) ≠
+    con(m, 1) while θ′ has 0-class exactly ↓z and 1-class exactly ↑m.
+    Congruences are the D*-closed sets of this module's own D, so θ′ is
+    the union of two sets, and its classes are read from ``_theta``.
+    """
+    n, leq, bottom, top = lattice.size, lattice.leq, lattice.bottom, lattice.top
+    lower = _lower_covers(lattice)
+    depends = _dependencies(lattice, lower)
+
+    def con(a: int, b: int) -> frozenset[int]:  # a <= b
+        return _dependency_closure(depends, {p for p in depends if leq[p][b] and not leq[p][a]})
+
+    zero = [con(bottom, z) for z in range(n)]
+    one = [con(m, top) for m in range(n)]
+    for z in range(n):
+        for m in range(n):
+            if zero[z] == one[m]:
+                continue
+            labels = _theta(lattice, lower, zero[z] | one[m])
+            zero_class = tuple(labels[x] == labels[bottom] for x in range(n))
+            one_class = tuple(labels[x] == labels[top] for x in range(n))
+            if zero_class == tuple(leq[x][z] for x in range(n)) and one_class == leq[m]:
+                return True
+    return False
+
+
 def _require(holds: bool, message: str) -> None:
     if not holds:  # an explicit raise, so the check survives python -O
         raise AssertionError(message)

@@ -3,6 +3,8 @@
 A value that is not an ``int``, a bool included, raises ValueError
 before it can index anything; an ``int`` out of range raises
 SizeMismatch (elements and masks) or SizeOutOfRange (enumeration sizes).
+The size of an ``ElementSet`` or a ``Partition`` is a number of
+elements, so a negative one raises ValueError too.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import finlat as fl
 
 N5 = fl.standard_lattice("n5")  # elements 0..4; a d-lattice
 CHAIN4 = fl.standard_lattice("chain", 4)  # a d-lattice with complementless elements
+THETA = fl.principal_congruence(N5, 0, 1)
 
 # name -> (a call that puts the probed value where an element goes, a value it accepts)
 ELEMENT_TAKERS = {
@@ -28,6 +31,10 @@ ELEMENT_TAKERS = {
     "ElementSet.from_iterable": (lambda x: fl.ElementSet.from_iterable(5, [0, x]), 1),
     "ElementSet.with_element": (lambda x: fl.ElementSet(5, 1).with_element(x), 1),
     "Partition.from_blocks": (lambda x: fl.Partition.from_blocks(5, [[0, 1, 2, 3], [x]]), 4),
+    "Partition.block_containing": (lambda x: THETA.partition.block_containing(x), 1),
+    "Congruence.related(first)": (lambda x: THETA.related(x, 0), 1),
+    "Congruence.related(second)": (lambda x: THETA.related(0, x), 1),
+    "Congruence.class_of": (lambda x: THETA.class_of(x), 1),
 }
 # CHAIN4 has four elements, so 5 is out of range there as well
 ELEMENT_PROBES = [
@@ -43,6 +50,18 @@ MASK_PROBES = [
     (-1, fl.SizeMismatch),
     (1 << 5, fl.SizeMismatch),
 ]
+
+# the sizes of sets and partitions: any number of elements, none included
+COUNT_TAKERS = {
+    "ElementSet": lambda n: fl.ElementSet(n, 0),
+    "ElementSet.full": fl.ElementSet.full,
+    "ElementSet.from_iterable": lambda n: fl.ElementSet.from_iterable(n, []),
+    "Partition": lambda n: fl.Partition(n, (0,) * 3),
+    "Partition.identity": fl.Partition.identity,
+    "Partition.all_in_one": fl.Partition.all_in_one,
+    "Partition.from_blocks": lambda n: fl.Partition.from_blocks(n, [[0, 1], [2]]),
+}
+COUNT_PROBES = [2.0, 3.0, True, -1]
 
 SIZE_TAKERS = {
     "enumerate_lattices": lambda n, _: list(fl.enumerate_lattices(n)),
@@ -72,6 +91,14 @@ def test_mask_arguments_raise_the_documented_error(value, error):
     with pytest.raises(error):
         fl.ElementSet(5, value)
     assert fl.ElementSet(5, (1 << 5) - 1).members() == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("value", COUNT_PROBES, ids=repr)
+@pytest.mark.parametrize("name", sorted(COUNT_TAKERS))
+def test_set_and_partition_sizes_raise_value_error(name, value):
+    with pytest.raises(ValueError):
+        COUNT_TAKERS[name](value)
+    assert COUNT_TAKERS[name](3).size == 3
 
 
 @pytest.mark.parametrize("value, error", SIZE_PROBES, ids=repr)

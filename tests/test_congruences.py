@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import product
+from itertools import combinations, product
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import finlat as fl
 from finlat import congruences
-from finlat.congruences import _closure
+from finlat.congruences import _closure, _product_rows
 from finlat.core import _blocks_compatible
 import oracles
 import support
@@ -172,10 +173,10 @@ def test_closure_matches_find_kernel_on_every_ordered_pair_up_to_size_7(monkeypa
     normalized = support.count_calls(monkeypatch, "_normalize", congruences)
     closures = one_block = 0
     for lattice in lattices:
-        n = lattice.size
+        n, rows = lattice.size, _product_rows(lattice)
         for a in range(n):
             for b in range(n):
-                got = _closure(lattice, a, b)
+                got = _closure(rows, a, b)
                 assert got == oracles.closure_by_find(lattice, [(a, b)])
                 assert got == oracles.closure_by_queue(lattice, a, b)
                 closures += 1
@@ -214,15 +215,44 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(n))))
     element = st.integers(0, n - 1)
     a, b = data.draw(st.tuples(element, element))
+    rows = _product_rows(relabeled)
     expected = oracles.closure_by_find(relabeled, [(a, b)])
-    assert _closure(relabeled, a, b) == expected == oracles.closure_by_queue(relabeled, a, b)
+    assert _closure(rows, a, b) == expected == oracles.closure_by_queue(relabeled, a, b)
     # with the bounds as the pair, the closure leaves at the one-block exit
     with pytest.MonkeyPatch.context() as patch:
         normalized = support.count_calls(patch, "_normalize", congruences)
         bounds = relabeled.bottom, relabeled.top
-        got = _closure(relabeled, *bounds)
+        got = _closure(rows, *bounds)
         assert got == oracles.closure_by_find(relabeled, [bounds]) == (0,) * n
     assert normalized == []
+
+
+def _shared_rows_agree(lattice: fl.FiniteLattice, firsts: Sequence[int]) -> None:
+    """One list of product rows serves every closure (a, b), a in ``firsts``, unchanged by them."""
+    n, rows = lattice.size, _product_rows(lattice)
+    assert rows == [lattice.meet[x] + lattice.join[x] for x in range(n)]
+    for a in firsts:
+        for b in range(n):
+            assert _closure(rows, a, b) == oracles.closure_by_queue(lattice, a, b), (a, b)
+    assert rows == [lattice.meet[x] + lattice.join[x] for x in range(n)]
+
+
+def test_shared_row_closure_matches_queue_kernel_on_every_pair_up_to_size_8():
+    # as in ``principal_table``: the rows are built once per lattice and
+    # every ordered pair, (a, a) included, is closed over them
+    for lattice in support.lattices_up_to(8):
+        _shared_rows_agree(lattice, range(lattice.size))
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_shared_row_closure_matches_queue_kernel_on_relabelled_products(data):
+    # every pair from three drawn first elements; all pairs of 40 elements take seconds
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    n = lattice.size
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(n))))
+    firsts = data.draw(st.lists(st.integers(0, n - 1), min_size=3, max_size=3, unique=True))
+    _shared_rows_agree(relabeled, firsts)
 
 
 @settings(max_examples=20, deadline=None)
@@ -452,6 +482,37 @@ def test_relabelled_chain_and_boolean_products_have_two_to_the_join_irreducibles
     assert len(fl.all_congruences(lattice)) == 2 ** _join_irreducible_count(lattice)
 
 
+def test_con_of_a_product_is_the_product_of_the_factors_cons():
+    # lattices are congruence-distributive, so every congruence of L × K
+    # is θ × φ for θ in Con L and φ in Con K (Fraser & Horn 1970), and
+    # |Con(L × K)| = |Con L|·|Con K|; (x, y) is element x·|K| + y, and the
+    # relabelled copy renames element e to permutation[e]
+    factors = [lattice for n in range(2, 6) for lattice in support.lattices_of(n)]
+    assert len(factors) == 9
+    rng = random.Random(20)
+    products = 0
+    for i, first in enumerate(factors):
+        for second in factors[i:]:
+            lattice = fl.product(first, second)
+            left, right = _con_keys(first), _con_keys(second)
+            pairs = [(x, y) for x in range(first.size) for y in range(second.size)]
+            expected = {
+                congruences._normalize([(t[x], u[y]) for x, y in pairs])
+                for t in left
+                for u in right
+            }
+            keys = _con_keys(lattice)
+            assert len(keys) == len(left) * len(right) and set(keys) == expected
+            permutation = list(range(lattice.size))
+            rng.shuffle(permutation)
+            relabeled = fl.relabel(lattice, permutation)
+            inverse = sorted(range(lattice.size), key=permutation.__getitem__)
+            moved = {congruences._normalize([labels[x] for x in inverse]) for labels in keys}
+            assert set(_con_keys(relabeled)) == moved
+            products += 1
+    assert products == 45
+
+
 def _m_n(n: int) -> fl.FiniteLattice:
     """M_n from its order: bottom 0, n pairwise incomparable atoms, top n + 1."""
     size = n + 2
@@ -602,8 +663,15 @@ def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
     assert sizes == sorted(sizes)
     table = fl.principal_table(lattice)
     got = {table(a, b) for a, b in covers}
-    masks = {congruences._mask(covers, labels) for labels in got}
-    assert congruences._irreducible_masks(lattice, covers) == masks
+    # C(q) is a set of join-irreducibles that holds q, and its θ is con(q_*, q)
+    closed = congruences._irreducible_masks(lattice)
+    assert list(closed) == list(lower)
+    every = sum(1 << q for q in lower)
+    for q, mask in closed.items():
+        assert mask >> q & 1 and not mask & ~every
+        assert congruences._kernel(lattice.down_masks, every & ~mask) == table(lower[q], q)
+    kernels = {congruences._kernel(lattice.down_masks, every & ~mask) for mask in closed.values()}
+    assert got == kernels
     assert got == oracles.irreducibles_from_join_irreducible_elements(lattice)
     assert got == oracles.irreducibles_by_join_test(lattice)
 
@@ -612,28 +680,61 @@ def test_join_irreducibles_agree_three_ways_up_to_size_8():
     # con(a, b) over the covering pairs a ≺ b, listed up by the size of
     # ↓b; con(j_*, j) over join-irreducible elements; the principal
     # congruences that are no join of those below them; and the masks
-    # read from Day's dependency relation.  J(L) with each lower cover j_*
+    # read from Day's dependency relation as the D-closed sets C(q) and
+    # labelled by the kernel rule.  J(L) with each lower cover j_*
     # (``_join_irreducibles``, read off the covering pairs) agrees with a
     # scan for lower covers and with the join of each strict down-set
     for lattice in support.lattices_up_to(8):
         _irreducibles_agree(lattice)
 
 
-def _masks_round_trip(lattice: fl.FiniteLattice) -> None:
-    covers = congruences._covering_pairs(lattice)
+def _closed_set(lower: dict[int, int], labels: Sequence[int]) -> int:
+    """The D-closed set of a congruence: the join-irreducibles p it relates to p_*."""
+    return sum(1 << p for p, a in lower.items() if labels[p] == labels[a])
+
+
+def _closed_sets_round_trip(lattice: fl.FiniteLattice) -> None:
+    lower = congruences._join_irreducibles(congruences._covering_pairs(lattice))
+    every = sum(1 << q for q in lower)
+    closed = congruences._irreducible_masks(lattice)
     congs = fl.all_congruences(lattice)
-    masks = set()
+    sets = set()
     for cong in congs:
-        mask = congruences._mask(covers, cong.partition.block_of)
-        assert congruences._labels(lattice.size, covers, mask) == cong.partition.block_of
-        masks.add(mask)
-    assert len(masks) == len(congs)
+        mask = _closed_set(lower, cong.partition.block_of)
+        assert all(closed[q] & ~mask == 0 for q in lower if mask >> q & 1)  # D-closed
+        assert congruences._kernel(lattice.down_masks, every & ~mask) == cong.partition.block_of
+        sets.add(mask)
+    assert len(sets) == len(congs)
 
 
-def test_covering_pair_masks_round_trip_up_to_size_8():
-    # labels -> mask of the covering pairs related -> labels is the identity
+def test_closed_sets_round_trip_up_to_size_8():
+    # labels -> the D-closed set S of join-irreducibles p with p θ p_* ->
+    # the kernel of x ↦ J(↓x) ∖ S is the identity, and S is D-closed
     for lattice in support.lattices_up_to(8):
-        _masks_round_trip(lattice)
+        _closed_sets_round_trip(lattice)
+
+
+def test_kernel_rule_matches_every_congruence_up_to_size_7():
+    # every partition compatible with meet and join, found by scanning the
+    # partition space: θ is the kernel of x ↦ J(↓x) ∖ S for its set S, and
+    # θ ↦ S maps Con(L) one to one onto the sets closed under Day's D
+    for lattice in support.lattices_up_to(7):
+        lower = congruences._join_irreducibles(congruences._covering_pairs(lattice))
+        every = sum(1 << q for q in lower)
+        depends = oracles._dependencies(lattice, oracles._lower_covers(lattice))
+        closed_sets = {
+            sum(1 << q for q in subset)
+            for r in range(len(lower) + 1)
+            for subset in combinations(sorted(lower), r)
+            if all(depends[q] <= set(subset) for q in subset)
+        }
+        sets = set()
+        for labels in oracles.brute_congruences(lattice):
+            mask = _closed_set(lower, labels)
+            assert congruences._kernel(lattice.down_masks, every & ~mask) == labels
+            sets.add(mask)
+        assert sets == closed_sets
+        assert len(closed_sets) == len(fl.all_congruences(lattice))
 
 
 def _balance_agrees(lattice: fl.FiniteLattice) -> None:
@@ -656,7 +757,7 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
     assert _con_keys(relabeled) == oracles.congruences_by_frontier_joins(relabeled)
     _irreducibles_agree(relabeled)
-    _masks_round_trip(relabeled)
+    _closed_sets_round_trip(relabeled)
     _balance_agrees(relabeled)
 
 
@@ -670,8 +771,8 @@ def test_table_readers_match_replaced_paths_on_relabelled_products(data):
     ids=["chain6", "n5xchain2", "m3xm3"],
 )
 def test_all_congruences_runs_one_labelling_per_congruence(monkeypatch, lattice):
-    # joins are ORs of covering-pair masks; each mask found is labelled once
-    calls = support.count_calls(monkeypatch, "_labels", congruences)
+    # joins are ORs of D-closed sets; each set found is labelled once
+    calls = support.count_calls(monkeypatch, "_kernel", congruences)
     count = len(fl.all_congruences(lattice))
     assert len(calls) == count
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import finlat as fl
+from finlat.properties import _Facts
 import oracles
 import support
 
@@ -537,15 +538,41 @@ def test_verify_closures_up_to_size_9_are_pinned(monkeypatch):
     # one closure per comparable pair a < b of every lattice of size <= 9;
     # the 9,483 that merge everything into one block return at that merge,
     # without draining their worklist or normalizing their labels; the
-    # other normalizations are one per congruence listed (``_labels``)
+    # other normalizations are one per congruence listed (``_kernel``)
     lattices = support.lattices_up_to(9)
     closures = support.count_calls(monkeypatch, "_closure", fl.congruences)
     normalized = support.count_calls(monkeypatch, "_normalize", fl.congruences)
-    labelled = support.count_calls(monkeypatch, "_labels", fl.congruences)
+    labelled = support.count_calls(monkeypatch, "_kernel", fl.congruences)
     for lattice in lattices:
         fl.verify_theorem(lattice)
     by_closures = len(normalized) - len(labelled)
     assert (len(closures), len(closures) - by_closures) == (33_482, 9_483)
+
+
+def _unbalanced_by_pairs_agrees(lattice: fl.FiniteLattice) -> bool:
+    # the (z, m) pairs test, with no listing, against the listing and the table
+    got = oracles.unbalanced_by_pairs(lattice)
+    assert got == (_Facts(lattice).unbalanced is not None)
+    return got
+
+
+def test_unbalanced_by_pairs_matches_listing_up_to_size_9():
+    unbalanced = Counter(map(_unbalanced_by_pairs_agrees, support.lattices_up_to(9)))
+    assert unbalanced == {True: 860, False: 1378 - 860}
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_unbalanced_by_pairs_matches_listing_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    _unbalanced_by_pairs_agrees(relabeled)
+
+
+@pytest.mark.slow
+def test_unbalanced_by_pairs_matches_listing_at_size_10():
+    unbalanced = Counter(map(_unbalanced_by_pairs_agrees, support.lattices_of(10)))
+    assert unbalanced == {True: 3499, False: 5994 - 3499}
 
 
 def test_d_lattice_matches_definition_up_to_size_8():
