@@ -6,25 +6,11 @@ Everything here runs on the normalized partition representation, so two
 equal congruences always have equal ``block_of`` tuples regardless of
 how they were produced.
 
-This module is the one home of con(a, b).  The compatibility closure
-``_closure`` computes it, and ``principal_congruence``,
-``generated_congruence``, ``principal_table`` and
-``is_balanced_congruence`` read it; the d-lattice definition in
-``properties`` reads ``principal_congruence``.  A congruence class is a
-convex sublattice, so con(a, b) = con(a∧b, a∨b), a class holds a set S
-iff it holds ⋀S and ⋁S, the 1-class is an interval [m, 1] and the
-0-class an interval [0, z], and balance is the one equality
-con(0, z) = con(m, 1).  ``principal_table`` runs the closure once per
-comparable pair a < b, over one list of product rows built for the
-call, and reads every other pair at its meet and join; the per-lattice
-record of facts behind ``verify_theorem`` builds it once for balance.
-``is_congruence`` (like ``core.quotient``) checks the definition
-instead, with no closure.
-
-Con(L), joins and meets hold a congruence θ as the set S ⊆ J(L) of the
-join-irreducibles p with p θ p_*, p_* the one lower cover of p.  These
-sets are the sets closed under Day's dependency relation D, and S ↦ θ_S
-is an isomorphism from them, ordered by inclusion, onto Con(L)
+This module is the one home of con(a, b).  A congruence θ is held as
+the set S ⊆ J(L) of the join-irreducibles p with p θ p_*, p_* the one
+lower cover of p (``_join_irreducibles``, read off the down-sets).
+These sets are the sets closed under Day's dependency relation D, and
+S ↦ θ_S is an isomorphism from them, ordered by inclusion, onto Con(L)
 (Freese, Ježek & Nation, *Free Lattices*, 1995, ch. 2): a join is a
 union, a meet an intersection.  θ is the kernel of x ↦ J(↓x) ∖ S.  If
 x θ y and some p ∈ J ∖ S lies below x and not below y, then
@@ -32,19 +18,37 @@ p θ p∧y ≤ p_*, so p θ p_* by convexity and p ∈ S, a contradiction.
 Conversely, if the two sets agree, take a maximal chain from x∧y up to
 x; for each cover c ≺ c′ on it, a least p ∈ J(↓c′) ∖ J(↓c) lies in S,
 has p_* ≤ c by its minimality, and so c′ = p∨c θ p_*∨c = c.  Likewise
-for y, so x θ y.  ``all_congruences`` reads the sets of J(Con L) from
-D, with no closure, closes them under union and labels each result
-once; the closure normalizes its labels once and returns the tuple.
-Only the public constructors wrap labels, unchecked (``_congruence``:
-normalized labels pass the checks of :class:`Partition` by
-construction).
+for y, so x θ y.
+
+For a ≤ b the set of con(a, b) is the union of the D-closures C(q) of
+the q ∈ J(↓b) ∖ J(↓a) (``_principal_set``): each such q has
+q = q∧b θ q∧a ≤ q_*, and once they all lie in S the kernel rule relates
+a and b.  A congruence class is a convex sublattice, so
+con(a, b) = con(a∧b, a∨b), a class holds a set iff it holds its meet
+and join, the 1-class is an interval [m, 1] and the 0-class an interval
+[0, z], and balance is the one equality con(0, z) = con(m, 1) of two
+sets.  ``all_congruences``, ``principal_congruence``,
+``generated_congruence``, joins, meets and balance without a table
+read these sets, with no closure; each set is labelled once, by the
+kernel rule (``_kernel``).  ``is_congruence`` (like ``core.quotient``)
+checks the definition instead.
+
+``principal_table`` is the one caller of the compatibility closure
+``_closure``: one closure per comparable pair a < b, every other pair
+read at its meet and join.  The per-lattice record of facts behind
+``verify_theorem`` builds it once for balance.  A table read off the
+D-closed sets is faster, but the benchmark worker keeps every pass it
+runs, so a faster table reads as more peak memory; it waits until the
+worker reads its peak from one pass.  Only the public constructors wrap
+labels, unchecked (``_congruence``: normalized labels pass the checks of
+:class:`Partition` by construction).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import compress
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Optional, Sequence
@@ -76,11 +80,11 @@ def _normalize(labels: Sequence[Hashable]) -> tuple[int, ...]:
 class Partition:
     """A partition of {0..size-1} in normalized block-label form.
 
-    ``block_of[x]`` is the label of x's block: an ``int`` (not a bool),
-    with labels first occurring in the order 0, 1, 2, ...; any other
-    labels raise :class:`ValueError`.  Every size is checked as
-    ``core._size`` does, and every element as ``core._element`` does,
-    before either is used.
+    ``block_of`` is a tuple, and ``block_of[x]`` the label of x's block:
+    an ``int`` (not a bool), with labels first occurring in the order
+    0, 1, 2, ...; anything else raises :class:`ValueError`.  Every size
+    is checked as ``core._size`` does, and every element as
+    ``core._element`` does, before either is used.
     """
 
     size: int
@@ -111,10 +115,11 @@ class Partition:
         return Partition(size, (0,) * _size(size))
 
     def __post_init__(self) -> None:
+        # a list would make the partition unhashable; bool is a type of its own here
+        if not isinstance(self.block_of, tuple) or set(map(type, self.block_of)) - {int}:
+            raise ValueError("block_of is not a tuple of integers")
         if len(self.block_of) != _size(self.size):
             raise SizeMismatch("block_of length differs from size")
-        if set(map(type, self.block_of)) - {int}:  # bool is a type of its own here
-            raise ValueError("block labels are not all integers")
         # normalized iff the labels first occur in the order 0, 1, 2, ...
         first_seen = tuple(dict.fromkeys(self.block_of))
         if first_seen != tuple(range(len(first_seen))):
@@ -154,12 +159,15 @@ class Congruence:
 
     Tied to its owning lattice by object identity; two congruences
     compare equal only when they live on the same lattice object and
-    have the same blocks.
+    have the same blocks.  A ``partition`` that is not a
+    :class:`Partition` raises :class:`ValueError`.
     """
 
     __slots__ = ("lattice", "partition")
 
     def __init__(self, lattice: FiniteLattice, partition: Partition) -> None:
+        if not isinstance(partition, Partition):
+            raise ValueError(f"partition {partition!r} is not a Partition")
         if partition.size != lattice.size:
             raise SizeMismatch("partition sized for a different lattice")
         self.lattice = lattice
@@ -218,18 +226,11 @@ def is_congruence(lattice: FiniteLattice, partition: Partition) -> bool:
     return _blocks_compatible(lattice, partition.block_of)
 
 
-def _product_rows(lattice: FiniteLattice) -> list[tuple[int, ...]]:
-    """Row x holds x∧z for every z in ascending order, then x∨z likewise.
-
-    Built per call for the closures it serves, and not kept.
-    """
-    return [m + j for m, j in zip(lattice.meet, lattice.join)]
-
-
 def _closure(rows: Sequence[tuple[int, ...]], a: int, b: int) -> tuple[int, ...]:
     """Normalized labels of con(a, b), the least congruence relating a and b.
 
-    ``rows`` is ``_product_rows`` of the lattice.  Union-find with union
+    Row x of ``rows`` holds x∧z for every z in ascending order, then
+    x∨z likewise (``principal_table`` builds them).  Union-find with union
     at scan time, plus a FIFO worklist of merged pairs.  When the pair
     (x, y) merges two classes, each forced pair (x∧z, y∧z) for z in
     ascending order, then (x∨z, y∨z) likewise, is read from the two
@@ -285,8 +286,9 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
     """The least congruence collapsing all the given elements to one class.
 
     Congruence classes are convex sublattices, so a class holds the set
-    S iff it holds ⋀S and ⋁S: the answer is con(⋀S, ⋁S), one closure.
-    Each element is checked as ``core._element`` does.
+    S iff it holds ⋀S and ⋁S: the answer is con(⋀S, ⋁S), labelled from
+    its D-closed set (``_principal_set``), with no closure.  Each element
+    is checked as ``core._element`` does.
     """
     n = lattice.size
     mask = 0
@@ -294,8 +296,10 @@ def generated_congruence(lattice: FiniteLattice, elements: Iterable[int]) -> Con
         mask |= 1 << _element(e, n)
     if not mask:
         raise EmptySet("generating set is empty")
-    pair = (_fold(lattice.meet, mask), _fold(lattice.join, mask))
-    return _congruence(lattice, _closure(_product_rows(lattice), *pair))
+    closed, down = _irreducible_masks(lattice), lattice.down_masks
+    least, greatest = _fold(lattice.meet, mask), _fold(lattice.join, mask)
+    kept = sum(1 << q for q in closed) & ~_principal_set(closed, down, least, greatest)
+    return _congruence(lattice, _kernel(down, kept))
 
 
 def principal_congruence(lattice: FiniteLattice, a: int, b: int) -> Congruence:
@@ -313,15 +317,15 @@ def principal_table(lattice: FiniteLattice) -> Principal:
     A congruence class is a convex sublattice, so a ≡ b iff
     a∧b ≡ a∨b, and con(a, b) = con(a∧b, a∨b).  One closure per
     comparable pair a < b is computed up front, all over one list of
-    product rows (``_product_rows``) built here and dropped on return,
-    equal labelings stored once, and every lookup reads the pair
-    (a∧b, a∨b), which is (a, b) itself when a ≤ b.  The per-lattice
-    record of facts behind ``verify_theorem`` builds one table for
-    balance; without it balance runs one closure per lookup.  Con(L)
-    does not read it.
+    product rows, ``meet[x] + join[x]``, built here and dropped on
+    return, equal labelings stored once, and every lookup reads the pair
+    (a∧b, a∨b), which is (a, b) itself when a ≤ b.  The lookup checks
+    its elements as ``core._element`` does.  The per-lattice record of
+    facts behind ``verify_theorem`` builds one table for balance; no
+    other reader of con(a, b) uses it.
     """
     n, leq, meet, join = lattice.size, lattice.leq, lattice.meet, lattice.join
-    products, identity = _product_rows(lattice), tuple(range(n))
+    products, identity = [m + j for m, j in zip(meet, join)], tuple(range(n))
     rows = [[identity] * n for _ in range(n)]
     stored: dict[tuple[int, ...], tuple[int, ...]] = {}
     for a in range(n):
@@ -329,29 +333,18 @@ def principal_table(lattice: FiniteLattice) -> Principal:
             if b != a:
                 labels = _closure(products, a, b)
                 rows[a][b] = stored.setdefault(labels, labels)
-    return lambda a, b: rows[meet[a][b]][join[a][b]]
+    return lambda a, b: rows[meet[_element(a, n)][_element(b, n)]][join[a][b]]
 
 
-def _covering_pairs(lattice: FiniteLattice) -> list[tuple[int, int]]:
-    """Every covering pair a ≺ b, ordered by the size of ↓b."""
-    n, down, up = lattice.size, lattice.down_masks, lattice.up_masks
-    pairs = [
-        (a, b) for a in range(n) for b in range(n) if a != b and (up[a] & down[b]).bit_count() == 2
-    ]
-    pairs.sort(key=lambda pair: down[pair[1]].bit_count())
-    return pairs
+def _join_irreducibles(lattice: FiniteLattice) -> dict[int, int]:
+    """Each join-irreducible element q with its one lower cover q_*, in ascending q.
 
-
-def _join_irreducibles(covers: Sequence[tuple[int, int]]) -> dict[int, int]:
-    """Each join-irreducible element q with its one lower cover q_*.
-
-    q is join-irreducible iff it covers exactly one element (the bottom
-    covers none), read off the covering pairs; keys follow ``covers``.
+    q covers exactly one p iff ↓q without q is ↓p: every element below q
+    lies below a lower cover of q.  The bottom's strict down-set is
+    empty, and no element's down-set is.  One dict lookup per element.
     """
-    lower: dict[int, Optional[int]] = {}
-    for a, b in covers:
-        lower[b] = None if b in lower else a
-    return {q: a for q, a in lower.items() if a is not None}
+    index = {down: x for x, down in enumerate(lattice.down_masks)}  # the element of each ↓x
+    return {q: index[strict] for down, q in index.items() if (strict := down ^ 1 << q) in index}
 
 
 def _kernel(down: Sequence[int], kept: int) -> tuple[int, ...]:
@@ -370,7 +363,7 @@ def _combine(left: Congruence, right: Congruence, merge: Callable[[int, int], in
     lattice = left.lattice
     if right.lattice is not lattice:
         raise OwnerMismatch("congruences belong to different lattices")
-    below = _join_irreducibles(_covering_pairs(lattice))
+    below = _join_irreducibles(lattice)
     left_set, right_set = (
         sum(1 << p for p, a in below.items() if labels[p] == labels[a])
         for labels in (left.partition.block_of, right.partition.block_of)
@@ -405,7 +398,7 @@ def _irreducible_masks(lattice: FiniteLattice) -> dict[int, int]:
     closure of a partition runs.
     """
     down, join = lattice.down_masks, lattice.join
-    below = _join_irreducibles(_covering_pairs(lattice))
+    below = _join_irreducibles(lattice)
     irreducible = sum(1 << q for q in below)
     closed = {
         q: reduce(or_, (down[u] & ~down[v] for u, v in zip(join[q], join[a])), 0) & irreducible
@@ -416,6 +409,16 @@ def _irreducible_masks(lattice: FiniteLattice) -> dict[int, int]:
             if closed[q] >> k & 1:
                 closed[q] |= closed[k]
     return closed
+
+
+def _principal_set(closed: dict[int, int], down: Sequence[int], a: int, b: int) -> int:
+    """The D-closed set of con(a, b), for a ≤ b: the OR of C(q) over q ∈ J(↓b) ∖ J(↓a).
+
+    ``closed`` is ``_irreducible_masks`` of the lattice, ``down`` its
+    down-set masks.
+    """
+    fresh = down[b] & ~down[a]
+    return reduce(or_, (mask for q, mask in closed.items() if fresh >> q & 1), 0)
 
 
 def all_congruences(lattice: FiniteLattice) -> list[Congruence]:
@@ -450,17 +453,19 @@ def is_balanced_congruence(
     interval inside [bottom, z], and equals it iff it holds z, that is
     iff con(bottom, z) ≤ con(m, top); dually the second equality says
     con(m, top) ≤ con(bottom, z).  Both hold iff the two congruences are
-    equal, which is one comparison of their normalized labels.
-    ``principal`` is the lookup of ``principal_table``; without it each
-    of the two is one closure.
+    equal: one comparison of the labels that ``principal``, the lookup
+    of ``principal_table``, gives, or without it of their D-closed sets
+    (``_principal_set``), with no labels and no closure.
     """
     if cong.lattice is not lattice:
         raise OwnerMismatch("congruence belongs to a different lattice")
-    if principal is None:
-        principal = partial(_closure, _product_rows(lattice))
     labels = cong.partition.block_of
     bottom, top = lattice.bottom, lattice.top
     zero, one = labels[bottom], labels[top]
     least = _fold(lattice.meet, sum(1 << e for e, label in enumerate(labels) if label == one))
     greatest = _fold(lattice.join, sum(1 << e for e, label in enumerate(labels) if label == zero))
+    if principal is None:
+        closed, down = _irreducible_masks(lattice), lattice.down_masks
+        upper = _principal_set(closed, down, least, top)
+        return upper == _principal_set(closed, down, bottom, greatest)
     return principal(least, top) == principal(bottom, greatest)

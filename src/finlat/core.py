@@ -53,10 +53,12 @@ class LatticeError(Exception):
     permutation of ``int`` elements, a malformed
     ``lattice_from_canonical`` form, an empty or non-square
     ``FiniteLattice`` matrix or one with a ``str`` or ``bytes`` cell or
-    row, and ``Partition`` blocks that overlap or miss an element or
-    labels that are not integers or not normalized.  An ``int`` element
-    or mask out of range raises :class:`SizeMismatch`, and an ``int``
-    size out of range ``SizeOutOfRange``.
+    row, ``Partition`` blocks that overlap or miss an element, labels
+    that are not integers or not normalized, or a ``block_of`` that is
+    not a tuple, and a ``Congruence`` partition that is not a
+    ``Partition``.  An ``int`` element or mask out of range raises
+    :class:`SizeMismatch`, and an ``int`` size out of range
+    ``SizeOutOfRange``.
     """
 
 

@@ -8,9 +8,11 @@ verdict plus a full classification report for a single lattice.
 The d-lattice scope is decided by the characterization (Lemma
 ``charact``): every maximal ideal and maximal filter is prime.  It reads
 the maximal and prime sets alone, with no closure; the defining
-implications, read from ``principal_congruence``, are kept as
-``is_d_lattice_definition`` for the tests and searches that compare
-the two.
+implications are kept as ``is_d_lattice_definition`` for the tests and
+searches that compare the two.  It reads the principal congruences
+con(0, c) and con(c, 1) as D-closed sets of join-irreducibles, derived
+once per lattice, and tests their classes of 1 and 0 on masks, with no
+closure.
 
 Every predicate, verdict and report reads one record per lattice
 (``_Facts``) that derives each fact on its first read and keeps it: the
@@ -41,11 +43,11 @@ from typing import Any, Optional, Sequence
 from .congruences import (
     Congruence,
     Principal,
-    _covering_pairs,
+    _irreducible_masks,
     _join_irreducibles,
+    _principal_set,
     all_congruences,
     is_balanced_congruence,
-    principal_congruence,
     principal_table,
 )
 from .core import (
@@ -223,17 +225,21 @@ def is_d_lattice_definition(lattice: FiniteLattice) -> bool:
 
     For all a, c: if (a, top) lies in the congruence generated by
     (bottom, c) then a∨c = top, and dually with the roles of the bounds
-    swapped.  One principal congruence per pair read, at most 2n.
+    swapped.  By the kernel rule of ``congruences``, with S the D-closed
+    set of the congruence and J = J(L), a θ top iff J ∖ S ⊆ ↓a, and
+    a θ bottom iff J(↓a) ⊆ S.  The sets C(q) are derived once, and each
+    c reads the sets of con(bottom, c) and con(c, top) off them.
     """
-    n = lattice.size
-    sides = (
-        (lattice.bottom, lattice.top, lattice.join),
-        (lattice.top, lattice.bottom, lattice.meet),
-    )
+    n, down, bottom, top = lattice.size, lattice.down_masks, lattice.bottom, lattice.top
+    closed = _irreducible_masks(lattice)
+    every = sum(1 << q for q in closed)
     for c in range(n):
-        for bound, opposite, table in sides:
-            theta = principal_congruence(lattice, bound, c).partition.block_of
-            if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
+        above = every & ~_principal_set(closed, down, bottom, c)  # J ∖ S of con(bottom, c)
+        below = every & ~_principal_set(closed, down, c, top)  # J ∖ S of con(c, top)
+        for a in range(n):
+            if not above & ~down[a] and lattice.join[a][c] != top:  # a θ top
+                return False
+            if not below & down[a] and lattice.meet[a][c] != bottom:  # a θ bottom
                 return False
     return True
 
@@ -277,14 +283,14 @@ def is_balanced(lattice: FiniteLattice) -> bool:
 def is_distributive(lattice: FiniteLattice) -> bool:
     """Birkhoff's form: x ↦ J(L) ∩ ↓x preserves binary joins.
 
-    J(L) is read off the covering pairs (``_join_irreducibles``).  Every
+    J(L) is read off the down-sets (``_join_irreducibles``).  Every
     x is the join of J(L) ∩ ↓x and the map preserves meets, so it embeds
     L in the subsets of J(L) exactly when it also preserves joins, that
     is, when every join-irreducible is join-prime.  One mask test per
     pair of elements.
     """
     n, down, join = lattice.size, lattice.down_masks, lattice.join
-    irreducible = sum(1 << j for j in _join_irreducibles(_covering_pairs(lattice)))
+    irreducible = sum(1 << j for j in _join_irreducibles(lattice))
     below = [mask & irreducible for mask in down]
     return all(
         below[join[x][y]] == below[x] | below[y] for x in range(n) for y in range(x + 1, n)

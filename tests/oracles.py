@@ -13,16 +13,21 @@ the congruence closure with a nested ``find`` that tests roots when
 it queues a pair, which every closure-based oracle here runs (the
 package's kernel compares products when it queues and roots when it
 pops), Con(L) and the join of congruences by a compatibility closure per join
-(the package ORs covering-pair masks), Con(L) as the identity closed
+(the package ORs D-closed sets), the d-lattice definition with one
+closure per principal congruence (the package reads con(0, c) and
+con(c, 1) as D-closed sets), Con(L) as the identity closed
 under partition joins, union-find merges of two labelings, with every
 principal congruence and balance by closing each bound class again (the
 package reads balance from one table of principal congruences, Con(L) as
-the OR-closure of the covering-pair masks of its join-irreducibles),
-the covering pairs by a scan for lower covers, that table with one
+the OR-closure of the D-closed sets C(q) of its join-irreducibles),
+the covering pairs by a scan for lower covers (the package reads J(L)
+off the down-sets and no longer lists covering pairs), that table with one
 closure for every pair of elements (the package closes the comparable
 pairs only and reads any other pair at its meet and join), two other
 derivations of those join-irreducibles,
 the placement generator with the down-set size prune only, the
+canonical forms of size n grown from those of size n − 1 by adding an
+atom below each admissible up-set (no down-set is placed), the
 placement generator that scans every odd mask for the next strict
 down-set, the placement generator that tests every listed down-set's
 meets with all placed elements, the down-twin prune read from
@@ -45,8 +50,8 @@ A further group computes Con(L) and principal congruences from Day's
 dependency relation D on the join-irreducible elements, with no
 closure at all.  It lists every D*-closed set of join-irreducibles;
 the package takes only the closures of single ones, as the masks of
-J(Con L), and ORs those.  The same method is meant to replace the
-package's table of principal congruences.
+J(Con L), and ORs those, for Con(L) and for every principal congruence
+but those of its table.
 The quotient L/θ from the block order [x] <= [y] iff x∨y θ y is the
 reference for the package's image of the order under the block labels,
 and ``check_report`` re-checks every witness of a ``classify`` report,
@@ -60,7 +65,7 @@ small lattices.
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, permutations, product
 from math import factorial, prod
 from typing import Callable, Iterable, Iterator, Sequence
@@ -90,6 +95,7 @@ from finlat import (
     is_ideal,
     is_maximal_filter,
     is_maximal_ideal,
+    lattice_from_canonical,
     quotient,
     standard_lattice,
     three_chain_quotient_from_nested_primes,
@@ -534,6 +540,27 @@ def closure_by_queue(lattice: FiniteLattice, a: int, b: int) -> tuple[int, ...]:
     return _normalize(parent)
 
 
+def d_lattice_definition_by_closure(lattice: FiniteLattice) -> bool:
+    """The d-lattice definition, each principal congruence closed by ``closure_by_find``.
+
+    For all a, c: a θ top under θ = con(bottom, c) implies a∨c = top, and
+    a θ bottom under θ = con(top, c) implies a∧c = bottom; at most 2n
+    closures.  ``properties.is_d_lattice_definition`` reads the two
+    classes off D-closed sets instead.
+    """
+    n = lattice.size
+    sides = (
+        (lattice.bottom, lattice.top, lattice.join),
+        (lattice.top, lattice.bottom, lattice.meet),
+    )
+    for c in range(n):
+        for bound, opposite, table in sides:
+            theta = closure_by_find(lattice, [(bound, c)])
+            if any(theta[a] == theta[opposite] and table[a][c] != opposite for a in range(n)):
+                return False
+    return True
+
+
 def _block_pairs(block_of: Sequence[int]) -> list[tuple[int, int]]:
     """(least element of its block, e) for every other element e."""
     first: dict[int, int] = {}
@@ -863,6 +890,55 @@ def canonical_forms_unfiltered(n: int) -> tuple[bytes, ...]:
     forms = {
         _canonical_from_up_masks(n, up_masks(n, down), down) for down in placements_by_meet_scan(n)
     }
+    return tuple(sorted(forms))
+
+
+def _atom_up_sets(up: Sequence[int], bottom: int) -> Iterator[int]:
+    """Every nonempty up-set of L ∖ {0}, as a mask, from the up-set masks of L.
+
+    Elements are decided from the top down, so an element may join a set
+    only when its strict up-set already lies in it.
+    """
+    sets = [0]
+    for x in sorted(range(len(up)), key=lambda e: up[e].bit_count()):
+        if x != bottom:
+            strict = up[x] & ~(1 << x)
+            sets += [u | 1 << x for u in sets if not strict & ~u]
+    return (u for u in sets if u)
+
+
+@cache
+def forms_by_atom_addition(n: int) -> tuple[bytes, ...]:
+    """Sorted canonical forms of size n, each grown from a class of size n − 1 by one atom.
+
+    Removing an atom a from a lattice of n ≥ 3 elements leaves a lattice
+    L (a meet that was a becomes 0), and a is recovered from the up-set
+    U = ↑a ∖ {a} of L: a nonempty up-set of L ∖ {0} in which x, y ∈ U with
+    x∧y ≠ 0 have x∧y ∈ U (else x∧y and a are two maximal lower bounds of
+    x and y).  Conversely, each such U gives a lattice: the join of a
+    and x ≠ 0 is the least member of U ∩ ↑x, which is closed under meets,
+    and the meet of x, y ∈ U with x∧y = 0 becomes a.  So every U of every
+    class of size n − 1 (from this function) is grown, and the results
+    are deduplicated by canonical form.  Sizes 1 and 2 are chains.  Not
+    the package's placement generator: no down-set is placed.
+    """
+    if n <= 2:
+        return (canonical_form(standard_lattice("chain", n)),)
+    forms = set()
+    atom = n - 1
+    for form in forms_by_atom_addition(n - 1):
+        lattice = lattice_from_canonical(form)
+        down, up, meet, bottom = lattice.down_masks, lattice.up_masks, lattice.meet, lattice.bottom
+        for upset in _atom_up_sets(up, bottom):
+            members = _members(upset)
+            meets = (meet[x][y] for x in members for y in members)
+            if any(m != bottom and not upset >> m & 1 for m in meets):
+                continue
+            grown_down = [d | (upset >> x & 1) << atom for x, d in enumerate(down)]
+            grown_up = [u | (x == bottom) << atom for x, u in enumerate(up)]
+            grown_down.append(1 << bottom | 1 << atom)
+            grown_up.append(upset | 1 << atom)
+            forms.add(_canonical_from_up_masks(n, grown_up, grown_down))
     return tuple(sorted(forms))
 
 

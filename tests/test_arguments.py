@@ -16,12 +16,16 @@ import finlat as fl
 N5 = fl.standard_lattice("n5")  # elements 0..4; a d-lattice
 CHAIN4 = fl.standard_lattice("chain", 4)  # a d-lattice with complementless elements
 THETA = fl.principal_congruence(N5, 0, 1)
+TABLE = fl.principal_table(N5)
 
 # name -> (a call that puts the probed value where an element goes, a value it accepts)
 ELEMENT_TAKERS = {
     "principal_congruence(first)": (lambda x: fl.principal_congruence(N5, x, 2), 1),
     "principal_congruence(second)": (lambda x: fl.principal_congruence(N5, 2, x), 1),
     "generated_congruence": (lambda x: fl.generated_congruence(N5, [0, x]), 1),
+    # -1 would read element 4, and 5 leak an IndexError, were they not checked
+    "principal_table(first)": (lambda x: TABLE(x, 0), 1),
+    "principal_table(second)": (lambda x: TABLE(0, x), 1),
     "complements_of": (lambda x: fl.complements_of(N5, x), 1),
     "annihilator_filter": (lambda x: fl.annihilator_filter(N5, x), 1),
     "annihilator_ideal": (lambda x: fl.annihilator_ideal(N5, x), 1),
@@ -99,6 +103,22 @@ def test_set_and_partition_sizes_raise_value_error(name, value):
     with pytest.raises(ValueError):
         COUNT_TAKERS[name](value)
     assert COUNT_TAKERS[name](3).size == 3
+
+
+@pytest.mark.parametrize("block_of", [[0, 1], range(2), b"\x00\x01", None], ids=repr)
+def test_partition_labels_that_are_no_tuple_raise_value_error(block_of):
+    # a list of labels used to pass, and made a partition that could not be hashed
+    with pytest.raises(ValueError, match="not a tuple of integers"):
+        fl.Partition(2, block_of)
+    assert hash(fl.Partition(2, (0, 1))) == hash(fl.Partition(2, (0, 1)))
+
+
+@pytest.mark.parametrize("partition", [(0,) * 5, [0] * 5, THETA, None], ids=repr)
+def test_congruence_of_no_partition_raises_value_error(partition):
+    # a tuple of labels used to raise AttributeError
+    with pytest.raises(ValueError, match="not a Partition"):
+        fl.Congruence(N5, partition)
+    assert fl.Congruence(N5, THETA.partition) == THETA
 
 
 @pytest.mark.parametrize("value, error", SIZE_PROBES, ids=repr)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import random
+import subprocess
+import sys
 import time
 from itertools import combinations, product
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 import finlat as fl
 from finlat import congruences
-from finlat.congruences import _closure, _product_rows
+from finlat.congruences import _closure
 from finlat.core import _blocks_compatible
 import oracles
 import support
@@ -159,6 +162,11 @@ def test_compatibility_in_bounded_cpu_time(case):
     assert elapsed < 0.1
 
 
+def _product_rows(lattice: fl.FiniteLattice) -> list[tuple[int, ...]]:
+    """The rows ``principal_table`` hands each closure: x∧z for every z, then x∨z."""
+    return [m + j for m, j in zip(lattice.meet, lattice.join)]
+
+
 def _one_block(labels) -> bool:
     """Labels of one block on two or more elements: what the closure returns at its early exit."""
     return len(labels) > 1 and not any(labels)
@@ -230,11 +238,10 @@ def test_closure_matches_find_kernel_on_relabelled_products(data):
 def _shared_rows_agree(lattice: fl.FiniteLattice, firsts: Sequence[int]) -> None:
     """One list of product rows serves every closure (a, b), a in ``firsts``, unchanged by them."""
     n, rows = lattice.size, _product_rows(lattice)
-    assert rows == [lattice.meet[x] + lattice.join[x] for x in range(n)]
     for a in firsts:
         for b in range(n):
             assert _closure(rows, a, b) == oracles.closure_by_queue(lattice, a, b), (a, b)
-    assert rows == [lattice.meet[x] + lattice.join[x] for x in range(n)]
+    assert rows == _product_rows(lattice)
 
 
 def test_shared_row_closure_matches_queue_kernel_on_every_pair_up_to_size_8():
@@ -414,7 +421,7 @@ def test_join_meet_results_are_congruences():
 
 
 def _meets_are_common_refinements(lattice: fl.FiniteLattice) -> None:
-    # the AND of covering-pair masks, against the intersection of the blocks
+    # the AND of the D-closed sets, against the intersection of the blocks
     congs = fl.all_congruences(lattice)
     for left in congs:
         for right in congs:
@@ -641,10 +648,116 @@ def test_join_congruences_matches_closure_join_up_to_size_6():
 )
 def test_all_congruences_runs_no_closure(monkeypatch, lattice):
     # J(Con L) is read from Day's dependency relation and joins are ORs of
-    # covering-pair masks: no congruence closure runs at all
+    # D-closed sets: no congruence closure runs at all
     calls = support.count_calls(monkeypatch, "_closure", congruences)
     assert fl.all_congruences(lattice)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [
+        fl.standard_lattice("chain", 6),
+        fl.product(fl.standard_lattice("n5"), fl.standard_lattice("chain", 2)),
+        support.catalog_product(("m3", "m3", "n5")),
+    ],
+    ids=["chain6", "n5xchain2", "m3xm3xn5"],
+)
+def test_principal_generated_balance_and_definition_run_no_closure(monkeypatch, lattice):
+    # every reader of con(a, b) but ``principal_table`` reads D-closed sets;
+    # a table of chain(3), built last, shows that the counter sees its
+    # three closures (one per comparable pair)
+    calls = support.count_calls(monkeypatch, "_closure", congruences)
+    n = lattice.size
+    for a in range(n):
+        fl.principal_congruence(lattice, a, n - 1 - a)
+    fl.generated_congruence(lattice, range(1, n, 3))
+    for cong in fl.all_congruences(lattice):
+        fl.is_balanced_congruence(lattice, cong)
+    fl.is_d_lattice_definition(lattice)
+    assert calls == []
+    fl.principal_table(fl.standard_lattice("chain", 3))
+    assert len(calls) == 3
+
+
+def _principals_agree(lattice: fl.FiniteLattice, pairs: Iterable[tuple[int, int]]) -> None:
+    """con(a, b) from its D-closed set against the find kernel, on each pair."""
+    for a, b in pairs:
+        got = fl.principal_congruence(lattice, a, b).partition.block_of
+        assert got == oracles.closure_by_find(lattice, [(a, b)]), (a, b)
+
+
+def test_principal_congruence_matches_find_kernel_on_every_ordered_pair_up_to_size_7():
+    for lattice in support.lattices_up_to(7):
+        _principals_agree(lattice, product(range(lattice.size), repeat=2))
+
+
+def _pairs_through(data, n: int) -> list[tuple[int, int]]:
+    """Every pair (a, b) and (b, a), for two drawn elements a (one if n = 1) and every b."""
+    first = st.integers(0, n - 1)
+    firsts = data.draw(st.lists(first, min_size=min(n, 2), max_size=2, unique=True))
+    return [pair for a in firsts for b in range(n) for pair in ((a, b), (b, a))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_principal_congruence_matches_find_kernel_on_relabelled_products(data):
+    lattice = support.catalog_product(data.draw(st.sampled_from(support.product_shapes())))
+    relabeled = fl.relabel(lattice, data.draw(st.permutations(range(lattice.size))))
+    _principals_agree(relabeled, _pairs_through(data, relabeled.size))
+
+
+@settings(max_examples=12, deadline=None)
+@given(lattice=support.closed_set_lattices(), data=st.data())
+def test_principal_congruence_matches_find_kernel_on_closed_set_lattices(lattice, data):
+    _principals_agree(lattice, _pairs_through(data, lattice.size))
+
+
+_SINGLE_CALLS = """
+import json, time
+import finlat as fl
+seconds = {}
+def timed(name, call):
+    start = time.process_time()
+    result = call()
+    seconds[name] = time.process_time() - start
+    return result
+verdicts = {}
+for name, k in (("boolean", 8), ("chain", 300)):
+    lattice = fl.standard_lattice(name, k)
+    verdicts[name] = timed(f"definition {name}", lambda: fl.is_d_lattice_definition(lattice))
+for name, k in (("chain", 1000), ("boolean", 10)):
+    lattice = fl.standard_lattice(name, k)
+    theta = timed(f"principal {name}", lambda: fl.principal_congruence(lattice, 0, 1))
+    verdicts[f"balanced {name}"] = timed(
+        f"balance {name}", lambda: fl.is_balanced_congruence(lattice, theta)
+    )
+print(json.dumps([verdicts, seconds]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_single_d_closed_set_calls_answer_within_two_seconds(flags):
+    # one call each, timed in CPU seconds after the lattice is built, its
+    # tables included: the d-lattice definition on boolean(8) and
+    # chain(300), con(0, 1) and table-less balance on chain(1000), where
+    # C(q) is derived for all 999 join-irreducibles, and on boolean(10)
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", _SINGLE_CALLS],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    verdicts, seconds = json.loads(done.stdout)
+    assert verdicts == {
+        "boolean": True,
+        "chain": True,
+        "balanced chain": False,  # con(0, 1) has 0-class {0, 1} and 1-class {top}
+        "balanced boolean": True,
+    }
+    assert len(seconds) == 6
+    assert all(value < 2.0 for value in seconds.values()), seconds
 
 
 def test_all_congruences_match_frontier_joins_up_to_size_8():
@@ -653,14 +766,12 @@ def test_all_congruences_match_frontier_joins_up_to_size_8():
 
 
 def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
-    covers = congruences._covering_pairs(lattice)
-    assert sorted(covers) == sorted(oracles.covering_pairs_by_scan(lattice))
-    lower = congruences._join_irreducibles(covers)
+    covers = oracles.covering_pairs_by_scan(lattice)
+    lower = congruences._join_irreducibles(lattice)
     assert lower == oracles.join_irreducibles_by_scan(lattice)
     assert lower == oracles.join_irreducibles_by_fold(lattice)
+    assert list(lower) == sorted(lower)
     assert len(lower) == _join_irreducible_count(lattice)
-    sizes = [lattice.down_masks[b].bit_count() for _, b in covers]
-    assert sizes == sorted(sizes)
     table = fl.principal_table(lattice)
     got = {table(a, b) for a, b in covers}
     # C(q) is a set of join-irreducibles that holds q, and its θ is con(q_*, q)
@@ -677,13 +788,13 @@ def _irreducibles_agree(lattice: fl.FiniteLattice) -> None:
 
 
 def test_join_irreducibles_agree_three_ways_up_to_size_8():
-    # con(a, b) over the covering pairs a ≺ b, listed up by the size of
-    # ↓b; con(j_*, j) over join-irreducible elements; the principal
-    # congruences that are no join of those below them; and the masks
-    # read from Day's dependency relation as the D-closed sets C(q) and
-    # labelled by the kernel rule.  J(L) with each lower cover j_*
-    # (``_join_irreducibles``, read off the covering pairs) agrees with a
-    # scan for lower covers and with the join of each strict down-set
+    # con(a, b) over the covering pairs a ≺ b; con(j_*, j) over
+    # join-irreducible elements; the principal congruences that are no
+    # join of those below them; and the masks read from Day's dependency
+    # relation as the D-closed sets C(q) and labelled by the kernel rule.
+    # J(L) with each lower cover j_* (``_join_irreducibles``, read off
+    # the down-sets) agrees with a scan for lower covers and with the
+    # join of each strict down-set
     for lattice in support.lattices_up_to(8):
         _irreducibles_agree(lattice)
 
@@ -694,7 +805,7 @@ def _closed_set(lower: dict[int, int], labels: Sequence[int]) -> int:
 
 
 def _closed_sets_round_trip(lattice: fl.FiniteLattice) -> None:
-    lower = congruences._join_irreducibles(congruences._covering_pairs(lattice))
+    lower = congruences._join_irreducibles(lattice)
     every = sum(1 << q for q in lower)
     closed = congruences._irreducible_masks(lattice)
     congs = fl.all_congruences(lattice)
@@ -719,7 +830,7 @@ def test_kernel_rule_matches_every_congruence_up_to_size_7():
     # partition space: θ is the kernel of x ↦ J(↓x) ∖ S for its set S, and
     # θ ↦ S maps Con(L) one to one onto the sets closed under Day's D
     for lattice in support.lattices_up_to(7):
-        lower = congruences._join_irreducibles(congruences._covering_pairs(lattice))
+        lower = congruences._join_irreducibles(lattice)
         every = sum(1 << q for q in lower)
         depends = oracles._dependencies(lattice, oracles._lower_covers(lattice))
         closed_sets = {
@@ -738,6 +849,8 @@ def test_kernel_rule_matches_every_congruence_up_to_size_7():
 
 
 def _balance_agrees(lattice: fl.FiniteLattice) -> None:
+    # balance read from the table's labels, and with no table from the
+    # two D-closed sets, against closing each bound class again
     table = fl.principal_table(lattice)
     for cong in fl.all_congruences(lattice):
         expected = oracles.balanced_by_generated_closure(lattice, cong)

@@ -107,6 +107,21 @@ def test_leaf_twin_order_is_read_off_masks(monkeypatch):
     assert len(calls) - len(leaf_calls) == 5134
 
 
+def test_forms_match_atom_addition_through_size_10():
+    # every class of size n grown by one atom from those of size n - 1,
+    # with no placement of down-sets (a step toward generating by augmentation)
+    for n in range(1, 11):
+        assert oracles.forms_by_atom_addition(n) == _canonical_forms(n), f"size {n}"
+
+
+@pytest.mark.slow
+def test_forms_match_atom_addition_at_size_11():
+    # past MAX_SIZE: 37,622 classes (OEIS A006966)
+    forms = oracles.forms_by_atom_addition(11)
+    assert len(forms) == 37_622
+    assert forms == _canonical_forms(11)
+
+
 def test_forms_hash_is_pinned_through_size_10():
     forms = b"".join(form for n in range(1, 11) for form in _canonical_forms(n))
     assert hashlib.sha256(forms).hexdigest() == FORMS_SHA256
@@ -246,9 +261,10 @@ def test_search_reads_one_record_for_predicate_and_report(monkeypatch):
 def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
     # the verdict, the census and the four searches read ideals, filters and
     # complements as bit masks and element indices, and list Con(L) at most
-    # once per lattice: its members, and the principal congruences the
-    # d-lattice definition reads in one search, are the only objects they
-    # wrap, each made straight from its normalized labels, with no
+    # once per lattice: its members are the only objects they wrap (the
+    # d-lattice definition one search reads holds its principal
+    # congruences as D-closed sets, unwrapped), each made straight from
+    # its normalized labels, with no
     # Partition or Congruence check run; only a report (and the CLI and
     # the public enumerators) wraps a set
     lattices = support.lattices_up_to(8)
@@ -274,7 +290,6 @@ def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
 
     monkeypatch.setattr(fl.properties, "all_congruences", listing)
     wrapped = support.count_calls(monkeypatch, "_congruence", fl.congruences)
-    principals = support.count_calls(monkeypatch, "principal_congruence", fl.properties)
     verdicts = [fl.verify_theorem(lattice) for lattice in lattices]
     assert all(verdict.passed for verdict in verdicts)
     assert sum(verdict.scope == "d-lattice" for verdict in verdicts) == 110
@@ -285,7 +300,7 @@ def test_verdict_census_and_searches_wrap_no_set_and_list_con_once(monkeypatch):
         assert fl.search_counterexample(predicate, 8) == []
     assert made == []
     assert len({id(lattice) for lattice, _ in listed}) == len(listed)
-    assert len(wrapped) == sum(count for _, count in listed) + len(principals)
+    assert len(wrapped) == sum(count for _, count in listed)
     fl.classify(fl.standard_lattice("chain", 3))
     assert set(made) == {"ElementSet"}
 

@@ -569,14 +569,36 @@ def test_unbalanced_by_pairs_matches_listing_on_relabelled_products(data):
     _unbalanced_by_pairs_agrees(relabeled)
 
 
+@settings(max_examples=25, deadline=None)
+@given(lattice=support.closed_set_lattices())
+def test_unbalanced_by_pairs_matches_listing_on_closed_set_lattices(lattice):
+    # products, duals and quotients of closed-set lattices, mostly of 20-40 elements
+    _unbalanced_by_pairs_agrees(lattice)
+
+
 @pytest.mark.slow
 def test_unbalanced_by_pairs_matches_listing_at_size_10():
     unbalanced = Counter(map(_unbalanced_by_pairs_agrees, support.lattices_of(10)))
     assert unbalanced == {True: 3499, False: 5994 - 3499}
 
 
+def test_d_lattice_definition_matches_closure_oracle_up_to_size_9():
+    # the definition read off D-closed sets against at most 2n closures
+    scopes = Counter(
+        (fl.is_d_lattice_definition(lattice), oracles.d_lattice_definition_by_closure(lattice))
+        for lattice in support.lattices_up_to(9)
+    )
+    assert scopes == {(True, True): 340, (False, False): 1378 - 340}
+
+
+@settings(max_examples=25, deadline=None)
+@given(lattice=support.closed_set_lattices())
+def test_d_lattice_definition_matches_closure_oracle_on_closed_set_lattices(lattice):
+    assert fl.is_d_lattice_definition(lattice) == oracles.d_lattice_definition_by_closure(lattice)
+
+
 def test_d_lattice_matches_definition_up_to_size_8():
-    # the characterization decides scope; the definition runs closures
+    # the characterization decides scope; the definition reads D-closed sets
     for lattice in support.lattices_up_to(8):
         assert fl.is_d_lattice(lattice) == fl.is_d_lattice_definition(lattice)
 
